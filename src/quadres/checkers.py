@@ -9,6 +9,9 @@ pebbled ones.  Counting mod 2 this is a linear map, and the board
 coordinates are the billiard lattice points shifted by (-1, -1): square
 (col, row) sits at lattice point (col+1, row+1) of the m-by-n rectangle.
 
+Configurations are kept as one int bitmask per row (bit c = column c), so
+the map and light chasing work a row at a time by shifts and XORs.
+
 Three solvers are provided: the greedy top-to-bottom "light chasing" pass
 combined with the billiards two-coloring for the bottom-row residue, a
 bit-packed Gaussian elimination over GF(2), and (for gcd > 1 boards) the
@@ -18,10 +21,11 @@ kernel construction from the once-visited billiard points.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar, Iterable, Iterator
 
-from .billiards import Rect, bottom_bounce_times, crossings, kernel_checkers, trace_path, two_color_checkers
+from .billiards import Rect, kernel_checkers, two_color_checkers
 from .symbols import SymbolEvidence
 
 
@@ -30,8 +34,6 @@ class PuzzleNotUniquelySolvable(ValueError):
 
 
 Square = tuple[int, int]
-
-_ORTHO = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -59,57 +61,81 @@ class Board:
         """Dark squares in row-major order, bottom row first."""
         return [(c, r) for r in range(self.rows) for c in range(self.cols) if (c + r) % 2 == 0]
 
-    def neighbors(self, col: int, row: int) -> list[Square]:
-        return [(col + dc, row + dr) for dc, dr in _ORTHO if self.in_bounds(col + dc, row + dr)]
+
+def _columns(bits: int) -> Iterator[int]:
+    """Indices of the set bits of a row bitmask, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
-def _validate_support(board: Board, squares: frozenset[Square], dark: bool, kind: str) -> None:
-    for col, row in squares:
-        if not board.in_bounds(col, row):
-            raise ValueError(f"{kind} square {(col, row)} outside {board.rows}x{board.cols} board")
-        if board.is_dark(col, row) != dark:
-            shade = "dark" if dark else "light"
-            raise ValueError(f"{kind} square {(col, row)} is not a {shade} square")
+def _lit(row: int, nearby: int, full: int) -> int:
+    """Squares of a row next to an odd number of checkers, in it or in `nearby` (rows above ^ below)."""
+    return (row << 1 ^ row >> 1 ^ nearby) & full
 
 
-@dataclass(frozen=True)
-class PebbleSet:
+@dataclass(frozen=True, init=False)
+class _Configuration:
+    """A mod-2 configuration on the squares of one color, one bitmask per row.
+
+    Bit c of row_bits[r] is set when square (c, r) is occupied; `squares`
+    lists the occupied squares, built on first use.
+    """
+
+    board: Board
+    row_bits: tuple[int, ...]
+    dark: ClassVar[bool]
+
+    def __init__(self, board: Board, squares: Iterable[Square]) -> None:
+        kind, shade = ("checker", "dark") if self.dark else ("pebble", "light")
+        row_bits = [0] * board.rows
+        for col, row in squares:
+            if not board.in_bounds(col, row):
+                raise ValueError(f"{kind} square {(col, row)} outside {board.rows}x{board.cols} board")
+            if board.is_dark(col, row) != self.dark:
+                raise ValueError(f"{kind} square {(col, row)} is not a {shade} square")
+            row_bits[row] |= 1 << col
+        object.__setattr__(self, "board", board)
+        object.__setattr__(self, "row_bits", tuple(row_bits))
+
+    @classmethod
+    def _from_rows(cls, board: Board, row_bits: Iterable[int]):
+        """Wrap row bitmasks that already lie on this color's squares of the board."""
+        config = cls.__new__(cls)
+        object.__setattr__(config, "board", board)
+        object.__setattr__(config, "row_bits", tuple(row_bits))
+        return config
+
+    @cached_property
+    def squares(self) -> frozenset[Square]:
+        return frozenset((col, row) for row, bits in enumerate(self.row_bits) for col in _columns(bits))
+
+    def count(self) -> int:
+        """Number of occupied squares."""
+        return sum(bits.bit_count() for bits in self.row_bits)
+
+    def bits(self) -> tuple[int, ...]:
+        """0/1 vector over this color's squares in board order."""
+        squares = self.board.dark_squares() if self.dark else self.board.light_squares()
+        return tuple(self.row_bits[row] >> col & 1 for col, row in squares)
+
+    def __xor__(self, other):
+        if type(other) is not type(self) or other.board != self.board:
+            raise ValueError("cannot combine configurations on different boards")
+        return self._from_rows(self.board, (a ^ b for a, b in zip(self.row_bits, other.row_bits)))
+
+
+class PebbleSet(_Configuration):
     """A mod-2 configuration on the light squares."""
 
-    board: Board
-    squares: frozenset[Square]
-
-    def __post_init__(self) -> None:
-        _validate_support(self.board, self.squares, dark=False, kind="pebble")
-
-    def __xor__(self, other: "PebbleSet") -> "PebbleSet":
-        if other.board != self.board:
-            raise ValueError("cannot combine configurations on different boards")
-        return PebbleSet(self.board, self.squares ^ other.squares)
-
-    def bits(self) -> tuple[int, ...]:
-        """0/1 vector over light squares in board order."""
-        return tuple(1 if sq in self.squares else 0 for sq in self.board.light_squares())
+    dark = False
 
 
-@dataclass(frozen=True)
-class CheckerSet:
+class CheckerSet(_Configuration):
     """A mod-2 configuration on the dark squares."""
 
-    board: Board
-    squares: frozenset[Square]
-
-    def __post_init__(self) -> None:
-        _validate_support(self.board, self.squares, dark=True, kind="checker")
-
-    def __xor__(self, other: "CheckerSet") -> "CheckerSet":
-        if other.board != self.board:
-            raise ValueError("cannot combine configurations on different boards")
-        return CheckerSet(self.board, self.squares ^ other.squares)
-
-    def bits(self) -> tuple[int, ...]:
-        """0/1 vector over dark squares in board order."""
-        return tuple(1 if sq in self.squares else 0 for sq in self.board.dark_squares())
+    dark = True
 
 
 def pebbles(board: Board, *squares: Square) -> PebbleSet:
@@ -122,12 +148,15 @@ def checkers_at(board: Board, *squares: Square) -> CheckerSet:
 
 def bottom_row_puzzle(board: Board) -> PebbleSet:
     """Pebbles on every light square of the bottom row."""
-    return PebbleSet(board, frozenset((c, 0) for c in range(1, board.cols, 2) if board.rows > 0))
+    row_bits = [0] * board.rows
+    if board.rows:
+        row_bits[0] = sum(1 << col for col in range(1, board.cols, 2))
+    return PebbleSet._from_rows(board, row_bits)
 
 
 def left_column_puzzle(board: Board) -> PebbleSet:
     """Pebbles on every light square of the leftmost column."""
-    return PebbleSet(board, frozenset((0, r) for r in range(1, board.rows, 2) if board.cols > 0))
+    return PebbleSet._from_rows(board, (row % 2 if board.cols else 0 for row in range(board.rows)))
 
 
 def apply_checkers(c: CheckerSet) -> PebbleSet:
@@ -138,14 +167,10 @@ def apply_checkers(c: CheckerSet) -> PebbleSet:
     a light square is dark, so this is well defined.
     """
     board = c.board
-    lit: set[Square] = set()
-    for col, row in c.squares:
-        for nbr in board.neighbors(col, row):
-            if nbr in lit:
-                lit.discard(nbr)
-            else:
-                lit.add(nbr)
-    return PebbleSet(board, frozenset(lit))
+    full = (1 << board.cols) - 1
+    padded = (0, *c.row_bits, 0)
+    return PebbleSet._from_rows(board, (_lit(padded[r], padded[r - 1] ^ padded[r + 1], full)
+                                        for r in range(1, board.rows + 1)))
 
 
 def light_chase(p: PebbleSet) -> tuple[CheckerSet, PebbleSet]:
@@ -157,17 +182,15 @@ def light_chase(p: PebbleSet) -> tuple[CheckerSet, PebbleSet]:
     apply_checkers(partial), supported on the bottom row only.
     """
     board = p.board
-    placed: set[Square] = set()
+    full = (1 << board.cols) - 1
+    want = p.row_bits
+    placed = [0] * (board.rows + 1)  # placed[rows] stays 0: nothing sits above the top row
     for row in range(board.rows - 1, 0, -1):
-        for col in range(board.cols):
-            if board.is_dark(col, row):
-                continue
-            parity = sum(1 for nbr in board.neighbors(col, row) if nbr in placed) % 2
-            want = 1 if (col, row) in p.squares else 0
-            if parity != want:
-                placed.add((col, row - 1))
-    partial = CheckerSet(board, frozenset(placed))
-    return partial, p ^ apply_checkers(partial)
+        placed[row - 1] = want[row] ^ _lit(placed[row], placed[row + 1], full)
+    residual = [0] * board.rows
+    if board.rows:
+        residual[0] = want[0] ^ _lit(placed[0], placed[1], full)
+    return CheckerSet._from_rows(board, placed[:-1]), PebbleSet._from_rows(board, residual)
 
 
 def solve_single_pebble(m: int, n: int, k: int) -> CheckerSet:
@@ -181,36 +204,69 @@ def solve_single_pebble(m: int, n: int, k: int) -> CheckerSet:
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
     points = two_color_checkers(Rect(m=m, n=n), k)
-    board = Board(rows=m - 1, cols=n - 1)
-    return CheckerSet(board, frozenset((x - 1, y - 1) for x, y in points))
+    return CheckerSet(Board(rows=m - 1, cols=n - 1), ((x - 1, y - 1) for x, y in points))
+
+
+def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
+    """Checker rows that solve the puzzle with pebbles `pebbled` in the bottom row.
+
+    Color the billiard path of the coprime m-by-n rectangle by the parity
+    of the pebbled bottom bounces it has passed; pebble c sits above the
+    bounce at lattice point (c+1, 0).  A crossing carries a checker exactly
+    when its two visits differ in color, that is when exactly one of them
+    has color 1, so XORing together the interior lattice points of every
+    color-1 stretch of the path leaves the checkers.  The lattice is packed
+    into one int, point (x, y) at bit y*width + x, so each diagonal piece
+    of a stretch is an arithmetic progression of bits.
+    """
+    # The bottom bounce at time 2mk lies at x = 2j exactly when mk = +-j (mod n).
+    inverse = pow(m, -1, n)
+    cuts = []
+    for col in _columns(pebbled):
+        k = (col + 1) // 2 * inverse % n
+        cuts.append(2 * m * min(k, n - k))
+    cuts.sort()
+    if len(cuts) % 2:
+        cuts.append(m * n)  # the last color-1 stretch runs to the end corner
+
+    width = (n + 8) & ~7  # room for x = 0..n, whole bytes per lattice row
+    longest = min(m, n) - 1  # most interior points on one diagonal piece
+    runs = {s: ((1 << s * longest) - 1) // ((1 << s) - 1) for s in (width - 1, width + 1)}
+    grid = 0
+    for start, stop in zip(cuts[::2], cuts[1::2]):
+        t = start
+        while t < stop:
+            step = min(n - t % n, m - t % m)  # time to the next wall contact
+            if step > 1:
+                x, dx = (t % (2 * n), 1) if t % (2 * n) < n else (2 * n - t % (2 * n), -1)
+                y, dy = (t % (2 * m), 1) if t % (2 * m) < m else (2 * m - t % (2 * m), -1)
+                if dy < 0:  # read a descending piece upward from its lower end
+                    x, dx, y = x + dx * step, -dx, y - step
+                stride = width + dx
+                first = (y + 1) * width + x + dx
+                grid ^= runs[stride] >> (longest - step + 1) * stride << first
+            t += step
+
+    span = width // 8
+    raw = grid.to_bytes(m * span, "little")
+    return [int.from_bytes(raw[y * span:(y + 1) * span], "little") >> 1 for y in range(1, m)]
 
 
 def solve(p: PebbleSet) -> CheckerSet:
     """The unique solution of a pebble puzzle on a coprime board.
 
-    Light chasing reduces the puzzle to a bottom-row residual; the residual
-    is then cleared by superposing single-pebble solutions, all read off
-    one traced path (a crossing ends up with a checker when it straddles an
-    odd number of the chosen bottom bounces).
+    Light chasing reduces the puzzle to a bottom-row residual, which the
+    billiards two-coloring then clears.
     """
     board = p.board
     m, n = board.rows + 1, board.cols + 1
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"board {board.rows}x{board.cols} has gcd({m}, {n}) > 1")
     partial, residual = light_chase(p)
-    acc = set(partial.squares)
-    if residual.squares:
-        path = trace_path(Rect(m=m, n=n))
-        times = bottom_bounce_times(path)
-        cuts = sorted(times[col + 1] for col, _ in residual.squares)
-        for c in crossings(path):
-            if (bisect_left(cuts, c.t2) - bisect_right(cuts, c.t1)) % 2:
-                sq = (c.x - 1, c.y - 1)
-                if sq in acc:
-                    acc.discard(sq)
-                else:
-                    acc.add(sq)
-    return CheckerSet(board, frozenset(acc))
+    if not any(residual.row_bits):
+        return partial
+    cleared = _clear_bottom_row(m, n, residual.row_bits[0])
+    return CheckerSet._from_rows(board, (a ^ b for a, b in zip(partial.row_bits, cleared)))
 
 
 class Mod2Matrix:
@@ -283,17 +339,22 @@ class Gf2Solution:
 
 
 def neighbor_matrix(board: Board) -> Mod2Matrix:
-    """The light-by-dark adjacency matrix of the checker-to-pebble map."""
-    lights = board.light_squares()
-    darks = board.dark_squares()
-    index = {sq: j for j, sq in enumerate(darks)}
+    """The light-by-dark adjacency matrix of the checker-to-pebble map.
+
+    Row i is light square i and column j dark square j, both in board
+    order, so dark square (c, r) is column (r*cols + 1)//2 + c//2.
+    Adjacency is symmetric: the darks next to a light square are the
+    squares the stencil lights around a unit placed there.
+    """
+    rows, cols = board.rows, board.cols
+    full = (1 << cols) - 1
     data = []
-    for col, row in lights:
-        bits = 0
-        for nbr in board.neighbors(col, row):
-            bits |= 1 << index[nbr]
-        data.append(bits)
-    return Mod2Matrix(rows=len(lights), cols=len(darks), data=data)
+    for col, row in board.light_squares():
+        unit = 1 << col
+        around = ((row - 1, unit), (row, _lit(unit, 0, full)), (row + 1, unit))
+        data.append(sum(1 << (r * cols + 1) // 2 + c // 2
+                        for r, nbrs in around if 0 <= r < rows for c in _columns(nbrs)))
+    return Mod2Matrix(rows=len(data), cols=(rows * cols + 1) // 2, data=data)
 
 
 @dataclass(frozen=True)
@@ -324,11 +385,7 @@ def solve_elimination(p: PebbleSet) -> EliminationResult:
     """Solve a pebble puzzle by GF(2) elimination, independent of the geometry."""
     board = p.board
     matrix = neighbor_matrix(board)
-    rhs = 0
-    for i, bit in enumerate(p.bits()):
-        if bit:
-            rhs |= 1 << i
-    raw = matrix.solve(rhs)
+    raw = matrix.solve(sum(bit << i for i, bit in enumerate(p.bits())))
     return EliminationResult(
         board=board,
         consistent=raw.consistent,
@@ -346,8 +403,7 @@ def kernel_element(m: int, n: int) -> CheckerSet:
     if math.gcd(m, n) == 1:
         raise ValueError(f"gcd({m}, {n}) = 1: the kernel is trivial")
     points = kernel_checkers(Rect(m=m, n=n))
-    board = Board(rows=m - 1, cols=n - 1)
-    return CheckerSet(board, frozenset((x - 1, y - 1) for x, y in points))
+    return CheckerSet(Board(rows=m - 1, cols=n - 1), ((x - 1, y - 1) for x, y in points))
 
 
 def bottom_row_symbol(m: int, n: int) -> SymbolEvidence:
@@ -355,7 +411,7 @@ def bottom_row_symbol(m: int, n: int) -> SymbolEvidence:
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
     board = Board(rows=m - 1, cols=n - 1)
-    s = len(solve(bottom_row_puzzle(board)).squares)
+    s = solve(bottom_row_puzzle(board)).count()
     return SymbolEvidence(value=-1 if s % 2 else 1, negative_bounce_count=s, base_bounces=())
 
 
@@ -371,4 +427,4 @@ def combined_puzzle_count(m: int, n: int) -> int:
         raise ValueError(f"m and n must be coprime, got gcd={math.gcd(m, n)}")
     board = Board(rows=m - 1, cols=n - 1)
     puzzle = bottom_row_puzzle(board) ^ left_column_puzzle(board)
-    return len(solve(puzzle).squares)
+    return solve(puzzle).count()

@@ -33,21 +33,15 @@ from .symbols import billiard_symbol
 DEFAULT_MAX_CELLS = 500 * 500
 
 
-def _max_cells() -> int:
+def _check_size(m: int, n: int, what: str = "") -> None:
     raw = os.environ.get("QUADRES_MAX_CELLS")
-    if raw is None:
-        return DEFAULT_MAX_CELLS
     try:
-        return int(raw)
+        limit = DEFAULT_MAX_CELLS if raw is None else int(raw)
     except ValueError as exc:
         raise click.UsageError(f"QUADRES_MAX_CELLS must be an integer, got {raw!r}") from exc
-
-
-def _check_size(m: int, n: int) -> None:
-    limit = _max_cells()
     if m * n > limit:
         raise click.UsageError(
-            f"{m}x{n} exceeds the safety limit of {limit} cells "
+            f"{what}{m}x{n} exceeds the safety limit of {limit} cells "
             "(override with QUADRES_MAX_CELLS)"
         )
 
@@ -304,11 +298,6 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
     """Run identity-check sweeps across all modules."""
     if max_m is None:
         max_m = max_n
-    if max_m is not None and max_n is not None and max_m * max_n > _max_cells():
-        raise click.UsageError(
-            f"sweep grid {max_m}x{max_n} exceeds the safety limit of {_max_cells()} cells "
-            "(override with QUADRES_MAX_CELLS)"
-        )
     if check_names:
         names = [c.strip() for c in check_names.split(",") if c.strip()]
         unknown = [c for c in names if c not in FAMILIES]
@@ -316,6 +305,10 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
             raise click.UsageError(f"unknown check families: {', '.join(unknown)}")
     else:
         names = list(FAMILIES)
+    for name in names:  # a bound left out takes the family default
+        family = FAMILIES[name]
+        _check_size(family.default_max_m if max_m is None else max_m,
+                    family.default_max_n if max_n is None else max_n, f"{name} sweep grid ")
 
     results = []
     text_lines = []
@@ -323,7 +316,7 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
         res = run_family(name, max_m=max_m, max_n=max_n, parallelism=parallelism)
         results.append(res)
         status = "PASS" if res.ok else "FAIL"
-        line = f"{name:<20} checked {res.checked:>7}  failures {len(res.failures):>4}  [{status}]"
+        line = f"{name:<20} checked {res.checked:>7}  failures {len(res.failures):>4}  {res.elapsed_s:6.2f} s  [{status}]"
         text_lines.append(line)
         if not as_json and out is None:
             click.echo(line)
@@ -334,7 +327,8 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
             {
                 "name": r.name,
                 "status": "pass" if r.ok else "fail",
-                "witness": {"checked": r.checked, "failures": list(r.failures)[:20]},
+                "witness": {"checked": r.checked, "failures": list(r.failures)[:20],
+                            "failure_count": len(r.failures), "elapsed_s": r.elapsed_s},
             }
             for r in results
         ]

@@ -12,13 +12,16 @@ order, which keeps output deterministic regardless of scheduling.
 from __future__ import annotations
 
 import math
+import os
+import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from . import checkers as ck
 from . import oracles, symbols, tilings
-from .billiards import Rect, base_bounces, bottom_bounce_times, crossings, trace_path
+from .billiards import Rect, base_bounces, crossings, trace_path
 
 Cell = tuple
 Failure = dict
@@ -30,6 +33,7 @@ class FamilyResult:
     name: str
     checked: int
     failures: tuple[Failure, ...]
+    elapsed_s: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -40,6 +44,36 @@ def _odd_primes(limit: int) -> list[int]:
     return [n for n in range(3, limit + 1) if oracles.is_odd_prime(n)]
 
 
+def _coprime_cells(kind: str, max_m: int, max_n: int, start: int = 1, step: int = 1) -> list[Cell]:
+    return [(kind, m, n) for m in range(start, max_m + 1, step) for n in range(start, max_n + 1, step)
+            if math.gcd(m, n) == 1]
+
+
+def _agreement(n: int, ms, oracle: Callable[[int, int], int], name: str,
+               n_key: str = "n") -> tuple[int, list[Failure]]:
+    """The billiard symbol (m|n) against oracle(m, n), for every m in ms."""
+    checked = 0
+    failures = []
+    for m in ms:
+        checked += 1
+        got, want = symbols.billiard_symbol(m, n).value, oracle(m, n)
+        if got != want:
+            failures.append({"m": m, n_key: n, "billiard": got, name: want})
+    return checked, failures
+
+
+def _identity(n: int, ms, check) -> tuple[int, list[Failure]]:
+    """A reciprocity-style identity check(m, n), for every m in ms."""
+    checked = 0
+    failures = []
+    for m in ms:
+        checked += 1
+        rec = check(m, n)
+        if not rec.ok:
+            failures.append({"m": m, "n": n, "lhs": rec.lhs, "rhs": rec.rhs})
+    return checked, failures
+
+
 # --- euler: billiard symbol vs Euler's criterion, prime denominators ---
 
 def _euler_cells(max_m: int, max_n: int) -> list[Cell]:
@@ -48,17 +82,7 @@ def _euler_cells(max_m: int, max_n: int) -> list[Cell]:
 
 def _euler_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n = cell
-    checked = 0
-    failures = []
-    for m in range(1, 2 * n + 1):
-        if m % n == 0:
-            continue
-        checked += 1
-        got = symbols.billiard_symbol(m, n).value
-        want = oracles.euler_symbol(m, n)
-        if got != want:
-            failures.append({"m": m, "n": n, "billiard": got, "euler": want})
-    return checked, failures
+    return _agreement(n, (m for m in range(1, 2 * n + 1) if m % n), oracles.euler_symbol, "euler")
 
 
 # --- zolotarev: billiard symbol vs permutation sign, even denominators included ---
@@ -69,17 +93,8 @@ def _zolotarev_cells(max_m: int, max_n: int) -> list[Cell]:
 
 def _zolotarev_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n, max_m = cell
-    checked = 0
-    failures = []
-    for m in range(1, max_m + 1):
-        if math.gcd(m, n) != 1:
-            continue
-        checked += 1
-        got = symbols.billiard_symbol(m, n).value
-        want = oracles.zolotarev_perm_sign(m, n)
-        if got != want:
-            failures.append({"m": m, "n": n, "billiard": got, "zolotarev": want})
-    return checked, failures
+    coprime = (m for m in range(1, max_m + 1) if math.gcd(m, n) == 1)
+    return _agreement(n, coprime, oracles.zolotarev_perm_sign, "zolotarev")
 
 
 # --- jacobi: billiard symbol vs Jacobi symbol, odd denominators ---
@@ -90,15 +105,7 @@ def _jacobi_cells(max_m: int, max_n: int) -> list[Cell]:
 
 def _jacobi_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n, max_m = cell
-    checked = 0
-    failures = []
-    for m in range(1, max_m + 1):
-        checked += 1
-        got = symbols.billiard_symbol(m, n).value
-        want = oracles.jacobi_symbol(m, n)
-        if got != want:
-            failures.append({"m": m, "n": n, "billiard": got, "jacobi": want})
-    return checked, failures
+    return _agreement(n, range(1, max_m + 1), oracles.jacobi_symbol, "jacobi")
 
 
 # --- supplements: closed forms for (n-1|n) and (2|n) ---
@@ -129,14 +136,7 @@ def _almost_cells(max_m: int, max_n: int) -> list[Cell]:
 
 def _almost_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n = cell
-    checked = 0
-    failures = []
-    for m in range(1, n, 2):
-        checked += 1
-        rec = symbols.check_almost_reciprocity(m, n)
-        if not rec.ok:
-            failures.append({"m": m, "n": n, "lhs": rec.lhs, "rhs": rec.rhs})
-    return checked, failures
+    return _identity(n, range(1, n, 2), symbols.check_almost_reciprocity)
 
 
 # --- mod4: closed form for odd numerator over even denominator ---
@@ -147,17 +147,8 @@ def _mod4_cells(max_m: int, max_n: int) -> list[Cell]:
 
 def _mod4_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, d, max_m = cell
-    checked = 0
-    failures = []
-    for m in range(1, max_m + 1, 2):
-        if math.gcd(m, d) != 1:
-            continue
-        checked += 1
-        want = symbols.mod4_symbol(m, d)
-        got = symbols.billiard_symbol(m, d).value
-        if want != got:
-            failures.append({"m": m, "d": d, "closed": want, "billiard": got})
-    return checked, failures
+    coprime = (m for m in range(1, max_m + 1, 2) if math.gcd(m, d) == 1)
+    return _agreement(d, coprime, symbols.mod4_symbol, "closed", n_key="d")
 
 
 # --- reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n ---
@@ -168,16 +159,7 @@ def _reciprocity_cells(max_m: int, max_n: int) -> list[Cell]:
 
 def _reciprocity_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n, max_m = cell
-    checked = 0
-    failures = []
-    for m in range(3, max_m + 1, 2):
-        if math.gcd(m, n) != 1:
-            continue
-        checked += 1
-        rec = symbols.check_reciprocity(m, n)
-        if not rec.ok:
-            failures.append({"m": m, "n": n, "lhs": rec.lhs, "rhs": rec.rhs})
-    return checked, failures
+    return _identity(n, (m for m in range(3, max_m + 1, 2) if math.gcd(m, n) == 1), symbols.check_reciprocity)
 
 
 # --- checkers_symbol: bottom-row puzzle parity vs billiards, plus the
@@ -187,18 +169,8 @@ BRIDGE_DEFAULT = 30
 
 
 def _checkers_cells(max_m: int, max_n: int) -> list[Cell]:
-    cells: list[Cell] = []
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            if math.gcd(m, n) == 1:
-                cells.append(("checkers_sym", m, n))
-    bridge_m = min(max_m, BRIDGE_DEFAULT)
-    bridge_n = min(max_n, BRIDGE_DEFAULT)
-    for m in range(1, bridge_m + 1):
-        for n in range(1, bridge_n + 1):
-            if math.gcd(m, n) == 1:
-                cells.append(("checkers_bridge", m, n))
-    return cells
+    bridge_m, bridge_n = min(max_m, BRIDGE_DEFAULT), min(max_n, BRIDGE_DEFAULT)
+    return _coprime_cells("checkers_sym", max_m, max_n) + _coprime_cells("checkers_bridge", bridge_m, bridge_n)
 
 
 def _checkers_check(cell: Cell) -> tuple[int, list[Failure]]:
@@ -211,11 +183,14 @@ def _checkers_check(cell: Cell) -> tuple[int, list[Failure]]:
         return 1, []
     path = trace_path(Rect(m=m, n=n))
     cross = crossings(path)
+    firsts = sorted(c.t1 for c in cross)
+    seconds = sorted(c.t2 for c in cross)
     failures = []
     checked = 0
     for x, sign, t in base_bounces(path):
         checked += 1
-        straddles = sum(1 for c in cross if c.t1 < t < c.t2)
+        # crossings with t1 < t, less those with t2 < t too; a bounce is never a crossing time
+        straddles = bisect_left(firsts, t) - bisect_left(seconds, t)
         if (sign > 0) != (straddles % 2 == 0):
             failures.append({"m": m, "n": n, "k": x // 2, "sign": sign, "checkers": straddles})
     return checked, failures
@@ -246,20 +221,15 @@ def _kernel_check(cell: Cell) -> tuple[int, list[Failure]]:
 # --- superposition: combined puzzle count equals (m-1)(n-1)/4 ---
 
 def _superposition_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [
-        ("superposition", m, n)
-        for m in range(3, max_m + 1, 2)
-        for n in range(3, max_n + 1, 2)
-        if math.gcd(m, n) == 1
-    ]
+    return _coprime_cells("superposition", max_m, max_n, start=3, step=2)
 
 
 def _superposition_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, m, n = cell
     failures = []
     board = ck.Board(rows=m - 1, cols=n - 1)
-    s = len(ck.solve(ck.bottom_row_puzzle(board)).squares)
-    t = len(ck.solve(ck.left_column_puzzle(board)).squares)
+    s = ck.solve(ck.bottom_row_puzzle(board)).count()
+    t = ck.solve(ck.left_column_puzzle(board)).count()
     u = ck.combined_puzzle_count(m, n)
     if u != (m - 1) * (n - 1) // 4:
         failures.append({"m": m, "n": n, "u": u, "formula": (m - 1) * (n - 1) // 4})
@@ -278,13 +248,8 @@ def _tilings_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, rows, cols = cell
     report = tilings.tiling_parity_check(rows, cols)
     if not report.consistent:
-        return 1, [{
-            "rows": rows,
-            "cols": cols,
-            "count": report.count,
-            "gcd_flag": report.gcd_flag,
-            "rank_full": report.rank_full,
-        }]
+        return 1, [{"rows": rows, "cols": cols, "count": report.count,
+                    "gcd_flag": report.gcd_flag, "rank_full": report.rank_full}]
     return 1, []
 
 
@@ -327,39 +292,23 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def _run_cell(cell: Cell) -> tuple[int, list[Failure]]:
-    family = _CELL_DISPATCH[cell[0]]
-    return family(cell)
-
-
-_CELL_DISPATCH: dict[str, CheckFn] = {
-    "euler": _euler_check,
-    "zolotarev": _zolotarev_check,
-    "jacobi": _jacobi_check,
-    "supplements": _supplements_check,
-    "almost_reciprocity": _almost_check,
-    "mod4": _mod4_check,
-    "reciprocity": _reciprocity_check,
-    "checkers_sym": _checkers_check,
-    "checkers_bridge": _checkers_check,
-    "kernel": _kernel_check,
-    "superposition": _superposition_check,
-    "tilings": _tilings_check,
-}
-
-
 def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
                parallelism: int = 1) -> FamilyResult:
-    """Run one check family and merge per-cell results in cell order."""
+    """Run one check family and merge per-cell results in cell order.
+
+    A bound left as None takes the family default.  At most one worker
+    process runs per core and per cell, whatever `parallelism` asks for.
+    """
+    start = time.perf_counter()
     family = FAMILIES[name]
-    cells = family.make_cells(max_m or family.default_max_m, max_n or family.default_max_n)
-    if parallelism > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_run_cell, cells, chunksize=max(1, len(cells) // (4 * parallelism))))
+    cells = family.make_cells(family.default_max_m if max_m is None else max_m,
+                              family.default_max_n if max_n is None else max_n)
+    workers = min(parallelism, os.cpu_count() or 1, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(family.check, cells, chunksize=max(1, len(cells) // (4 * workers))))
     else:
-        results = [_run_cell(cell) for cell in cells]
-    checked = sum(c for c, _ in results)
-    failures: list[Failure] = []
-    for _, fails in results:
-        failures.extend(fails)
-    return FamilyResult(name=name, checked=checked, failures=tuple(failures))
+        results = [family.check(cell) for cell in cells]
+    return FamilyResult(name=name, checked=sum(c for c, _ in results),
+                        failures=tuple(f for _, fails in results for f in fails),
+                        elapsed_s=time.perf_counter() - start)

@@ -185,7 +185,15 @@ class TestVerify:
         for check in payload["checks"]:
             assert check["status"] == "pass"
             assert check["witness"]["failures"] == []
+            assert check["witness"]["failure_count"] == 0
+            assert check["witness"]["checked"] > 0
+            assert check["witness"]["elapsed_s"] >= 0
         assert payload["result"]["all_ok"] is True
+
+    def test_text_line_reports_elapsed_time(self, runner):
+        result = runner.invoke(main, ["verify", "--max-n", "12", "--checks", "supplements"])
+        assert result.exit_code == 0
+        assert " s  [PASS]" in result.output
 
     def test_unknown_family_exit_2(self, runner):
         assert runner.invoke(main, ["verify", "--checks", "nonsense"]).exit_code == 2
@@ -205,13 +213,23 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("bound", ["--max-m", "--max-n"])
+    def test_max_cells_checks_the_default_side(self, runner, bound):
+        # the bound left out takes the family default, and the cap counts it
+        result = runner.invoke(main, ["verify", bound, "100"], env={"QUADRES_MAX_CELLS": "10"})
+        assert result.exit_code == 2
+        assert "safety limit of 10 cells" in result.output
+
     def test_parallel_matches_serial(self, runner):
         serial = runner.invoke(main, ["verify", "--max-n", "14", "--checks", "kernel", "--json"])
         parallel = runner.invoke(
             main, ["verify", "--max-n", "14", "--checks", "kernel", "--parallelism", "3", "--json"]
         )
         assert serial.exit_code == parallel.exit_code == 0
-        assert json.loads(serial.output)["checks"] == json.loads(parallel.output)["checks"]
+        serial_checks, parallel_checks = (json.loads(r.output)["checks"] for r in (serial, parallel))
+        for check in serial_checks + parallel_checks:
+            del check["witness"]["elapsed_s"]  # wall time, the one field that may differ
+        assert serial_checks == parallel_checks
 
 
 class TestRender:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from quadres import sweeps
 from quadres.sweeps import FAMILIES, run_family
 
 ALL_FAMILIES = sorted(FAMILIES)
@@ -33,3 +34,42 @@ def test_parallel_merge_matches_serial():
     serial = run_family("kernel", max_m=12, max_n=12, parallelism=1)
     parallel = run_family("kernel", max_m=12, max_n=12, parallelism=4)
     assert serial == parallel
+
+
+def test_zero_bound_is_not_the_default():
+    assert run_family("reciprocity", max_m=0, max_n=0).checked == 0
+    assert run_family("kernel", max_m=0, max_n=14).checked == 0
+
+
+def test_elapsed_time_is_reported_but_not_compared():
+    result = run_family("supplements", max_n=21)
+    assert result.elapsed_s > 0
+    assert result == run_family("supplements", max_n=21)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, max_n, want", [(3, 14, 3), (None, 14, None), (8, 3, 4)])
+def test_parallelism_is_clamped_to_cores_and_cells(monkeypatch, cpus, max_n, want):
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+    _InlinePool.requested = []
+    result = run_family("kernel", max_m=max_n, max_n=max_n, parallelism=10_000)
+    assert _InlinePool.requested == ([want] if want else [])
+    assert result == run_family("kernel", max_m=max_n, max_n=max_n)
