@@ -54,6 +54,7 @@ from .render import RenderSpec, render_board_ascii, render_board_svg, render_pat
 from .symbols import (
     SymbolEvidence,
     billiard_symbol,
+    bounce_evidence,
     check_almost_reciprocity,
     check_reciprocity,
     mod4_symbol,
@@ -83,6 +84,7 @@ __all__ = [
     "billiard_symbol",
     "bottom_row_puzzle",
     "bottom_row_symbol",
+    "bounce_evidence",
     "check_almost_reciprocity",
     "check_reciprocity",
     "combined_puzzle_count",

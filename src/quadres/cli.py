@@ -28,20 +28,20 @@ from .checkers import (
 from .oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from .render import RenderSpec, render_board_ascii, render_board_svg, render_path_svg
 from .sweeps import FAMILIES, run_family
-from .symbols import billiard_symbol
+from .symbols import bounce_evidence
 
 DEFAULT_MAX_CELLS = 500 * 500
 
 
-def _check_size(m: int, n: int, what: str = "") -> None:
+def _check_size(cells: int, what: str) -> None:
     raw = os.environ.get("QUADRES_MAX_CELLS")
     try:
         limit = DEFAULT_MAX_CELLS if raw is None else int(raw)
     except ValueError as exc:
         raise click.UsageError(f"QUADRES_MAX_CELLS must be an integer, got {raw!r}") from exc
-    if m * n > limit:
+    if cells > limit:
         raise click.UsageError(
-            f"{what}{m}x{n} exceeds the safety limit of {limit} cells "
+            f"{what} exceeds the safety limit of {limit} cells "
             "(override with QUADRES_MAX_CELLS)"
         )
 
@@ -89,7 +89,7 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output to FILE.")
 def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
     """Trace the M x N billiard path and list its bounces."""
-    _check_size(m, n)
+    _check_size(m * n, f"{m}x{n}")
     path = trace_path(Rect(m=m, n=n))
     if as_json:
         payload = _envelope(
@@ -128,8 +128,8 @@ def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
 @click.pass_context
 def symbol(ctx, m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> None:
     """Compute the billiards symbol (M|N)."""
-    _check_size(m, n)
-    ev = billiard_symbol(m, n)
+    _check_size(n, f"n={n}")  # the bounce list and --verify's permutation grow with n alone
+    ev = bounce_evidence(m, n)
     checks: list[dict] = []
     if do_verify:
         oracle_values: dict[str, int] = {}
@@ -195,7 +195,7 @@ def symbol(ctx, m: int, n: int, do_verify: bool, as_json: bool, out: str | None)
 def solve_cmd(ctx, m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
               as_json: bool, out: str | None) -> None:
     """Solve a parity-checkers puzzle on the (M-1) x (N-1) board."""
-    _check_size(m, n)
+    _check_size(m * n, f"{m}x{n}")
     if pebble_args and puzzle_kind:
         raise click.UsageError("--pebble cannot be combined with another puzzle kind")
     if not pebble_args and not puzzle_kind:
@@ -307,8 +307,9 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
         names = list(FAMILIES)
     for name in names:  # a bound left out takes the family default
         family = FAMILIES[name]
-        _check_size(family.default_max_m if max_m is None else max_m,
-                    family.default_max_n if max_n is None else max_n, f"{name} sweep grid ")
+        grid_m = family.default_max_m if max_m is None else max_m
+        grid_n = family.default_max_n if max_n is None else max_n
+        _check_size(grid_m * grid_n, f"{name} sweep grid {grid_m}x{grid_n}")
 
     results = []
     text_lines = []
@@ -368,7 +369,7 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
 def render_cmd(m: int, n: int, split_k: int | None, cell_px: int, grid: bool, signs: bool,
                color_before: str, color_after: str, as_json: bool, out: str | None) -> None:
     """Render the M x N billiard path as SVG."""
-    _check_size(m, n)
+    _check_size(m * n, f"{m}x{n}")
     try:
         spec = RenderSpec(cell_px=cell_px, show_grid=grid, color_before=color_before,
                           color_after=color_after, annotate_signs=signs)

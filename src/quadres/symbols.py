@@ -20,10 +20,11 @@ class SymbolEvidence:
     """A symbol value together with the parity witness that produced it.
 
     For billiards evidence, negative_bounce_count is the number of negative
-    bottom bounces and base_bounces lists them all as (x, sign); the value
-    is (-1) to that count, or 0 when gcd(m, n) > 1 and the bounce set would
-    be incomplete.  Checkers-based evidence reuses the same shape with the
-    checker count in negative_bounce_count and no bounce list.
+    bottom bounces; the value is (-1) to that count, or 0 when gcd(m, n) > 1
+    and the bounce set would be incomplete.  base_bounces lists the bounces
+    as (x, sign) from bounce_evidence and is empty from billiard_symbol.
+    Checkers-based evidence reuses the same shape with the checker count in
+    negative_bounce_count and no bounce list.
     """
 
     value: SymbolValue
@@ -35,8 +36,8 @@ def _bottom_signs(m: int, n: int) -> list[tuple[int, int]]:
     """(x, sign) of every bottom bounce of the m-by-n path, in time order.
 
     Bottom contacts happen at the multiples of 2m before lcm(m, n); the
-    sign and abscissa come from folding the time into the x period 2n.
-    This avoids building the full event list, which matters in sweeps.
+    sign and abscissa come from folding the time into the x period 2n,
+    without building the full event list.
     """
     total = math.lcm(m, n)
     period = 2 * n
@@ -50,12 +51,38 @@ def _bottom_signs(m: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def billiard_symbol(m: int, n: int) -> SymbolEvidence:
-    """(m|n) from the bottom-bounce signs of m-by-n billiards.
+def _floor_sum(count: int, n: int, a: int) -> int:
+    """Sum of floor(a*k/n) for 0 <= k < count, by Euclid-style descent in O(log n)."""
+    total, b = 0, 0
+    while True:
+        total += a // n * (count * (count - 1) // 2) + b // n * count
+        a, b = a % n, b % n
+        top = a * count + b
+        if top < n:
+            return total
+        count, b, n, a = top // n, top % n, a, n  # the same lattice points, axes swapped
 
-    0 when gcd(m, n) > 1 (without tracing); +1 for n = 1 or any other path
-    with no bottom bounces, by the empty-product convention.  m larger than
-    n is fine: the rectangle just gets tall.
+
+def billiard_symbol(m: int, n: int) -> SymbolEvidence:
+    """(m|n) and the negative bottom-bounce count, without walking the bounces.
+
+    The bounce at time 2mk (0 < k < n/2) is negative iff floor(2mk/n) is odd,
+    so the count is sum floor(2mk/n) - 2 sum floor(mk/n); base_bounces is empty.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
+    if math.gcd(m, n) != 1:
+        return SymbolEvidence(value=0, negative_bounce_count=0, base_bounces=())
+    count = (n + 1) // 2
+    negatives = _floor_sum(count, n, 2 * m) - 2 * _floor_sum(count, n, m)
+    return SymbolEvidence(-1 if negatives % 2 else 1, negatives, base_bounces=())
+
+
+def bounce_evidence(m: int, n: int) -> SymbolEvidence:
+    """(m|n) from the bottom-bounce signs of m-by-n billiards, listed in base_bounces.
+
+    0 when gcd(m, n) > 1 (without tracing); +1 for a path with no bottom
+    bounces, such as n = 1 (the empty product).  m > n makes a tall rectangle.
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")

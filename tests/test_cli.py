@@ -93,6 +93,30 @@ class TestSymbol:
     def test_bad_args_exit_2(self, runner):
         assert runner.invoke(main, ["symbol", "-3", "7"]).exit_code == 2
 
+    @pytest.mark.parametrize("m, n, result", [
+        (5, 7, {"value": -1, "negative_bounces": 1, "base_bounces": [[4, -1], [6, 1], [2, 1]]}),
+        (5, 8, {"value": 1, "negative_bounces": 2, "base_bounces": [[6, -1], [4, 1], [2, -1]]}),
+        (6, 9, {"value": 0, "negative_bounces": 0, "base_bounces": []}),
+        (1, 1, {"value": 1, "negative_bounces": 0, "base_bounces": []}),
+    ])
+    def test_json_payload(self, runner, m, n, result):
+        out = runner.invoke(main, ["symbol", str(m), str(n), "--json"])
+        assert out.exit_code == 0
+        assert json.loads(out.output) == {
+            "command": "symbol",
+            "inputs": {"m": m, "n": n, "flags": {"verify": False, "json": True}},
+            "result": result,
+            "checks": [],
+        }
+
+    def test_size_limit_counts_n_alone(self, runner):
+        # the bounce list and the --verify permutation grow with n, not with m
+        env = {"QUADRES_MAX_CELLS": "100"}
+        assert runner.invoke(main, ["symbol", "1000", "7", "--verify"], env=env).exit_code == 0
+        result = runner.invoke(main, ["symbol", "3", "101"], env=env)
+        assert result.exit_code == 2
+        assert "n=101 exceeds the safety limit of 100 cells" in result.output
+
 
 class TestSolve:
     def test_bottom_row_first_figure(self, runner):

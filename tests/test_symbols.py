@@ -1,13 +1,17 @@
 """Tests for the billiards residue symbol and its identity chain."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadres.billiards import Rect, base_bounces, trace_path
 from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from quadres.symbols import (
     billiard_symbol,
+    bounce_evidence,
     check_almost_reciprocity,
     check_reciprocity,
     mod4_symbol,
@@ -20,7 +24,8 @@ def test_billiard_symbol_5x7():
     ev = billiard_symbol(5, 7)
     assert ev.value == -1
     assert ev.negative_bounce_count == 1
-    assert ev.base_bounces == ((4, -1), (6, 1), (2, 1))
+    assert ev.base_bounces == ()
+    assert bounce_evidence(5, 7).base_bounces == ((4, -1), (6, 1), (2, 1))
 
 
 def test_billiard_symbol_shared_factor_is_zero():
@@ -40,10 +45,11 @@ def test_billiard_symbol_empty_products():
 
 
 def test_billiard_symbol_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        billiard_symbol(0, 5)
-    with pytest.raises(ValueError):
-        billiard_symbol(5, 0)
+    for symbol in (billiard_symbol, bounce_evidence):
+        with pytest.raises(ValueError):
+            symbol(0, 5)
+        with pytest.raises(ValueError):
+            symbol(5, 0)
 
 
 def test_billiard_symbol_matches_traced_path():
@@ -52,9 +58,73 @@ def test_billiard_symbol_matches_traced_path():
         for n in range(1, 41):
             if math.gcd(m, n) != 1:
                 continue
-            ev = billiard_symbol(m, n)
+            ev = bounce_evidence(m, n)
             traced = [(x, s) for x, s, _ in base_bounces(trace_path(Rect(m=m, n=n)))]
             assert list(ev.base_bounces) == traced, (m, n)
+
+
+def test_floor_sums_match_bounce_walk():
+    # the O(log n) count against the bounce walk it replaces, on every grid
+    # shape: even n, m > n and gcd > 1 included
+    for m in range(1, 399):
+        for n in range(1, 202):
+            fast, walked = billiard_symbol(m, n), bounce_evidence(m, n)
+            assert (fast.value, fast.negative_bounce_count) == (
+                walked.value, walked.negative_bounce_count), (m, n)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("billiard_symbol called a method it is checked against")
+
+
+def test_billiard_symbol_calls_no_oracle(monkeypatch):
+    """The floor-sum path runs with the bounce walk and every oracle disabled."""
+    import quadres
+    from quadres import oracles, symbols
+
+    targets = {symbols._bottom_signs, oracles.jacobi_symbol, oracles.euler_symbol,
+               oracles.zolotarev_perm_sign}
+    modules = [mod for name, mod in sys.modules.items() if name == "quadres" or name.startswith("quadres.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if callable(value) and value in targets:
+                monkeypatch.setattr(module, attr, _refuse)
+    assert symbols._bottom_signs is _refuse and quadres.jacobi_symbol is _refuse
+
+    values = [billiard_symbol(m, n).value for m in range(1, 30) for n in range(1, 30)]
+    assert values.count(-1) > 0 and values.count(0) > 0
+    assert billiard_symbol(5, 7).negative_bounce_count == 1
+    assert billiard_symbol(5, 8).value == 1
+
+
+_sides = st.integers(min_value=1, max_value=10**12)
+_odd = st.integers(min_value=0, max_value=(10**12 - 1) // 2).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_sides, n=_sides)
+def test_periodic_in_numerator_large(m, n):
+    assert billiard_symbol(m, n).value == billiard_symbol(m + n, n).value
+
+
+@settings(max_examples=300, deadline=None)
+@given(m1=_sides, m2=_sides, n=_sides)
+def test_multiplicative_in_numerator_large(m1, m2, n):
+    prod = billiard_symbol(m1, n).value * billiard_symbol(m2, n).value
+    assert billiard_symbol(m1 * m2, n).value == prod
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_odd, n=_odd)
+def test_reciprocity_large(m, n):
+    assume(m >= 3 and n >= 3 and math.gcd(m, n) == 1)
+    assert check_reciprocity(m, n).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_sides, n=_odd)
+def test_agrees_with_jacobi_large(m, n):
+    assert billiard_symbol(m, n).value == jacobi_symbol(m, n)
 
 
 def test_supplement_minus_one():
