@@ -207,6 +207,47 @@ def solve_single_pebble(m: int, n: int, k: int) -> CheckerSet:
     return CheckerSet(Board(rows=m - 1, cols=n - 1), ((x - 1, y - 1) for x, y in points))
 
 
+def _lattice(m: int, n: int) -> tuple[int, int, dict[int, int]]:
+    """The m-by-n lattice packed into one int, point (x, y) at bit y*width + x.
+
+    Returns width (whole bytes a row), the most interior points on one diagonal piece,
+    and for each diagonal stride width -+ 1 a run of that many bits; one shift cuts a piece.
+    """
+    width = (n + 8) & ~7
+    longest = min(m, n) - 1
+    runs = {s: ((1 << s * longest) - 1) // ((1 << s) - 1) for s in (width - 1, width + 1)}
+    return width, longest, runs
+
+
+def single_pebble_counts(m: int, n: int) -> list[tuple[int, int]]:
+    """(x, count) for every bottom bounce of the coprime m-by-n path, in time order.
+
+    count is the checker count of the puzzle with one pebble above the bounce at
+    (x, 0): the crossings whose two visits straddle it.  One walk XORs each diagonal
+    piece into the packed lattice, so at a bottom bounce the set bits are the
+    points visited once so far, which are exactly those crossings.
+    """
+    if math.gcd(m, n) != 1:
+        raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
+    width, longest, runs = _lattice(m, n)
+    grid = 0
+    counts = []
+    t, total = 0, m * n
+    while t < total:
+        step = min(n - t % n, m - t % m)  # time to the next wall contact
+        if step > 1:
+            x, dx = (t % (2 * n), 1) if t % (2 * n) < n else (2 * n - t % (2 * n), -1)
+            y, dy = (t % (2 * m), 1) if t % (2 * m) < m else (2 * m - t % (2 * m), -1)
+            if dy < 0:  # read a descending piece upward from its lower end
+                x, dx, y = x + dx * step, -dx, y - step
+            stride = width + dx
+            grid ^= runs[stride] >> (longest - step + 1) * stride << (y + 1) * width + x + dx
+        t += step
+        if t % (2 * m) == 0 and t < total:  # a bottom bounce
+            counts.append((min(t % (2 * n), -t % (2 * n)), grid.bit_count()))
+    return counts
+
+
 def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
     """Checker rows that solve the puzzle with pebbles `pebbled` in the bottom row.
 
@@ -215,9 +256,7 @@ def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
     bounce at lattice point (c+1, 0).  A crossing carries a checker exactly
     when its two visits differ in color, that is when exactly one of them
     has color 1, so XORing together the interior lattice points of every
-    color-1 stretch of the path leaves the checkers.  The lattice is packed
-    into one int, point (x, y) at bit y*width + x, so each diagonal piece
-    of a stretch is an arithmetic progression of bits.
+    color-1 stretch of the path, packed by `_lattice`, leaves the checkers.
     """
     # The bottom bounce at time 2mk lies at x = 2j exactly when mk = +-j (mod n).
     inverse = pow(m, -1, n)
@@ -229,9 +268,7 @@ def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
     if len(cuts) % 2:
         cuts.append(m * n)  # the last color-1 stretch runs to the end corner
 
-    width = (n + 8) & ~7  # room for x = 0..n, whole bytes per lattice row
-    longest = min(m, n) - 1  # most interior points on one diagonal piece
-    runs = {s: ((1 << s * longest) - 1) // ((1 << s) - 1) for s in (width - 1, width + 1)}
+    width, longest, runs = _lattice(m, n)
     grid = 0
     for start, stop in zip(cuts[::2], cuts[1::2]):
         t = start

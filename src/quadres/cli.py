@@ -309,7 +309,8 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
         family = FAMILIES[name]
         grid_m = family.default_max_m if max_m is None else max_m
         grid_n = family.default_max_n if max_n is None else max_n
-        _check_size(grid_m * grid_n, f"{name} sweep grid {grid_m}x{grid_n}")
+        cost = family.cost(grid_m, grid_n)
+        _check_size(cost, f"{name} sweep grid {grid_m}x{grid_n} ({cost} cells of work)")
 
     results = []
     text_lines = []
@@ -317,7 +318,7 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
         res = run_family(name, max_m=max_m, max_n=max_n, parallelism=parallelism)
         results.append(res)
         status = "PASS" if res.ok else "FAIL"
-        line = f"{name:<20} checked {res.checked:>7}  failures {len(res.failures):>4}  {res.elapsed_s:6.2f} s  [{status}]"
+        line = f"{name:<20} cells {res.cells:>6}  checked {res.checked:>7}  failures {len(res.failures):>4}  {res.elapsed_s:6.2f} s  [{status}]"
         text_lines.append(line)
         if not as_json and out is None:
             click.echo(line)
@@ -328,7 +329,7 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
             {
                 "name": r.name,
                 "status": "pass" if r.ok else "fail",
-                "witness": {"checked": r.checked, "failures": list(r.failures)[:20],
+                "witness": {"cells": r.cells, "checked": r.checked, "failures": list(r.failures)[:20],
                             "failure_count": len(r.failures), "elapsed_s": r.elapsed_s},
             }
             for r in results

@@ -12,16 +12,15 @@ order, which keeps output deterministic regardless of scheduling.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import checkers as ck
 from . import oracles, symbols, tilings
-from .billiards import Rect, base_bounces, crossings, trace_path
 
 Cell = tuple
 Failure = dict
@@ -33,6 +32,7 @@ class FamilyResult:
     name: str
     checked: int
     failures: tuple[Failure, ...]
+    cells: int = 0
     elapsed_s: float = field(default=0.0, compare=False)
 
     @property
@@ -181,19 +181,11 @@ def _checkers_check(cell: Cell) -> tuple[int, list[Failure]]:
         if got != want:
             return 1, [{"m": m, "n": n, "checkers": got, "billiard": want}]
         return 1, []
-    path = trace_path(Rect(m=m, n=n))
-    cross = crossings(path)
-    firsts = sorted(c.t1 for c in cross)
-    seconds = sorted(c.t2 for c in cross)
-    failures = []
-    checked = 0
-    for x, sign, t in base_bounces(path):
-        checked += 1
-        # crossings with t1 < t, less those with t2 < t too; a bounce is never a crossing time
-        straddles = bisect_left(firsts, t) - bisect_left(seconds, t)
-        if (sign > 0) != (straddles % 2 == 0):
-            failures.append({"m": m, "n": n, "k": x // 2, "sign": sign, "checkers": straddles})
-    return checked, failures
+    # signs from the bounce walk, checker counts from the lattice walk
+    signs = symbols.bounce_evidence(m, n).base_bounces
+    return len(signs), [{"m": m, "n": n, "k": x // 2, "sign": sign, "checkers": count}
+                        for (x, sign), (at, count) in zip(signs, ck.single_pebble_counts(m, n), strict=True)
+                        if x != at or (sign > 0) != (count % 2 == 0)]
 
 
 # --- kernel: unique solvability iff coprime; explicit kernel element otherwise ---
@@ -261,6 +253,7 @@ class Family:
     default_max_m: int
     default_max_n: int
     description: str
+    cost: Callable[[int, int], int] = operator.mul  # work in cells at bounds (max_m, max_n), for the size cap
 
 
 FAMILIES: dict[str, Family] = {
@@ -283,7 +276,8 @@ FAMILIES: dict[str, Family] = {
         Family("checkers_symbol", _checkers_cells, _checkers_check, 50, 50,
                f"bottom-row puzzle parity = billiard symbol; bounce-sign bridge (capped at {BRIDGE_DEFAULT})"),
         Family("kernel", _kernel_cells, _kernel_check, 14, 14,
-               "neighbor map invertible iff gcd(m, n) = 1; explicit kernel element otherwise"),
+               "neighbor map invertible iff gcd(m, n) = 1; explicit kernel element otherwise",
+               lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
         Family("superposition", _superposition_cells, _superposition_check, 31, 31,
                "combined bottom+left puzzle count = (m-1)(n-1)/4, odd coprime m, n"),
         Family("tilings", _tilings_cells, _tilings_check, 6, 6,
@@ -310,5 +304,5 @@ def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
     else:
         results = [family.check(cell) for cell in cells]
     return FamilyResult(name=name, checked=sum(c for c, _ in results),
-                        failures=tuple(f for _, fails in results for f in fails),
+                        failures=tuple(f for _, fails in results for f in fails), cells=len(cells),
                         elapsed_s=time.perf_counter() - start)

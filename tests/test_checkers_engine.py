@@ -4,6 +4,8 @@ The reference below is the set-based engine the bitmask one replaced:
 per-square neighbour counting, a square-by-square light chase, and the
 bottom-row residual cleared from the traced path's crossings.  It works on
 plain sets of (col, row) squares and shares no code with `quadres.checkers`.
+The single-pebble counts are checked against the straddling crossings of
+the traced path, found by bisecting the sorted visit times.
 """
 
 import math
@@ -12,14 +14,15 @@ import sys
 from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadres.billiards import Rect, bottom_bounce_times, crossings, trace_path
+from quadres.billiards import Rect, base_bounces, bottom_bounce_times, crossings, trace_path
 from quadres.checkers import (
     Board,
     CheckerSet,
     PebbleSet,
+    PuzzleNotUniquelySolvable,
     apply_checkers,
     bottom_row_puzzle,
     bottom_row_symbol,
@@ -27,7 +30,9 @@ from quadres.checkers import (
     left_column_puzzle,
     light_chase,
     neighbor_matrix,
+    single_pebble_counts,
     solve,
+    solve_single_pebble,
 )
 
 
@@ -63,6 +68,20 @@ def ref_solve(rows, cols, pebbled):
             if (bisect_left(cuts, c.t2) - bisect_right(cuts, c.t1)) % 2:
                 placed ^= {(c.x - 1, c.y - 1)}
     return placed
+
+
+def ref_single_pebble_counts(m, n):
+    """(x, crossings straddling the bounce) for every bottom bounce of the traced path."""
+    path = trace_path(Rect(m=m, n=n))
+    cross = crossings(path)
+    firsts = sorted(c.t1 for c in cross)
+    seconds = sorted(c.t2 for c in cross)
+    # crossings with t1 < t, less those with t2 < t too; a bounce is never a crossing time
+    return [(x, bisect_left(firsts, t) - bisect_left(seconds, t)) for x, _, t in base_bounces(path)]
+
+
+def coprime_sides(limit):
+    return [(m, n) for m in range(1, limit + 1) for n in range(1, limit + 1) if math.gcd(m, n) == 1]
 
 
 def random_puzzle(board, rng, density=0.5):
@@ -156,20 +175,24 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the checkers engine called an oracle it is checked against")
 
 
-def test_solver_calls_no_oracle(monkeypatch):
-    """solve and bottom_row_symbol run with every cross-check method disabled."""
-    import quadres
-    from quadres import checkers, oracles, symbols
-
-    targets = {
-        symbols.billiard_symbol, symbols._bottom_signs, oracles.jacobi_symbol,
-        oracles.euler_symbol, oracles.zolotarev_perm_sign, checkers.solve_elimination,
-    }
+def _refuse_everywhere(monkeypatch, targets):
+    """Replace every binding of the target functions in every quadres module by _refuse."""
     modules = [mod for name, mod in sys.modules.items() if name == "quadres" or name.startswith("quadres.")]
     for module in modules:
         for attr, value in list(vars(module).items()):
             if callable(value) and value in targets:
                 monkeypatch.setattr(module, attr, _refuse)
+
+
+def test_solver_calls_no_oracle(monkeypatch):
+    """solve and bottom_row_symbol run with every cross-check method disabled."""
+    import quadres
+    from quadres import checkers, oracles, symbols
+
+    _refuse_everywhere(monkeypatch, {
+        symbols.billiard_symbol, symbols._bottom_signs, oracles.jacobi_symbol,
+        oracles.euler_symbol, oracles.zolotarev_perm_sign, checkers.solve_elimination,
+    })
     assert quadres.billiard_symbol is _refuse and checkers.solve_elimination is _refuse
 
     p = random_puzzle(Board(rows=6, cols=10), random.Random(3))
@@ -177,3 +200,61 @@ def test_solver_calls_no_oracle(monkeypatch):
     assert bottom_row_symbol(7, 11).value == -1
     assert bottom_row_symbol(5, 7).negative_bounce_count == 7
     assert combined_puzzle_count(7, 11) == 15
+
+
+def test_single_pebble_counts_match_straddling_crossings():
+    for m, n in coprime_sides(60):
+        assert single_pebble_counts(m, n) == ref_single_pebble_counts(m, n), (m, n)
+
+
+def test_single_pebble_counts_match_solution_sizes():
+    for m, n in coprime_sides(30):
+        for x, count in single_pebble_counts(m, n):
+            assert solve_single_pebble(m, n, x // 2).count() == count, (m, n, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 150), st.integers(1, 150))
+def test_single_pebble_counts_match_reference_on_large_sides(m, n):
+    assume(math.gcd(m, n) == 1)
+    assert single_pebble_counts(m, n) == ref_single_pebble_counts(m, n)
+
+
+def test_single_pebble_counts_reject_common_factor():
+    with pytest.raises(PuzzleNotUniquelySolvable):
+        single_pebble_counts(6, 9)
+
+
+def test_single_pebble_counts_call_no_path_tracer_or_oracle(monkeypatch):
+    """The lattice walk runs with the path tracer, the bounce walk and every oracle disabled."""
+    import quadres
+    from quadres import billiards, oracles, symbols
+
+    cells = coprime_sides(20)
+    want = [ref_single_pebble_counts(m, n) for m, n in cells]
+    _refuse_everywhere(monkeypatch, {
+        billiards.trace_path, billiards.crossings, billiards._interior_visits,
+        billiards.two_color_checkers, symbols.billiard_symbol, symbols.bounce_evidence,
+        symbols._bottom_signs, oracles.jacobi_symbol, oracles.euler_symbol, oracles.zolotarev_perm_sign,
+    })
+    assert quadres.trace_path is _refuse and billiards._interior_visits is _refuse
+    assert [single_pebble_counts(m, n) for m, n in cells] == want
+
+
+def test_bridge_sweep_reports_a_wrong_count(monkeypatch):
+    """One count off by one makes the checkers_symbol sweep fail at exactly that bounce."""
+    from quadres import sweeps
+
+    real = sweeps.ck.single_pebble_counts
+    x, count = real(7, 11)[2]
+
+    def off_by_one(m, n):
+        counts = real(m, n)
+        if (m, n) == (7, 11):
+            counts[2] = (x, count + 1)
+        return counts
+
+    monkeypatch.setattr(sweeps.ck, "single_pebble_counts", off_by_one)
+    result = sweeps.run_family("checkers_symbol")
+    assert [(f["m"], f["n"], f["k"], f["checkers"]) for f in result.failures] == [(7, 11, x // 2, count + 1)]
+    assert result.checked == 5377

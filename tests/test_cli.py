@@ -5,7 +5,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from quadres.cli import main
+from quadres.cli import DEFAULT_MAX_CELLS, main
+from quadres.sweeps import FAMILIES
 
 
 @pytest.fixture()
@@ -211,6 +212,7 @@ class TestVerify:
             assert check["witness"]["failures"] == []
             assert check["witness"]["failure_count"] == 0
             assert check["witness"]["checked"] > 0
+            assert check["witness"]["cells"] > 0
             assert check["witness"]["elapsed_s"] >= 0
         assert payload["result"]["all_ok"] is True
 
@@ -218,6 +220,18 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--max-n", "12", "--checks", "supplements"])
         assert result.exit_code == 0
         assert " s  [PASS]" in result.output
+        assert "cells      5  checked      10" in result.output
+
+    def test_kernel_cap_counts_board_squares(self, runner):
+        # 60x60 is 3,600 grid cells, but the kernel sweep eliminates on 3,132,900 board squares
+        result = runner.invoke(main, ["verify", "--max-n", "60", "--checks", "kernel"])
+        assert result.exit_code == 2
+        assert "(3132900 cells of work) exceeds the safety limit" in result.output
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_defaults_pass_the_default_cap(self, name):
+        family = FAMILIES[name]
+        assert family.cost(family.default_max_m, family.default_max_n) <= DEFAULT_MAX_CELLS
 
     def test_unknown_family_exit_2(self, runner):
         assert runner.invoke(main, ["verify", "--checks", "nonsense"]).exit_code == 2

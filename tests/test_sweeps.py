@@ -23,6 +23,23 @@ def test_family_passes_at_default_bounds(name):
     assert result.failures == (), result.failures[:3]
 
 
+def test_checkers_symbol_reports_its_cells():
+    result = run_family("checkers_symbol")
+    assert result.cells == 2102  # 1,547 checkers_sym + 555 checkers_bridge cells
+    assert result.checked == 5377
+
+
+def test_kernel_cost_counts_board_squares():
+    kernel = FAMILIES["kernel"]
+    assert kernel.cost(14, 14) == 8281
+    assert kernel.cost(32, 32) == 246016
+    assert kernel.cost(33, 33) == 278784
+    assert kernel.cost(2, 14) == 91
+    for family in FAMILIES.values():
+        if family.name != "kernel":
+            assert family.cost(33, 40) == 33 * 40, family.name
+
+
 def test_reduced_bounds_shrink_the_sweep():
     small = run_family("reciprocity", max_m=21, max_n=21)
     full = run_family("reciprocity")
