@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator
 
-from .billiards import Rect, kernel_checkers, two_color_checkers
 from .symbols import SymbolEvidence
 
 
@@ -193,30 +192,36 @@ def light_chase(p: PebbleSet) -> tuple[CheckerSet, PebbleSet]:
     return CheckerSet._from_rows(board, placed[:-1]), PebbleSet._from_rows(board, residual)
 
 
-def solve_single_pebble(m: int, n: int, k: int) -> CheckerSet:
-    """Solution of the puzzle with one pebble at bottom-row square 2k.
+def _walk(m: int, n: int, stretches: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """XOR the interior lattice points of each (start, stop) stretch of the m-by-n path into one int.
 
-    Built from the billiards two-coloring: checkers go on the board squares
-    of the path self-crossings that straddle the bottom bounce at (2k, 0),
-    after the (-1, -1) shift from lattice points to squares.  The resulting
-    pebble is at 0-based column 2k-1.
-    """
-    if math.gcd(m, n) != 1:
-        raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
-    points = two_color_checkers(Rect(m=m, n=n), k)
-    return CheckerSet(Board(rows=m - 1, cols=n - 1), ((x - 1, y - 1) for x, y in points))
-
-
-def _lattice(m: int, n: int) -> tuple[int, int, dict[int, int]]:
-    """The m-by-n lattice packed into one int, point (x, y) at bit y*width + x.
-
-    Returns width (whole bytes a row), the most interior points on one diagonal piece,
-    and for each diagonal stride width -+ 1 a run of that many bits; one shift cuts a piece.
+    Point (x, y) is bit y*width + x, width being whole bytes a row, so a diagonal piece
+    is a run of bits of stride width -+ 1, cut from a precomputed run by one shift.
+    Yields the grid after each stretch: the points visited an odd number of times so far.
     """
     width = (n + 8) & ~7
-    longest = min(m, n) - 1
+    longest = min(m, n) - 1  # the most interior points on one diagonal piece
     runs = {s: ((1 << s * longest) - 1) // ((1 << s) - 1) for s in (width - 1, width + 1)}
-    return width, longest, runs
+    grid = 0
+    for t, stop in stretches:
+        while t < stop:
+            step = min(n - t % n, m - t % m)  # time to the next wall contact
+            if step > 1:
+                x, dx = (t % (2 * n), 1) if t % (2 * n) < n else (2 * n - t % (2 * n), -1)
+                y, dy = (t % (2 * m), 1) if t % (2 * m) < m else (2 * m - t % (2 * m), -1)
+                if dy < 0:  # read a descending piece upward from its lower end
+                    x, dx, y = x + dx * step, -dx, y - step
+                stride = width + dx
+                grid ^= runs[stride] >> (longest - step + 1) * stride << (y + 1) * width + x + dx
+            t += step
+        yield grid
+
+
+def _rows(m: int, n: int, grid: int) -> list[int]:
+    """Board rows of a packed `_walk` grid: lattice point (x, y) is square (x-1, y-1)."""
+    span = n // 8 + 1  # bytes a lattice row
+    raw = grid.to_bytes(m * span, "little")
+    return [int.from_bytes(raw[y * span:(y + 1) * span], "little") >> 1 for y in range(1, m)]
 
 
 def single_pebble_counts(m: int, n: int) -> list[tuple[int, int]]:
@@ -229,23 +234,9 @@ def single_pebble_counts(m: int, n: int) -> list[tuple[int, int]]:
     """
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
-    width, longest, runs = _lattice(m, n)
-    grid = 0
-    counts = []
-    t, total = 0, m * n
-    while t < total:
-        step = min(n - t % n, m - t % m)  # time to the next wall contact
-        if step > 1:
-            x, dx = (t % (2 * n), 1) if t % (2 * n) < n else (2 * n - t % (2 * n), -1)
-            y, dy = (t % (2 * m), 1) if t % (2 * m) < m else (2 * m - t % (2 * m), -1)
-            if dy < 0:  # read a descending piece upward from its lower end
-                x, dx, y = x + dx * step, -dx, y - step
-            stride = width + dx
-            grid ^= runs[stride] >> (longest - step + 1) * stride << (y + 1) * width + x + dx
-        t += step
-        if t % (2 * m) == 0 and t < total:  # a bottom bounce
-            counts.append((min(t % (2 * n), -t % (2 * n)), grid.bit_count()))
-    return counts
+    bounces = range(2 * m, m * n, 2 * m)
+    grids = _walk(m, n, ((t - 2 * m, t) for t in bounces))
+    return [(min(t % (2 * n), -t % (2 * n)), grid.bit_count()) for t, grid in zip(bounces, grids)]
 
 
 def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
@@ -256,7 +247,7 @@ def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
     bounce at lattice point (c+1, 0).  A crossing carries a checker exactly
     when its two visits differ in color, that is when exactly one of them
     has color 1, so XORing together the interior lattice points of every
-    color-1 stretch of the path, packed by `_lattice`, leaves the checkers.
+    color-1 stretch of the path leaves the checkers.  `pebbled` is nonzero.
     """
     # The bottom bounce at time 2mk lies at x = 2j exactly when mk = +-j (mod n).
     inverse = pow(m, -1, n)
@@ -267,26 +258,22 @@ def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
     cuts.sort()
     if len(cuts) % 2:
         cuts.append(m * n)  # the last color-1 stretch runs to the end corner
+    *_, grid = _walk(m, n, zip(cuts[::2], cuts[1::2]))
+    return _rows(m, n, grid)
 
-    width, longest, runs = _lattice(m, n)
-    grid = 0
-    for start, stop in zip(cuts[::2], cuts[1::2]):
-        t = start
-        while t < stop:
-            step = min(n - t % n, m - t % m)  # time to the next wall contact
-            if step > 1:
-                x, dx = (t % (2 * n), 1) if t % (2 * n) < n else (2 * n - t % (2 * n), -1)
-                y, dy = (t % (2 * m), 1) if t % (2 * m) < m else (2 * m - t % (2 * m), -1)
-                if dy < 0:  # read a descending piece upward from its lower end
-                    x, dx, y = x + dx * step, -dx, y - step
-                stride = width + dx
-                first = (y + 1) * width + x + dx
-                grid ^= runs[stride] >> (longest - step + 1) * stride << first
-            t += step
 
-    span = width // 8
-    raw = grid.to_bytes(m * span, "little")
-    return [int.from_bytes(raw[y * span:(y + 1) * span], "little") >> 1 for y in range(1, m)]
+def solve_single_pebble(m: int, n: int, k: int) -> CheckerSet:
+    """Solution of the puzzle with one pebble at bottom-row square 2k-1.
+
+    By the billiards two-coloring, checkers go on the board squares of the
+    path self-crossings that straddle the bottom bounce at (2k, 0), after
+    the (-1, -1) shift from lattice points to squares.
+    """
+    if math.gcd(m, n) != 1:
+        raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
+    if not 0 < 2 * k < n:
+        raise ValueError(f"need 0 < 2k < n, got k={k}, n={n}")
+    return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), _clear_bottom_row(m, n, 1 << 2 * k - 1))
 
 
 def solve(p: PebbleSet) -> CheckerSet:
@@ -434,13 +421,13 @@ def solve_elimination(p: PebbleSet) -> EliminationResult:
 def kernel_element(m: int, n: int) -> CheckerSet:
     """A nonempty checker set with no pebbles, for gcd(m, n) > 1.
 
-    The checkers sit on the board squares of the billiard lattice points
-    that the main path visits exactly once.
+    The checkers sit on the board squares of the billiard lattice points that
+    the main path visits exactly once, the set bits of one walk (none is visited thrice).
     """
     if math.gcd(m, n) == 1:
         raise ValueError(f"gcd({m}, {n}) = 1: the kernel is trivial")
-    points = kernel_checkers(Rect(m=m, n=n))
-    return CheckerSet(Board(rows=m - 1, cols=n - 1), ((x - 1, y - 1) for x, y in points))
+    grid = next(_walk(m, n, [(0, math.lcm(m, n))]))
+    return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), _rows(m, n, grid))
 
 
 def bottom_row_symbol(m: int, n: int) -> SymbolEvidence:

@@ -298,13 +298,14 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
     """Run identity-check sweeps across all modules."""
     if max_m is None:
         max_m = max_n
-    if check_names:
+    names = list(FAMILIES)
+    if check_names is not None:
         names = [c.strip() for c in check_names.split(",") if c.strip()]
         unknown = [c for c in names if c not in FAMILIES]
         if unknown:
             raise click.UsageError(f"unknown check families: {', '.join(unknown)}")
-    else:
-        names = list(FAMILIES)
+        if not names:
+            raise click.UsageError(f"--checks {check_names!r} names no family; known: {', '.join(FAMILIES)}")
     for name in names:  # a bound left out takes the family default
         family = FAMILIES[name]
         grid_m = family.default_max_m if max_m is None else max_m

@@ -15,7 +15,6 @@ import math
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -299,6 +298,7 @@ def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
                               family.default_max_n if max_n is None else max_n)
     workers = min(parallelism, os.cpu_count() or 1, len(cells))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(family.check, cells, chunksize=max(1, len(cells) // (4 * workers))))
     else:

@@ -5,7 +5,10 @@ per-square neighbour counting, a square-by-square light chase, and the
 bottom-row residual cleared from the traced path's crossings.  It works on
 plain sets of (col, row) squares and shares no code with `quadres.checkers`.
 The single-pebble counts are checked against the straddling crossings of
-the traced path, found by bisecting the sorted visit times.
+the traced path, found by bisecting the sorted visit times.  The packed
+walk's other checker sets are checked against the dict-based constructions
+in `quadres.billiards`: `two_color_checkers` for single-pebble solutions and
+`kernel_checkers` for kernel elements.
 """
 
 import math
@@ -17,7 +20,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadres.billiards import Rect, base_bounces, bottom_bounce_times, crossings, trace_path
+from quadres.billiards import (
+    Rect,
+    base_bounces,
+    bottom_bounce_times,
+    crossings,
+    kernel_checkers,
+    trace_path,
+    two_color_checkers,
+)
 from quadres.checkers import (
     Board,
     CheckerSet,
@@ -27,6 +38,7 @@ from quadres.checkers import (
     bottom_row_puzzle,
     bottom_row_symbol,
     combined_puzzle_count,
+    kernel_element,
     left_column_puzzle,
     light_chase,
     neighbor_matrix,
@@ -200,6 +212,57 @@ def test_solver_calls_no_oracle(monkeypatch):
     assert bottom_row_symbol(7, 11).value == -1
     assert bottom_row_symbol(5, 7).negative_bounce_count == 7
     assert combined_puzzle_count(7, 11) == 15
+
+
+def test_solve_single_pebble_matches_two_color_reference():
+    for m, n in coprime_sides(20):
+        for k in range(1, (n + 1) // 2):  # every 0 < 2k < n
+            want = {(x - 1, y - 1) for x, y in two_color_checkers(Rect(m=m, n=n), k)}
+            assert solve_single_pebble(m, n, k).squares == want, (m, n, k)
+
+
+def test_solve_single_pebble_rejects_a_missing_bounce():
+    for m, n, k in [(5, 7, 0), (5, 7, 4), (5, 7, -1), (4, 1, 1), (1, 2, 1)]:
+        with pytest.raises(ValueError, match="need 0 < 2k < n"):
+            solve_single_pebble(m, n, k)
+
+
+def test_kernel_element_matches_once_visited_reference():
+    cells = [(m, n) for m in range(2, 41) for n in range(2, 41) if math.gcd(m, n) > 1]
+    assert len(cells) == 621
+    for m, n in cells:
+        elem = kernel_element(m, n)
+        assert elem.squares == {(x - 1, y - 1) for x, y in kernel_checkers(Rect(m=m, n=n))}, (m, n)
+        assert elem.squares and not apply_checkers(elem).squares, (m, n)
+
+
+def test_path_built_checker_sets_call_no_billiards_function(monkeypatch):
+    """The packed walk answers every path question with all of `quadres.billiards` disabled."""
+    import inspect
+
+    import quadres
+    from quadres import billiards
+
+    rng = random.Random(5)
+    puzzles = [random_puzzle(Board(rows=m - 1, cols=n - 1), rng) for m, n in [(7, 11), (12, 5), (20, 21)]]
+    singles = [(m, n, k) for m, n in coprime_sides(12) for k in range(1, (n + 1) // 2)]
+    kernels = [(m, n) for m in range(2, 13) for n in range(2, 13) if math.gcd(m, n) > 1]
+    want_solve = [ref_solve(p.board.rows, p.board.cols, p.squares) for p in puzzles]
+    want_singles = [{(x - 1, y - 1) for x, y in two_color_checkers(Rect(m=m, n=n), k)} for m, n, k in singles]
+    want_kernels = [{(x - 1, y - 1) for x, y in kernel_checkers(Rect(m=m, n=n))} for m, n in kernels]
+    want_counts = [ref_single_pebble_counts(m, n) for m, n in coprime_sides(12)]
+    _refuse_everywhere(monkeypatch, {
+        f for _, f in inspect.getmembers(billiards, inspect.isfunction) if f.__module__ == billiards.__name__
+    })
+    assert quadres.two_color_checkers is _refuse and billiards._interior_visits is _refuse
+    assert quadres.kernel_checkers is _refuse and quadres.trace_path is _refuse
+
+    assert [solve(p).squares for p in puzzles] == want_solve
+    assert [solve_single_pebble(m, n, k).squares for m, n, k in singles] == want_singles
+    assert [kernel_element(m, n).squares for m, n in kernels] == want_kernels
+    assert [single_pebble_counts(m, n) for m, n in coprime_sides(12)] == want_counts
+    assert bottom_row_symbol(7, 11).value == -1
+    assert bottom_row_symbol(5, 7).negative_bounce_count == 7
 
 
 def test_single_pebble_counts_match_straddling_crossings():

@@ -1,6 +1,10 @@
 """Tests for the command-line interface: output, JSON schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -236,6 +240,13 @@ class TestVerify:
     def test_unknown_family_exit_2(self, runner):
         assert runner.invoke(main, ["verify", "--checks", "nonsense"]).exit_code == 2
 
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_checks_naming_no_family_exit_2(self, runner, checks):
+        result = runner.invoke(main, ["verify", "--checks", checks])
+        assert result.exit_code == 2
+        assert "names no family" in result.output
+        assert "all checks passed" not in result.output
+
     def test_oversized_sweep_exit_2(self, runner):
         result = runner.invoke(main, ["verify", "--max-n", "600", "--max-m", "600"])
         assert result.exit_code == 2
@@ -291,3 +302,14 @@ class TestRender:
         assert result.exit_code == 0
         assert_envelope(payload, "render")
         assert payload["result"]["svg"].startswith("<svg")
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """Only `verify --parallelism` above 1 needs multiprocessing, so start-up does not load it."""
+    import quadres
+
+    code = "import sys, quadres.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(quadres.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

@@ -84,7 +84,7 @@ class _InlinePool:
 
 @pytest.mark.parametrize("cpus, max_n, want", [(3, 14, 3), (None, 14, None), (8, 3, 4)])
 def test_parallelism_is_clamped_to_cores_and_cells(monkeypatch, cpus, max_n, want):
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)  # run_family imports it late
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
     _InlinePool.requested = []
     result = run_family("kernel", max_m=max_n, max_n=max_n, parallelism=10_000)
