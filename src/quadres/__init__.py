@@ -11,15 +11,11 @@ __version__ = "0.1.0"
 from .billiards import (
     BilliardPath,
     BounceEvent,
-    Crossing,
     Rect,
     Wall,
     base_bounces,
-    crossings,
-    kernel_checkers,
     position_at,
     trace_path,
-    two_color_checkers,
 )
 from .checkers import (
     Board,
@@ -43,12 +39,8 @@ from .checkers import (
 from .oracles import (
     SymbolValue,
     euler_symbol,
-    gcd,
     is_odd_prime,
     jacobi_symbol,
-    mod_pow,
-    residue_table,
-    wilson_pairing_check,
     zolotarev_perm_sign,
 )
 from .render import RenderSpec, render_board_ascii, render_board_svg, render_path_svg
@@ -70,7 +62,6 @@ __all__ = [
     "Board",
     "BounceEvent",
     "CheckerSet",
-    "Crossing",
     "Mod2Matrix",
     "PebbleSet",
     "PuzzleNotUniquelySolvable",
@@ -90,23 +81,18 @@ __all__ = [
     "check_reciprocity",
     "combined_puzzle_count",
     "count_tilings",
-    "crossings",
     "euler_symbol",
-    "gcd",
     "is_odd_prime",
     "jacobi_symbol",
-    "kernel_checkers",
     "kernel_element",
     "left_column_puzzle",
     "light_chase",
     "mod4_symbol",
-    "mod_pow",
     "neighbor_matrix",
     "position_at",
     "render_board_ascii",
     "render_board_svg",
     "render_path_svg",
-    "residue_table",
     "single_pebble_counts",
     "solve",
     "solve_elimination",
@@ -115,7 +101,5 @@ __all__ = [
     "symbol_supplement_two",
     "tiling_parity_check",
     "trace_path",
-    "two_color_checkers",
-    "wilson_pairing_check",
     "zolotarev_perm_sign",
 ]

@@ -60,16 +60,6 @@ class BounceEvent:
 
 
 @dataclass(frozen=True)
-class Crossing:
-    """Interior lattice point the path traverses twice, in crossing directions."""
-
-    x: int
-    y: int
-    t1: int
-    t2: int
-
-
-@dataclass(frozen=True)
 class BilliardPath:
     """Complete corner-to-corner trajectory.
 
@@ -153,77 +143,3 @@ def trace_path(rect: Rect) -> BilliardPath:
 def base_bounces(path: BilliardPath) -> list[tuple[int, int, int]]:
     """Bottom-wall bounces in time order, as (x, sign, t) triples."""
     return [(b.x, b.sign, b.t) for b in path.bounces if b.wall is Wall.BOTTOM]
-
-
-def crossings(path: BilliardPath) -> list[Crossing]:
-    """Interior lattice points the path visits exactly twice, transversally.
-
-    Found by walking each straight segment between consecutive events and
-    recording interior lattice-point visits.  When gcd(m, n) = 1 there are
-    exactly (m-1)(n-1)/2 crossings.  Sorted by (x, y).
-    """
-    visits = _interior_visits(path)
-    out = []
-    for (x, y), vs in sorted(visits.items()):
-        if len(vs) != 2:
-            continue
-        (t1, d1), (t2, d2) = vs
-        if d1 == d2 or d1 == (-d2[0], -d2[1]):
-            continue  # same diagonal twice: not a crossing
-        out.append(Crossing(x=x, y=y, t1=t1, t2=t2))
-    return out
-
-
-def _interior_visits(path: BilliardPath) -> dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]:
-    """Map interior lattice point -> [(t, direction), ...] in time order.
-
-    The path is on a wall exactly at event times, so the lattice points at
-    times strictly between consecutive events are all interior.
-    """
-    times = path.vertex_times()
-    visits: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
-        x0, y0 = path.vertices[i]
-        x1, y1 = path.vertices[i + 1]
-        span = t1 - t0
-        dx = (x1 - x0) // span
-        dy = (y1 - y0) // span
-        for k in range(1, span):
-            visits.setdefault((x0 + dx * k, y0 + dy * k), []).append((t0 + k, (dx, dy)))
-    return visits
-
-
-def bottom_bounce_times(path: BilliardPath) -> dict[int, int]:
-    """Map bottom-bounce abscissa -> bounce time."""
-    return {b.x: b.t for b in path.bounces if b.wall is Wall.BOTTOM}
-
-
-def two_color_checkers(rect: Rect, k: int) -> set[tuple[int, int]]:
-    """Self-crossings whose two transits straddle the bottom bounce at (2k, 0).
-
-    Coloring the path with one color before that bounce and another after
-    it, these are the crossings where the two colors meet.  Requires
-    gcd(m, n) = 1 and 0 < 2k < n, so the bounce at (2k, 0) exists.
-    """
-    if math.gcd(rect.m, rect.n) != 1:
-        raise ValueError(f"sides must be coprime, got {rect.m}x{rect.n}")
-    if not 0 < 2 * k < rect.n:
-        raise ValueError(f"need 0 < 2k < n, got k={k}, n={rect.n}")
-    path = trace_path(rect)
-    tk = bottom_bounce_times(path).get(2 * k)
-    if tk is None:
-        raise ValueError(f"no bottom bounce at ({2 * k}, 0) on {rect.m}x{rect.n}")
-    return {(c.x, c.y) for c in crossings(path) if c.t1 < tk < c.t2}
-
-
-def kernel_checkers(rect: Rect) -> set[tuple[int, int]]:
-    """Interior lattice points the corner-to-corner path visits exactly once.
-
-    These exist exactly when gcd(m, n) > 1 (the path exits early and covers
-    only part of the diagonal grid); the set is then nonempty.
-    """
-    if math.gcd(rect.m, rect.n) == 1:
-        raise ValueError(f"sides {rect.m}x{rect.n} are coprime: every interior point is covered twice")
-    visits = _interior_visits(trace_path(rect))
-    return {p for p, vs in visits.items() if len(vs) == 1}

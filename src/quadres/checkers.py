@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator
 
-from .symbols import SymbolEvidence
-
 
 class PuzzleNotUniquelySolvable(ValueError):
     """Raised when gcd(m, n) > 1 and the puzzle has zero or many solutions."""
@@ -135,14 +133,6 @@ class CheckerSet(_Configuration):
     """A mod-2 configuration on the dark squares."""
 
     dark = True
-
-
-def pebbles(board: Board, *squares: Square) -> PebbleSet:
-    return PebbleSet(board, frozenset(squares))
-
-
-def checkers_at(board: Board, *squares: Square) -> CheckerSet:
-    return CheckerSet(board, frozenset(squares))
 
 
 def bottom_row_puzzle(board: Board) -> PebbleSet:
@@ -430,13 +420,12 @@ def kernel_element(m: int, n: int) -> CheckerSet:
     return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), _rows(m, n, grid))
 
 
-def bottom_row_symbol(m: int, n: int) -> SymbolEvidence:
+def bottom_row_symbol(m: int, n: int) -> int:
     """(m|n) as (-1)^s where s counts checkers in the bottom-row solution."""
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
-    board = Board(rows=m - 1, cols=n - 1)
-    s = solve(bottom_row_puzzle(board)).count()
-    return SymbolEvidence(value=-1 if s % 2 else 1, negative_bounce_count=s, base_bounces=())
+    s = solve(bottom_row_puzzle(Board(rows=m - 1, cols=n - 1))).count()
+    return -1 if s % 2 else 1
 
 
 def combined_puzzle_count(m: int, n: int) -> int:

@@ -300,7 +300,7 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
         max_m = max_n
     names = list(FAMILIES)
     if check_names is not None:
-        names = [c.strip() for c in check_names.split(",") if c.strip()]
+        names = list(dict.fromkeys(c.strip() for c in check_names.split(",") if c.strip()))  # repeats run once
         unknown = [c for c in names if c not in FAMILIES]
         if unknown:
             raise click.UsageError(f"unknown check families: {', '.join(unknown)}")

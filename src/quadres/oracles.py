@@ -8,27 +8,8 @@ plain int restricted to {-1, 0, +1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 SymbolValue = int  # always one of -1, 0, +1
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp reduced into [0, modulus)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exp, modulus)
 
 
 def is_odd_prime(n: int) -> bool:
@@ -53,20 +34,13 @@ def euler_symbol(a: int, p: int) -> SymbolValue:
     a %= p
     if a == 0:
         return 0
-    r = mod_pow(a, (p - 1) // 2, p)
+    r = pow(a, (p - 1) // 2, p)
     if r == 1:
         return 1
     if r == p - 1:
         return -1
     # Unreachable after the primality check; would mean p is composite.
     raise ArithmeticError(f"a^((p-1)/2) mod p = {r} not in {{1, p-1}}; {p} is not prime")
-
-
-def residue_table(n: int) -> set[int]:
-    """The set of nonzero-square values {x^2 mod n : 1 <= x <= n-1}."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return {x * x % n for x in range(1, n)}
 
 
 def jacobi_symbol(a: int, n: int) -> SymbolValue:
@@ -116,72 +90,3 @@ def zolotarev_perm_sign(m: int, n: int) -> SymbolValue:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-@dataclass(frozen=True)
-class WilsonPairing:
-    """Pairing of the nonzero residues mod p into {x, y} with x*y = a mod p.
-
-    When a is a non-residue the pairing is perfect and the product of all
-    nonzero residues is a^((p-1)/2).  When a is a residue, the two square
-    roots x and p-x of a pair with themselves and are left out, and
-    (p-1)! = -a^((p-1)/2).  Either way (p-1)! = -1 mod p.
-    """
-
-    p: int
-    a: int
-    is_residue: bool
-    pairs: tuple[tuple[int, int], ...]
-    leftover: tuple[int, int] | None
-    factorial_mod: int
-    half_power: int
-
-    @property
-    def ok(self) -> bool:
-        lhs = self.factorial_mod
-        rhs = self.half_power if not self.is_residue else (-self.half_power) % self.p
-        return lhs == rhs and lhs == self.p - 1
-
-
-def wilson_pairing_check(p: int, a: int) -> WilsonPairing:
-    """Build the xy = a pairing of nonzero residues mod p and verify it.
-
-    p must be an odd prime not dividing a.
-    """
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        raise ValueError(f"p = {p} must not divide a")
-
-    roots = [x for x in range(1, p) if x * x % p == a]
-    leftover = (roots[0], roots[1]) if roots else None
-
-    pairs: list[tuple[int, int]] = []
-    unpaired = set(range(1, p)) - set(roots)
-    while unpaired:
-        x = min(unpaired)
-        y = a * pow(x, p - 2, p) % p
-        pairs.append((x, y))
-        unpaired -= {x, y}
-
-    for x, y in pairs:
-        if x * y % p != a:
-            raise ArithmeticError(f"pair ({x}, {y}) has product != {a} mod {p}")
-
-    factorial_mod = 1
-    for x in range(2, p):
-        factorial_mod = factorial_mod * x % p
-
-    record = WilsonPairing(
-        p=p,
-        a=a,
-        is_residue=bool(roots),
-        pairs=tuple(pairs),
-        leftover=leftover,
-        factorial_mod=factorial_mod,
-        half_power=mod_pow(a, (p - 1) // 2, p),
-    )
-    if not record.ok:
-        raise ArithmeticError(f"pairing check failed for p={p}, a={a}")
-    return record

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .billiards import BilliardPath, Wall, bottom_bounce_times
+from .billiards import BilliardPath, base_bounces
 from .checkers import Board, CheckerSet, PebbleSet
 
 
@@ -66,10 +66,11 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
         return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
 
     vertices = list(path.vertices)
+    bottom = base_bounces(path)
     if split_k is None:
         parts.append(polyline(vertices, spec.color_before))
     else:
-        tk = bottom_bounce_times(path).get(2 * split_k)
+        tk = next((t for x, _, t in bottom if x == 2 * split_k), None)
         if tk is None:
             raise ValueError(f"no bottom bounce at ({2 * split_k}, 0) to split at")
         times = path.vertex_times()
@@ -78,13 +79,12 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
         parts.append(polyline(vertices[cut:], spec.color_after))
 
     if spec.annotate_signs:
-        for b in path.bounces:
-            if b.wall is Wall.BOTTOM:
-                label = "+" if b.sign > 0 else "-"
-                parts.append(
-                    f'<text x="{sx(b.x)}" y="{sy(0) + px // 2 + 4}" '
-                    f'text-anchor="middle" font-size="{px // 2 + 4}">{label}</text>'
-                )
+        for x, sign, _ in bottom:
+            label = "+" if sign > 0 else "-"
+            parts.append(
+                f'<text x="{sx(x)}" y="{sy(0) + px // 2 + 4}" '
+                f'text-anchor="middle" font-size="{px // 2 + 4}">{label}</text>'
+            )
 
     parts.append("</svg>")
     return "\n".join(parts)

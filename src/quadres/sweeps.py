@@ -175,7 +175,7 @@ def _checkers_cells(max_m: int, max_n: int) -> list[Cell]:
 def _checkers_check(cell: Cell) -> tuple[int, list[Failure]]:
     kind, m, n = cell
     if kind == "checkers_sym":
-        got = ck.bottom_row_symbol(m, n).value
+        got = ck.bottom_row_symbol(m, n)
         want = symbols.billiard_symbol(m, n).value
         if got != want:
             return 1, [{"m": m, "n": n, "checkers": got, "billiard": want}]

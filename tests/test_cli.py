@@ -237,6 +237,17 @@ class TestVerify:
         family = FAMILIES[name]
         assert family.cost(family.default_max_m, family.default_max_n) <= DEFAULT_MAX_CELLS
 
+    def test_repeated_family_runs_once(self, runner):
+        result, payload = invoke_json(
+            runner, ["verify", "--max-n", "4", "--checks", "kernel, tilings,kernel", "--json"]
+        )
+        assert result.exit_code == 0
+        assert payload["result"]["families"] == 2
+        assert [c["name"] for c in payload["checks"]] == ["kernel", "tilings"]
+        assert payload["inputs"]["flags"]["checks"] == ["kernel", "tilings"]
+        _, payload = invoke_json(runner, ["verify", "--max-n", "4", "--checks", "kernel,kernel", "--json"])
+        assert payload["result"]["families"] == 1
+
     def test_unknown_family_exit_2(self, runner):
         assert runner.invoke(main, ["verify", "--checks", "nonsense"]).exit_code == 2
 

@@ -4,46 +4,8 @@ import math
 
 import pytest
 
-from quadres.oracles import (
-    euler_symbol,
-    gcd,
-    is_odd_prime,
-    jacobi_symbol,
-    mod_pow,
-    residue_table,
-    wilson_pairing_check,
-    zolotarev_perm_sign,
-)
-
-
-def test_gcd_basics():
-    assert gcd(5, 7) == 1
-    assert gcd(6, 9) == 3
-    assert gcd(7, 0) == 7
-    assert gcd(0, 7) == 7
-
-
-def test_gcd_rejects_both_zero():
-    with pytest.raises(ValueError):
-        gcd(0, 0)
-
-
-def test_gcd_rejects_negative():
-    with pytest.raises(ValueError):
-        gcd(-4, 6)
-
-
-def test_mod_pow_basics():
-    assert mod_pow(5, 3, 7) == 6  # 125 mod 7
-    assert mod_pow(17, 0, 5) == 1
-    assert mod_pow(2, 10, 11) == 1  # 1024 = 93*11 + 1
-
-
-def test_mod_pow_rejects_small_modulus():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
+from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
+from reference import residue_table
 
 
 def test_is_odd_prime():
@@ -161,39 +123,3 @@ def test_symbol_values_multiplication_closed():
     for a in values:
         for b in values:
             assert a * b in values
-
-
-def test_wilson_pairing_examples():
-    rec = wilson_pairing_check(7, 1)
-    assert rec.factorial_mod == 6  # 720 mod 7
-    assert rec.is_residue and rec.leftover == (1, 6)
-    assert rec.ok
-
-    rec = wilson_pairing_check(5, 2)
-    assert not rec.is_residue and rec.leftover is None
-    assert sorted(tuple(sorted(p)) for p in rec.pairs) == [(1, 2), (3, 4)]
-    assert rec.factorial_mod == 4 == rec.half_power  # 4! = 2^2 mod 5
-
-    rec = wilson_pairing_check(7, 2)
-    assert rec.leftover == (3, 4)  # 3^2 = 2 mod 7
-
-
-def test_wilson_pairing_rejects_divisible():
-    with pytest.raises(ValueError):
-        wilson_pairing_check(7, 14)
-    with pytest.raises(ValueError):
-        wilson_pairing_check(9, 2)
-
-
-def test_wilson_pairing_sweep():
-    for p in range(3, 101):
-        if not is_odd_prime(p):
-            continue
-        for a in range(1, p):
-            rec = wilson_pairing_check(p, a)
-            assert rec.ok
-            assert rec.factorial_mod == p - 1
-            covered = {x for pair in rec.pairs for x in pair}
-            if rec.leftover:
-                covered |= set(rec.leftover)
-            assert covered == set(range(1, p))

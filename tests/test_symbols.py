@@ -77,21 +77,32 @@ def _refuse(*args, **kwargs):
     raise AssertionError("billiard_symbol called a method it is checked against")
 
 
-def test_billiard_symbol_calls_no_oracle(monkeypatch):
-    """The floor-sum path runs with the bounce walk and every oracle disabled."""
-    import quadres
-    from quadres import oracles, symbols
-
-    targets = {symbols._bottom_signs, oracles.jacobi_symbol, oracles.euler_symbol,
-               oracles.zolotarev_perm_sign}
+def _refuse_everywhere(monkeypatch, targets):
     modules = [mod for name, mod in sys.modules.items() if name == "quadres" or name.startswith("quadres.")]
     for module in modules:
         for attr, value in list(vars(module).items()):
             if callable(value) and value in targets:
                 monkeypatch.setattr(module, attr, _refuse)
-    assert symbols._bottom_signs is _refuse and quadres.jacobi_symbol is _refuse
 
-    values = [billiard_symbol(m, n).value for m in range(1, 30) for n in range(1, 30)]
+
+def test_billiard_symbol_calls_no_oracle(monkeypatch):
+    """The bounce walk runs without the path tracer, and the floor-sum path
+    without the bounce fold either; both with every oracle disabled."""
+    import quadres
+    from quadres import billiards, oracles, symbols
+
+    cells = [(m, n) for m in range(1, 30) for n in range(1, 30)]
+    want = [(m, n, [(x, s) for x, s, _ in base_bounces(trace_path(Rect(m=m, n=n)))]) for m, n in cells
+            if math.gcd(m, n) == 1]
+    _refuse_everywhere(monkeypatch, {billiards.trace_path, oracles.jacobi_symbol, oracles.euler_symbol,
+                                     oracles.zolotarev_perm_sign})
+    assert quadres.trace_path is _refuse and quadres.jacobi_symbol is _refuse
+    for m, n, bounces in want:
+        assert list(bounce_evidence(m, n).base_bounces) == bounces, (m, n)
+
+    _refuse_everywhere(monkeypatch, {billiards._fold})
+    assert symbols._fold is _refuse
+    values = [billiard_symbol(m, n).value for m, n in cells]
     assert values.count(-1) > 0 and values.count(0) > 0
     assert billiard_symbol(5, 7).negative_bounce_count == 1
     assert billiard_symbol(5, 8).value == 1
