@@ -117,7 +117,7 @@ def trace_path(rect: Rect) -> BilliardPath:
     bounces = []
     vertices = [(0, 0)]
     for t in times:
-        x, y, dx, dy = position_at(rect, t)
+        (x, dx), (y, dy) = _fold(t, n), _fold(t, m)
         if y == 0:
             wall, sign = Wall.BOTTOM, dx
         elif y == m:
@@ -129,7 +129,7 @@ def trace_path(rect: Rect) -> BilliardPath:
         bounces.append(BounceEvent(t=t, x=x, y=y, wall=wall, sign=sign))
         vertices.append((x, y))
 
-    ex, ey, _, _ = position_at(rect, total)
+    (ex, _), (ey, _) = _fold(total, n), _fold(total, m)
     vertices.append((ex, ey))
     return BilliardPath(
         rect=rect,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 
 class PuzzleNotUniquelySolvable(ValueError):
@@ -229,27 +229,25 @@ def single_pebble_counts(m: int, n: int) -> list[tuple[int, int]]:
     return [(min(t % (2 * n), -t % (2 * n)), grid.bit_count()) for t, grid in zip(bounces, grids)]
 
 
-def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
-    """Checker rows that solve the puzzle with pebbles `pebbled` in the bottom row.
+def _two_color(m: int, n: int, cuts: Sequence[int]) -> int:
+    """Packed `_walk` grid of the checkers for a coprime m-by-n path whose color flips at sorted `cuts`.
 
-    Color the billiard path of the coprime m-by-n rectangle by the parity
-    of the pebbled bottom bounces it has passed; pebble c sits above the
-    bounce at lattice point (c+1, 0).  A crossing carries a checker exactly
-    when its two visits differ in color, that is when exactly one of them
-    has color 1, so XORing together the interior lattice points of every
-    color-1 stretch of the path leaves the checkers.  `pebbled` is nonzero.
+    A crossing carries a checker exactly when one of its two visits has color 1, so XORing
+    the interior points of every color-1 stretch leaves the checkers.  After an odd number
+    of cuts the last such stretch runs to the end corner m*n (zip drops that stop otherwise).
     """
-    # The bottom bounce at time 2mk lies at x = 2j exactly when mk = +-j (mod n).
+    grid = 0  # no cuts, no checkers
+    for grid in _walk(m, n, zip(cuts[::2], [*cuts[1::2], m * n])):
+        pass
+    return grid
+
+
+def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
+    """Checker rows that solve the puzzle with pebbles `pebbled` in the bottom row."""
+    # The color flips at the bounce below each pebble c, at x = c+1 = 2j and time 2mk with mk = +-j (mod n).
     inverse = pow(m, -1, n)
-    cuts = []
-    for col in _columns(pebbled):
-        k = (col + 1) // 2 * inverse % n
-        cuts.append(2 * m * min(k, n - k))
-    cuts.sort()
-    if len(cuts) % 2:
-        cuts.append(m * n)  # the last color-1 stretch runs to the end corner
-    *_, grid = _walk(m, n, zip(cuts[::2], cuts[1::2]))
-    return _rows(m, n, grid)
+    ks = ((col + 1) // 2 * inverse % n for col in _columns(pebbled))
+    return _rows(m, n, _two_color(m, n, sorted(2 * m * min(k, n - k) for k in ks)))
 
 
 def solve_single_pebble(m: int, n: int, k: int) -> CheckerSet:
@@ -421,10 +419,16 @@ def kernel_element(m: int, n: int) -> CheckerSet:
 
 
 def bottom_row_symbol(m: int, n: int) -> int:
-    """(m|n) as (-1)^s where s counts checkers in the bottom-row solution."""
+    """(m|n) as (-1)^s where s counts checkers in the bottom-row solution.
+
+    Every bottom bounce carries a pebble, so light chasing places nothing and the
+    color flips at every bounce time 2m, 4m, ... < mn, with no inverse or sort.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
-    s = solve(bottom_row_puzzle(Board(rows=m - 1, cols=n - 1))).count()
+    s = _two_color(m, n, range(2 * m, m * n, 2 * m)).bit_count()
     return -1 if s % 2 else 1
 
 

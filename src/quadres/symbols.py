@@ -18,17 +18,19 @@ from .oracles import SymbolValue
 
 @dataclass(frozen=True)
 class SymbolEvidence:
-    """A symbol value together with the parity witness that produced it.
+    """A symbol value together with the bounces behind it.
 
-    For billiards evidence, negative_bounce_count is the number of negative
-    bottom bounces; the value is (-1) to that count, or 0 when gcd(m, n) > 1
-    and the bounce set would be incomplete.  base_bounces lists the bounces
-    as (x, sign) from bounce_evidence and is empty from billiard_symbol.
+    The value is (-1) to the number of negative bottom bounces, or 0 when gcd(m, n) > 1.
+    bounce_evidence lists the bounces as (x, sign) and counts the negative ones; billiard_symbol
+    reads only the count's parity and returns a shared record with no bounces and count None.
     """
 
     value: SymbolValue
-    negative_bounce_count: int
+    negative_bounce_count: int | None
     base_bounces: tuple[tuple[int, int], ...]
+
+
+_VALUE_ONLY = {value: SymbolEvidence(value, None, ()) for value in (-1, 0, 1)}
 
 
 def _floor_sum(count: int, n: int, a: int) -> int:
@@ -44,18 +46,16 @@ def _floor_sum(count: int, n: int, a: int) -> int:
 
 
 def billiard_symbol(m: int, n: int) -> SymbolEvidence:
-    """(m|n) and the negative bottom-bounce count, without walking the bounces.
+    """(m|n) from one floor sum, without walking the bounces.
 
-    The bounce at time 2mk (0 < k < n/2) is negative iff floor(2mk/n) is odd,
-    so the count is sum floor(2mk/n) - 2 sum floor(mk/n); base_bounces is empty.
+    The bottom bounce at time 2mk (0 < k < n/2) is negative iff floor(2mk/n),
+    the side-wall contacts before it, is odd; so (m|n) is (-1) to their sum.
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) != 1:
-        return SymbolEvidence(value=0, negative_bounce_count=0, base_bounces=())
-    count = (n + 1) // 2
-    negatives = _floor_sum(count, n, 2 * m) - 2 * _floor_sum(count, n, m)
-    return SymbolEvidence(-1 if negatives % 2 else 1, negatives, base_bounces=())
+        return _VALUE_ONLY[0]
+    return _VALUE_ONLY[-1 if _floor_sum((n + 1) // 2, n, 2 * m) % 2 else 1]
 
 
 def bounce_evidence(m: int, n: int) -> SymbolEvidence:
@@ -72,11 +72,7 @@ def bounce_evidence(m: int, n: int) -> SymbolEvidence:
         return SymbolEvidence(value=0, negative_bounce_count=0, base_bounces=())
     bounces = [_fold(t, n) for t in range(2 * m, m * n, 2 * m)]
     negatives = sum(1 for _, s in bounces if s < 0)
-    return SymbolEvidence(
-        value=-1 if negatives % 2 else 1,
-        negative_bounce_count=negatives,
-        base_bounces=tuple(bounces),
-    )
+    return SymbolEvidence(-1 if negatives % 2 else 1, negatives, tuple(bounces))
 
 
 def symbol_supplement_minus_one(n: int) -> SymbolValue:

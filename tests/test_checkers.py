@@ -307,6 +307,9 @@ def test_bottom_row_symbol_examples():
     assert bottom_row_symbol(1, 6) == 1
     with pytest.raises(PuzzleNotUniquelySolvable):
         bottom_row_symbol(6, 9)
+    for m, n in [(0, 1), (-1, 2), (2, -1)]:  # coprime, but no board
+        with pytest.raises(ValueError, match="sides must be positive"):
+            bottom_row_symbol(m, n)
 
 
 def test_bottom_row_symbol_matches_billiards():

@@ -26,6 +26,8 @@ from quadres.checkers import (
     CheckerSet,
     PebbleSet,
     PuzzleNotUniquelySolvable,
+    _rows,
+    _two_color,
     apply_checkers,
     bottom_row_puzzle,
     bottom_row_symbol,
@@ -38,6 +40,7 @@ from quadres.checkers import (
     solve,
     solve_single_pebble,
 )
+from quadres.symbols import billiard_symbol
 from reference import crossings, kernel_checkers, two_color_checkers
 
 
@@ -288,6 +291,34 @@ def test_single_pebble_counts_match_reference_on_large_sides(m, n):
 def test_single_pebble_counts_reject_common_factor():
     with pytest.raises(PuzzleNotUniquelySolvable):
         single_pebble_counts(6, 9)
+
+
+def test_bottom_row_walk_matches_the_solved_puzzle():
+    # the whole checker set of the walk over alternate bounce stretches, not only its parity
+    for m, n in coprime_sides(60):
+        grid = _two_color(m, n, range(2 * m, m * n, 2 * m))
+        want = solve(bottom_row_puzzle(Board(rows=m - 1, cols=n - 1))).row_bits
+        assert tuple(_rows(m, n, grid)) == want, (m, n)
+        assert bottom_row_symbol(m, n) == (-1) ** sum(bits.bit_count() for bits in want), (m, n)
+
+
+def test_bottom_row_symbol_is_one_walk(monkeypatch):
+    """No board, light chase, solve or row read-back: only the walk and its popcount."""
+    from quadres import checkers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bottom_row_symbol went through the general solver")
+
+    for name in ("Board", "PebbleSet", "CheckerSet", "light_chase", "solve", "_rows"):
+        monkeypatch.setattr(checkers, name, refuse)
+    assert [bottom_row_symbol(m, n) for m, n in [(5, 7), (7, 11), (4, 1), (1, 6), (2, 1)]] == [-1, -1, 1, 1, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 150), st.integers(1, 150))
+def test_bottom_row_symbol_matches_billiards_on_large_sides(m, n):
+    assume(math.gcd(m, n) == 1)
+    assert bottom_row_symbol(m, n) == billiard_symbol(m, n).value
 
 
 def test_single_pebble_counts_call_no_path_tracer_or_oracle(monkeypatch):

@@ -16,17 +16,20 @@ def test_family_registry_names():
     }
 
 
+# (cells, checked) at the default bounds, so that a faster check cannot quietly verify less
+DEFAULT_SIZES = {
+    "euler": (45, 8360), "zolotarev": (100, 6087), "jacobi": (76, 11476), "supplements": (99, 198),
+    "almost_reciprocity": (100, 5050), "mod4": (100, 8222), "reciprocity": (99, 7952),
+    "checkers_symbol": (2102, 5377),  # 1,547 checkers_sym + 555 checkers_bridge cells
+    "kernel": (169, 169), "superposition": (182, 182), "tilings": (36, 36),
+}
+
+
 @pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_family_passes_at_default_bounds(name):
     result = run_family(name)
-    assert result.checked > 0
+    assert (result.cells, result.checked) == DEFAULT_SIZES[name]
     assert result.failures == (), result.failures[:3]
-
-
-def test_checkers_symbol_reports_its_cells():
-    result = run_family("checkers_symbol")
-    assert result.cells == 2102  # 1,547 checkers_sym + 555 checkers_bridge cells
-    assert result.checked == 5377
 
 
 def test_kernel_cost_counts_board_squares():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quadres.billiards import Rect, base_bounces, trace_path
 from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from quadres.symbols import (
+    _floor_sum,
     billiard_symbol,
     bounce_evidence,
     check_almost_reciprocity,
@@ -23,9 +24,11 @@ from quadres.symbols import (
 def test_billiard_symbol_5x7():
     ev = billiard_symbol(5, 7)
     assert ev.value == -1
-    assert ev.negative_bounce_count == 1
+    assert ev.negative_bounce_count is None
     assert ev.base_bounces == ()
-    assert bounce_evidence(5, 7).base_bounces == ((4, -1), (6, 1), (2, 1))
+    walked = bounce_evidence(5, 7)
+    assert walked.negative_bounce_count == 1
+    assert walked.base_bounces == ((4, -1), (6, 1), (2, 1))
 
 
 def test_billiard_symbol_shared_factor_is_zero():
@@ -64,13 +67,18 @@ def test_billiard_symbol_matches_traced_path():
 
 
 def test_floor_sums_match_bounce_walk():
-    # the O(log n) count against the bounce walk it replaces, on every grid
-    # shape: even n, m > n and gcd > 1 included
+    # the O(log n) value against the bounce walk it replaces, on every grid
+    # shape: even n, m > n and gcd > 1 included; each descent is checked to
+    # the integer against its plain sum, and together they give the exact count
     for m in range(1, 399):
         for n in range(1, 202):
-            fast, walked = billiard_symbol(m, n), bounce_evidence(m, n)
-            assert (fast.value, fast.negative_bounce_count) == (
-                walked.value, walked.negative_bounce_count), (m, n)
+            walked = bounce_evidence(m, n)
+            assert billiard_symbol(m, n).value == walked.value, (m, n)
+            count = (n + 1) // 2
+            sums = [_floor_sum(count, n, a) for a in (m, 2 * m)]
+            assert sums == [sum(a * k // n for k in range(count)) for a in (m, 2 * m)], (m, n)
+            if walked.value:
+                assert sums[1] - 2 * sums[0] == walked.negative_bounce_count, (m, n)
 
 
 def _refuse(*args, **kwargs):
@@ -104,8 +112,22 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     assert symbols._fold is _refuse
     values = [billiard_symbol(m, n).value for m, n in cells]
     assert values.count(-1) > 0 and values.count(0) > 0
-    assert billiard_symbol(5, 7).negative_bounce_count == 1
+    assert billiard_symbol(5, 7).value == -1
     assert billiard_symbol(5, 8).value == 1
+
+
+def test_billiard_symbol_takes_one_floor_sum(monkeypatch):
+    from quadres import symbols
+
+    calls = []
+
+    def counted(count, n, a):
+        calls.append((count, n, a))
+        return _floor_sum(count, n, a)
+
+    monkeypatch.setattr(symbols, "_floor_sum", counted)
+    assert billiard_symbol(5, 7).value == -1
+    assert calls == [(4, 7, 10)]
 
 
 _sides = st.integers(min_value=1, max_value=10**12)
