@@ -32,6 +32,12 @@ def test_family_passes_at_default_bounds(name):
     assert result.failures == (), result.failures[:3]
 
 
+def test_checkers_symbol_reports_its_cells():
+    result = run_family("checkers_symbol")
+    assert result.cells == 2102  # 1,547 checkers_sym + 555 checkers_bridge cells
+    assert result.checked == 5377
+
+
 def test_kernel_cost_counts_board_squares():
     kernel = FAMILIES["kernel"]
     assert kernel.cost(14, 14) == 8281
