@@ -20,20 +20,18 @@ from .billiards import (
 from .checkers import (
     Board,
     CheckerSet,
-    Mod2Matrix,
     PebbleSet,
     PuzzleNotUniquelySolvable,
     apply_checkers,
     bottom_row_puzzle,
     bottom_row_symbol,
     combined_puzzle_count,
+    kernel_dimension,
     kernel_element,
     left_column_puzzle,
     light_chase,
-    neighbor_matrix,
     single_pebble_counts,
     solve,
-    solve_elimination,
     solve_single_pebble,
 )
 from .oracles import (
@@ -62,7 +60,6 @@ __all__ = [
     "Board",
     "BounceEvent",
     "CheckerSet",
-    "Mod2Matrix",
     "PebbleSet",
     "PuzzleNotUniquelySolvable",
     "Rect",
@@ -84,18 +81,17 @@ __all__ = [
     "euler_symbol",
     "is_odd_prime",
     "jacobi_symbol",
+    "kernel_dimension",
     "kernel_element",
     "left_column_puzzle",
     "light_chase",
     "mod4_symbol",
-    "neighbor_matrix",
     "position_at",
     "render_board_ascii",
     "render_board_svg",
     "render_path_svg",
     "single_pebble_counts",
     "solve",
-    "solve_elimination",
     "solve_single_pebble",
     "symbol_supplement_minus_one",
     "symbol_supplement_two",

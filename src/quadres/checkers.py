@@ -12,10 +12,11 @@ coordinates are the billiard lattice points shifted by (-1, -1): square
 Configurations are kept as one int bitmask per row (bit c = column c), so
 the map and light chasing work a row at a time by shifts and XORs.
 
-Three solvers are provided: the greedy top-to-bottom "light chasing" pass
-combined with the billiards two-coloring for the bottom-row residue, a
-bit-packed Gaussian elimination over GF(2), and (for gcd > 1 boards) the
-kernel construction from the once-visited billiard points.
+The solver is the greedy top-to-bottom "light chasing" pass combined with
+the billiards two-coloring for the bottom-row residue.  The same chase,
+run from the top row alone, is a transfer map that gives the dimension of
+the kernel, and (for gcd > 1 boards) the once-visited billiard points give
+a kernel element.
 """
 
 from __future__ import annotations
@@ -112,11 +113,6 @@ class _Configuration:
         """Number of occupied squares."""
         return sum(bits.bit_count() for bits in self.row_bits)
 
-    def bits(self) -> tuple[int, ...]:
-        """0/1 vector over this color's squares in board order."""
-        squares = self.board.dark_squares() if self.dark else self.board.light_squares()
-        return tuple(self.row_bits[row] >> col & 1 for col, row in squares)
-
     def __xor__(self, other):
         if type(other) is not type(self) or other.board != self.board:
             raise ValueError("cannot combine configurations on different boards")
@@ -180,6 +176,32 @@ def light_chase(p: PebbleSet) -> tuple[CheckerSet, PebbleSet]:
     if board.rows:
         residual[0] = want[0] ^ _lit(placed[0], placed[1], full)
     return CheckerSet._from_rows(board, placed[:-1]), PebbleSet._from_rows(board, residual)
+
+
+def kernel_dimension(m: int, n: int) -> int:
+    """Dimension of the checker sets with no pebbles on the (m-1)-by-(n-1) board.
+
+    With no pebbles, light chasing fixes each row from the two above it, so a kernel
+    element is fixed by its top row.  Each dark top-row square, placed alone and chased
+    down, leaves a bottom-row residual; the kernel is the top rows whose residuals
+    cancel, of dimension the top-row darks less the rank of their residuals.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
+    rows, cols = m - 1, n - 1
+    full = (1 << cols) - 1
+    tops = range((rows - 1) % 2, cols, 2) if rows else range(0)
+    leading: dict[int, int] = {}  # XOR basis of the residuals, keyed by highest bit
+    for col in tops:
+        above, row = 0, 1 << col
+        for _ in range(rows - 1):
+            above, row = row, _lit(row, above, full)
+        residual = _lit(row, above, full)
+        while residual.bit_length() in leading:
+            residual ^= leading[residual.bit_length()]
+        if residual:
+            leading[residual.bit_length()] = residual
+    return len(tops) - len(leading)
 
 
 def _walk(m: int, n: int, stretches: Iterable[tuple[int, int]]) -> Iterator[int]:
@@ -279,131 +301,6 @@ def solve(p: PebbleSet) -> CheckerSet:
         return partial
     cleared = _clear_bottom_row(m, n, residual.row_bits[0])
     return CheckerSet._from_rows(board, (a ^ b for a, b in zip(partial.row_bits, cleared)))
-
-
-class Mod2Matrix:
-    """Dense matrix over GF(2) with bit-packed rows (bit j of row i = entry ij)."""
-
-    def __init__(self, rows: int, cols: int, data: list[int]):
-        if len(data) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(data)}")
-        self.rows = rows
-        self.cols = cols
-        self.data = list(data)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i] >> j & 1
-
-    def solve(self, rhs: int) -> "Gf2Solution":
-        """Gauss-Jordan on the augmented system; pivots take the lowest available row."""
-        aug = [self.data[i] | ((rhs >> i & 1) << self.cols) for i in range(self.rows)]
-        pivots: list[int] = []
-        row = 0
-        for col in range(self.cols):
-            sel = next((r for r in range(row, self.rows) if aug[r] >> col & 1), None)
-            if sel is None:
-                continue
-            aug[row], aug[sel] = aug[sel], aug[row]
-            for r in range(self.rows):
-                if r != row and aug[r] >> col & 1:
-                    aug[r] ^= aug[row]
-            pivots.append(col)
-            row += 1
-        # Non-pivot rows are zero in every column, so only their rhs bit matters.
-        consistent = all(aug[r] >> self.cols & 1 == 0 for r in range(row, self.rows))
-        particular = None
-        if consistent:
-            particular = 0
-            for i, col in enumerate(pivots):
-                if aug[i] >> self.cols & 1:
-                    particular |= 1 << col
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = 1 << free
-            for i, col in enumerate(pivots):
-                if aug[i] >> free & 1:
-                    v |= 1 << col
-            basis.append(v)
-        return Gf2Solution(consistent=consistent, particular=particular, kernel_basis=tuple(basis), rank=len(pivots))
-
-    def rank(self) -> int:
-        return self.solve(0).rank
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
-
-@dataclass(frozen=True)
-class Gf2Solution:
-    """Raw elimination outcome: bit-packed vectors over the column index."""
-
-    consistent: bool
-    particular: int | None
-    kernel_basis: tuple[int, ...]
-    rank: int
-
-    @property
-    def unique(self) -> bool:
-        return self.consistent and not self.kernel_basis
-
-
-def neighbor_matrix(board: Board) -> Mod2Matrix:
-    """The light-by-dark adjacency matrix of the checker-to-pebble map.
-
-    Row i is light square i and column j dark square j, both in board
-    order, so dark square (c, r) is column (r*cols + 1)//2 + c//2.
-    Adjacency is symmetric: the darks next to a light square are the
-    squares the stencil lights around a unit placed there.
-    """
-    rows, cols = board.rows, board.cols
-    full = (1 << cols) - 1
-    data = []
-    for col, row in board.light_squares():
-        unit = 1 << col
-        around = ((row - 1, unit), (row, _lit(unit, 0, full)), (row + 1, unit))
-        data.append(sum(1 << (r * cols + 1) // 2 + c // 2
-                        for r, nbrs in around if 0 <= r < rows for c in _columns(nbrs)))
-    return Mod2Matrix(rows=len(data), cols=(rows * cols + 1) // 2, data=data)
-
-
-@dataclass(frozen=True)
-class EliminationResult:
-    """Outcome of the elimination solver.
-
-    Exactly one of three shapes: unique solution; singular but consistent
-    (a particular solution plus a nonempty kernel basis); or inconsistent
-    (no solution, kernel basis still reported).
-    """
-
-    board: Board
-    consistent: bool
-    solution: CheckerSet | None
-    kernel_basis: tuple[CheckerSet, ...]
-
-    @property
-    def unique(self) -> bool:
-        return self.consistent and not self.kernel_basis
-
-
-def _unpack(board: Board, bits: int) -> CheckerSet:
-    darks = board.dark_squares()
-    return CheckerSet(board, frozenset(sq for j, sq in enumerate(darks) if bits >> j & 1))
-
-
-def solve_elimination(p: PebbleSet) -> EliminationResult:
-    """Solve a pebble puzzle by GF(2) elimination, independent of the geometry."""
-    board = p.board
-    matrix = neighbor_matrix(board)
-    raw = matrix.solve(sum(bit << i for i, bit in enumerate(p.bits())))
-    return EliminationResult(
-        board=board,
-        consistent=raw.consistent,
-        solution=_unpack(board, raw.particular) if raw.particular is not None else None,
-        kernel_basis=tuple(_unpack(board, v) for v in raw.kernel_basis),
-    )
 
 
 def kernel_element(m: int, n: int) -> CheckerSet:

@@ -28,17 +28,21 @@ from .checkers import (
 from .oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from .render import RenderSpec, render_board_ascii, render_board_svg, render_path_svg
 from .sweeps import FAMILIES, run_family
-from .symbols import bounce_evidence
+from .symbols import SymbolEvidence, _floor_sum, billiard_symbol, bounce_evidence
 
 DEFAULT_MAX_CELLS = 500 * 500
 
 
-def _check_size(cells: int, what: str) -> None:
+def _max_cells() -> int:
     raw = os.environ.get("QUADRES_MAX_CELLS")
     try:
-        limit = DEFAULT_MAX_CELLS if raw is None else int(raw)
+        return DEFAULT_MAX_CELLS if raw is None else int(raw)
     except ValueError as exc:
         raise click.UsageError(f"QUADRES_MAX_CELLS must be an integer, got {raw!r}") from exc
+
+
+def _check_size(cells: int, what: str) -> None:
+    limit = _max_cells()
     if cells > limit:
         raise click.UsageError(
             f"{what} exceeds the safety limit of {limit} cells "
@@ -92,20 +96,13 @@ def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
     _check_size(m * n, f"{m}x{n}")
     path = trace_path(Rect(m=m, n=n))
     if as_json:
-        payload = _envelope(
-            "trace", m, n, {"json": True},
-            {
-                "bounces": [
-                    {"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign}
-                    for b in path.bounces
-                ],
-                "base_bounces": [[x, s, t] for x, s, t in base_bounces(path)],
-                "end": list(path.end),
-                "length": path.length,
-            },
-            [],
-        )
-        _emit_json(payload, out)
+        result = {
+            "bounces": [{"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign} for b in path.bounces],
+            "base_bounces": [[x, s, t] for x, s, t in base_bounces(path)],
+            "end": list(path.end),
+            "length": path.length,
+        }
+        _emit_json(_envelope("trace", m, n, {"json": True}, result, []), out)
         return
     lines = []
     if path.bounces:
@@ -127,9 +124,16 @@ def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output to FILE.")
 @click.pass_context
 def symbol(ctx, m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> None:
-    """Compute the billiards symbol (M|N)."""
-    _check_size(n, f"n={n}")  # the bounce list and --verify's permutation grow with n alone
-    ev = bounce_evidence(m, n)
+    """Compute the billiards symbol (M|N).
+
+    For N over the size limit the bounce list is omitted and the value and
+    negative-bounce count come from floor sums; --verify keeps the limit.
+    """
+    if do_verify:
+        _check_size(n, f"n={n}")  # the permutation oracle walks all n points
+    limit = _max_cells()
+    listed = n <= limit  # the bounce list grows with n alone
+    ev = bounce_evidence(m, n) if listed else _value_only(m, n)
     checks: list[dict] = []
     if do_verify:
         oracle_values: dict[str, int] = {}
@@ -148,19 +152,20 @@ def symbol(ctx, m: int, n: int, do_verify: bool, as_json: bool, out: str | None)
     failed = [c for c in checks if c["status"] == "fail"]
 
     if as_json:
-        payload = _envelope(
-            "symbol", m, n, {"verify": do_verify, "json": True},
-            {
-                "value": ev.value,
-                "negative_bounces": ev.negative_bounce_count,
-                "base_bounces": [[x, s] for x, s in ev.base_bounces],
-            },
-            checks,
-        )
-        _emit_json(payload, out)
+        result = {
+            "value": ev.value,
+            "negative_bounces": ev.negative_bounce_count,
+            "base_bounces": [[x, s] for x, s in ev.base_bounces],
+        }
+        if not listed:
+            result["base_bounces_omitted"] = True
+        _emit_json(_envelope("symbol", m, n, {"verify": do_verify, "json": True}, result, checks), out)
     else:
         lines = [f"({m}|{n}) = {ev.value:+d}" if ev.value else f"({m}|{n}) = 0"]
-        if ev.value:
+        if ev.value and not listed:
+            lines.append(f"negative bounces: {ev.negative_bounce_count} "
+                         f"(bounce list omitted: n={n} exceeds the limit of {limit} cells)")
+        elif ev.value:
             signs = " ".join("+" if s > 0 else "-" for _, s in ev.base_bounces) or "(no bounces)"
             lines.append(f"base-bounce signs: {signs}")
         for c in checks:
@@ -172,6 +177,18 @@ def symbol(ctx, m: int, n: int, do_verify: bool, as_json: bool, out: str | None)
         _emit("\n".join(lines), out)
     if failed:
         ctx.exit(1)
+
+
+def _value_only(m: int, n: int) -> SymbolEvidence:
+    """(m|n) and its exact negative-bounce count without the bounce list, in O(log n).
+
+    The bounce at time 2mk is negative iff floor(2mk/n) is odd, so the count is
+    sum floor(2mk/n) - 2 sum floor(mk/n) over 0 <= k < n/2.
+    """
+    value = billiard_symbol(m, n).value
+    half = (n + 1) // 2
+    count = _floor_sum(half, n, 2 * m) - 2 * _floor_sum(half, n, m) if value else 0
+    return SymbolEvidence(value, count, ())
 
 
 @main.command(name="solve")
@@ -242,18 +259,11 @@ def solve_cmd(ctx, m: int, n: int, puzzle_kind: str | None, pebble_args, render_
 
     count = len(result_set.squares)
     value = -1 if count % 2 else 1
-    rendering = None
-    if render_mode == "ascii":
-        rendering = render_board_ascii(board, pebble_set, result_set)
-    elif render_mode == "svg":
-        rendering = render_board_svg(board, pebble_set, result_set)
+    renderers = {"ascii": render_board_ascii, "svg": render_board_svg}
+    rendering = renderers[render_mode](board, pebble_set, result_set) if render_mode else None
 
     if as_json:
-        result = {
-            "checkers": [list(sq) for sq in sorted(result_set.squares)],
-            "count": count,
-            "symbol": value,
-        }
+        result = {"checkers": [list(sq) for sq in sorted(result_set.squares)], "count": count, "symbol": value}
         if rendering is not None:
             result["render"] = rendering
         _emit_json(_envelope("solve", m, n, flags, result, []), out)

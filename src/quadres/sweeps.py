@@ -187,7 +187,8 @@ def _checkers_check(cell: Cell) -> tuple[int, list[Failure]]:
                         if x != at or (sign > 0) != (count % 2 == 0)]
 
 
-# --- kernel: unique solvability iff coprime; explicit kernel element otherwise ---
+# --- kernel: unique solvability iff coprime; kernel and cokernel dimensions from gcd;
+# --- explicit kernel element otherwise ---
 
 def _kernel_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("kernel", m, n) for m in range(2, max_m + 1) for n in range(2, max_n + 1)]
@@ -196,15 +197,20 @@ def _kernel_cells(max_m: int, max_n: int) -> list[Cell]:
 def _kernel_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, m, n = cell
     failures = []
-    invertible = ck.neighbor_matrix(ck.Board(rows=m - 1, cols=n - 1)).is_invertible()
-    coprime = math.gcd(m, n) == 1
-    if invertible != coprime:
-        failures.append({"m": m, "n": n, "invertible": invertible, "coprime": coprime})
-    if not coprime:
+    odd = (m - 1) * (n - 1) % 2  # an odd board has one more dark square than light ones
+    nullity = ck.kernel_dimension(m, n)
+    cokernel = nullity - odd  # #light - (#dark - nullity): the unsolvable part of the pebble space
+    invertible = nullity == 0 and not odd
+    g = math.gcd(m, n)
+    if invertible != (g == 1):
+        failures.append({"m": m, "n": n, "invertible": invertible, "coprime": g == 1})
+    if (nullity, cokernel) != (g // 2, (g - 1) // 2):
+        failures.append({"m": m, "n": n, "nullity": nullity, "cokernel": cokernel, "gcd": g})
+    if g > 1:
         elem = ck.kernel_element(m, n)
-        if not elem.squares:
+        if not elem.count():
             failures.append({"m": m, "n": n, "kernel": "empty"})
-        elif ck.apply_checkers(elem).squares:
+        elif ck.apply_checkers(elem).count():
             failures.append({"m": m, "n": n, "kernel": "nonzero image"})
     return 1, failures
 
@@ -275,7 +281,8 @@ FAMILIES: dict[str, Family] = {
         Family("checkers_symbol", _checkers_cells, _checkers_check, 50, 50,
                f"bottom-row puzzle parity = billiard symbol; bounce-sign bridge (capped at {BRIDGE_DEFAULT})"),
         Family("kernel", _kernel_cells, _kernel_check, 14, 14,
-               "neighbor map invertible iff gcd(m, n) = 1; explicit kernel element otherwise",
+               "checker map invertible iff gcd(m, n) = g = 1; kernel dimension floor(g/2), "
+               "cokernel floor((g-1)/2); explicit kernel element otherwise",
                lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
         Family("superposition", _superposition_cells, _superposition_check, 31, 31,
                "combined bottom+left puzzle count = (m-1)(n-1)/4, odd coprime m, n"),

@@ -1,9 +1,10 @@
 """Domino tilings of the checkerboard and the parity corollary.
 
 The number of perfect domino tilings of a rows-by-cols board is odd
-exactly when the board's light/dark neighbor matrix is invertible mod 2,
+exactly when the board's checker-to-pebble map is invertible mod 2,
 which happens exactly when gcd(rows+1, cols+1) = 1.  The count here is an
-independent combinatorial oracle: exhaustive backtracking, no determinant.
+independent combinatorial oracle: a transfer count over row profiles,
+with no determinant, rank or gcd.
 """
 
 from __future__ import annotations
@@ -11,45 +12,50 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .checkers import Board, neighbor_matrix
+from .checkers import kernel_dimension
 
-MAX_BRUTE_CELLS = 42
+MAX_TILING_WORK = 2**12 * 12 * 12  # the work of a 12x12 board, the largest square counted
+
+
+def _work(rows: int, cols: int) -> int:
+    """Profiles times cells: the most partial tilings the transfer count carries."""
+    return 2 ** min(rows, cols) * rows * cols
 
 
 def count_tilings(rows: int, cols: int) -> int:
-    """Exact number of perfect domino tilings, by backtracking.
+    """Exact number of perfect domino tilings, by a broken-profile transfer count.
 
-    Cells are covered in scan order: the first uncovered cell tries a
-    horizontal then a vertical domino.  Boards over MAX_BRUTE_CELLS cells
-    are rejected; use tiling_parity_check for the parity alone.
+    Cells are filled in scan order, a line of the shorter side at a time.  Bit c
+    of a profile is set when the next cell of column c is already covered by a
+    vertical domino from the line before; each profile carries its number of
+    partial tilings.  Kasteleyn (1961) gives the totals in closed form.  Boards
+    whose work 2^min(rows, cols) * rows * cols exceeds MAX_TILING_WORK are
+    rejected; use tiling_parity_check for the parity alone.
     """
     if rows < 0 or cols < 0:
         raise ValueError("dimensions must be nonnegative")
-    if rows * cols > MAX_BRUTE_CELLS:
+    if _work(rows, cols) > MAX_TILING_WORK:
         raise ValueError(
-            f"{rows}x{cols} exceeds the {MAX_BRUTE_CELLS}-cell brute-force bound; "
-            "use tiling_parity_check for parity only"
+            f"{rows}x{cols} needs {_work(rows, cols)} units of work, over the bound of "
+            f"{MAX_TILING_WORK}; use tiling_parity_check for parity only"
         )
-    if rows * cols % 2 == 1:
-        return 0
-    if rows == 0 or cols == 0:
-        return 1  # empty board: the empty tiling
-
-    full = (1 << (rows * cols)) - 1
-
-    def fill(used: int) -> int:
-        if used == full:
-            return 1
-        i = ((~used & full) & -(~used & full)).bit_length() - 1
-        r, c = divmod(i, cols)
-        total = 0
-        if c + 1 < cols and not used >> (i + 1) & 1:
-            total += fill(used | 1 << i | 1 << (i + 1))
-        if r + 1 < rows and not used >> (i + cols) & 1:
-            total += fill(used | 1 << i | 1 << (i + cols))
-        return total
-
-    return fill(0)
+    width, height = sorted((rows, cols))
+    ways = {0: 1}  # the empty board has the empty tiling
+    for _ in range(height):
+        for col in range(width):
+            bit = 1 << col
+            after: dict[int, int] = {}
+            for profile, count in ways.items():
+                if profile & bit:  # covered from the line before: nothing reaches the next line
+                    nexts: tuple[int, ...] = (profile ^ bit,)
+                elif col + 1 < width and not profile & bit << 1:  # into the next line, or along this one
+                    nexts = (profile | bit, profile | bit << 1)
+                else:  # the next cell of this line is taken: into the next line only
+                    nexts = (profile | bit,)
+                for nxt in nexts:
+                    after[nxt] = after.get(nxt, 0) + count
+            ways = after
+    return ways.get(0, 0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class TilingReport:
     count: int | None
     parity: str  # "even" or "odd"
     gcd_flag: bool  # gcd(rows+1, cols+1) == 1
-    rank_full: bool  # neighbor matrix invertible mod 2
+    rank_full: bool  # checker-to-pebble map invertible mod 2: as many light as dark squares, no kernel
 
     @property
     def consistent(self) -> bool:
@@ -72,26 +78,16 @@ class TilingReport:
 
 
 def tiling_parity_check(rows: int, cols: int) -> TilingReport:
-    """Compare tiling-count parity, matrix invertibility, and the gcd condition.
+    """Compare tiling-count parity, mod-2 invertibility, and the gcd condition.
 
-    The exact count is included when the board is within the brute-force
-    bound; beyond it the parity is read from the matrix.
+    Invertibility is read from the kernel's transfer map.  The exact count is
+    included when the board is within the work bound; beyond it the parity is
+    read from invertibility.
     """
     if rows < 1 or cols < 1:
         raise ValueError("dimensions must be positive")
     gcd_flag = math.gcd(rows + 1, cols + 1) == 1
-    rank_full = neighbor_matrix(Board(rows=rows, cols=cols)).is_invertible()
-    if rows * cols <= MAX_BRUTE_CELLS:
-        count = count_tilings(rows, cols)
-        parity = "odd" if count % 2 else "even"
-    else:
-        count = None
-        parity = "odd" if rank_full else "even"
-    return TilingReport(
-        rows=rows,
-        cols=cols,
-        count=count,
-        parity=parity,
-        gcd_flag=gcd_flag,
-        rank_full=rank_full,
-    )
+    rank_full = rows * cols % 2 == 0 and kernel_dimension(rows + 1, cols + 1) == 0
+    count = count_tilings(rows, cols) if _work(rows, cols) <= MAX_TILING_WORK else None
+    parity = "odd" if (rank_full if count is None else count % 2) else "even"
+    return TilingReport(rows, cols, count, parity, gcd_flag, rank_full)

@@ -3,14 +3,19 @@
 The path constructions trace the billiard path event by event and record
 every interior lattice-point visit in a dict, so they follow the paper's
 geometry step by step and share no code with the packed walk in
-`quadres.checkers`.  `quadres` itself calls none of them.
+`quadres.checkers`.  The GF(2) elimination solves a puzzle from the
+light-by-dark neighbour matrix alone, with no chase and no path (the
+matrix is read off the checkers stencil, and the tests check it against
+one built square by square), and the backtracking counter enumerates
+domino tilings one by one.  `quadres` itself calls none of them.
 """
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from quadres.billiards import BilliardPath, Rect, base_bounces, trace_path
-from quadres.checkers import Board, CheckerSet, PebbleSet, Square
+from quadres.checkers import Board, CheckerSet, PebbleSet, Square, _columns, _lit
 
 
 class Crossing(NamedTuple):
@@ -112,3 +117,172 @@ def pebbles(board: Board, *squares: Square) -> PebbleSet:
 
 def checkers_at(board: Board, *squares: Square) -> CheckerSet:
     return CheckerSet(board, frozenset(squares))
+
+
+class Mod2Matrix:
+    """Dense matrix over GF(2) with bit-packed rows (bit j of row i = entry ij)."""
+
+    def __init__(self, rows: int, cols: int, data: list[int]):
+        if len(data) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(data)}")
+        self.rows = rows
+        self.cols = cols
+        self.data = list(data)
+
+    def entry(self, i: int, j: int) -> int:
+        return self.data[i] >> j & 1
+
+    def solve(self, rhs: int) -> "Gf2Solution":
+        """Gauss-Jordan on the augmented system; pivots take the lowest available row."""
+        aug = [self.data[i] | ((rhs >> i & 1) << self.cols) for i in range(self.rows)]
+        pivots: list[int] = []
+        row = 0
+        for col in range(self.cols):
+            sel = next((r for r in range(row, self.rows) if aug[r] >> col & 1), None)
+            if sel is None:
+                continue
+            aug[row], aug[sel] = aug[sel], aug[row]
+            for r in range(self.rows):
+                if r != row and aug[r] >> col & 1:
+                    aug[r] ^= aug[row]
+            pivots.append(col)
+            row += 1
+        # Non-pivot rows are zero in every column, so only their rhs bit matters.
+        consistent = all(aug[r] >> self.cols & 1 == 0 for r in range(row, self.rows))
+        particular = None
+        if consistent:
+            particular = 0
+            for i, col in enumerate(pivots):
+                if aug[i] >> self.cols & 1:
+                    particular |= 1 << col
+        pivot_set = set(pivots)
+        basis = []
+        for free in range(self.cols):
+            if free in pivot_set:
+                continue
+            v = 1 << free
+            for i, col in enumerate(pivots):
+                if aug[i] >> free & 1:
+                    v |= 1 << col
+            basis.append(v)
+        return Gf2Solution(consistent=consistent, particular=particular, kernel_basis=tuple(basis), rank=len(pivots))
+
+    def rank(self) -> int:
+        return self.solve(0).rank
+
+    def is_invertible(self) -> bool:
+        return self.rows == self.cols and self.rank() == self.rows
+
+
+@dataclass(frozen=True)
+class Gf2Solution:
+    """Raw elimination outcome: bit-packed vectors over the column index."""
+
+    consistent: bool
+    particular: int | None
+    kernel_basis: tuple[int, ...]
+    rank: int
+
+    @property
+    def unique(self) -> bool:
+        return self.consistent and not self.kernel_basis
+
+
+def config_bits(config: PebbleSet | CheckerSet) -> tuple[int, ...]:
+    """0/1 vector over the squares of the configuration's color in board order."""
+    squares = config.board.dark_squares() if config.dark else config.board.light_squares()
+    return tuple(config.row_bits[row] >> col & 1 for col, row in squares)
+
+
+def neighbor_matrix(board: Board) -> Mod2Matrix:
+    """The light-by-dark adjacency matrix of the checker-to-pebble map.
+
+    Row i is light square i and column j dark square j, both in board
+    order, so dark square (c, r) is column (r*cols + 1)//2 + c//2.
+    Adjacency is symmetric: the darks next to a light square are the
+    squares the stencil lights around a unit placed there.
+    """
+    rows, cols = board.rows, board.cols
+    full = (1 << cols) - 1
+    data = []
+    for col, row in board.light_squares():
+        unit = 1 << col
+        around = ((row - 1, unit), (row, _lit(unit, 0, full)), (row + 1, unit))
+        data.append(sum(1 << (r * cols + 1) // 2 + c // 2
+                        for r, nbrs in around if 0 <= r < rows for c in _columns(nbrs)))
+    return Mod2Matrix(rows=len(data), cols=(rows * cols + 1) // 2, data=data)
+
+
+@dataclass(frozen=True)
+class EliminationResult:
+    """Outcome of the elimination solver.
+
+    Exactly one of three shapes: unique solution; singular but consistent
+    (a particular solution plus a nonempty kernel basis); or inconsistent
+    (no solution, kernel basis still reported).
+    """
+
+    board: Board
+    consistent: bool
+    solution: CheckerSet | None
+    kernel_basis: tuple[CheckerSet, ...]
+
+    @property
+    def unique(self) -> bool:
+        return self.consistent and not self.kernel_basis
+
+
+def _unpack(board: Board, bits: int) -> CheckerSet:
+    darks = board.dark_squares()
+    return CheckerSet(board, frozenset(sq for j, sq in enumerate(darks) if bits >> j & 1))
+
+
+def solve_elimination(p: PebbleSet) -> EliminationResult:
+    """Solve a pebble puzzle by GF(2) elimination, independent of the geometry."""
+    board = p.board
+    matrix = neighbor_matrix(board)
+    raw = matrix.solve(sum(bit << i for i, bit in enumerate(config_bits(p))))
+    return EliminationResult(
+        board=board,
+        consistent=raw.consistent,
+        solution=_unpack(board, raw.particular) if raw.particular is not None else None,
+        kernel_basis=tuple(_unpack(board, v) for v in raw.kernel_basis),
+    )
+
+
+MAX_BRUTE_CELLS = 42
+
+
+def ref_count_tilings(rows: int, cols: int) -> int:
+    """Exact number of perfect domino tilings, by backtracking.
+
+    Cells are covered in scan order: the first uncovered cell tries a
+    horizontal then a vertical domino.  Boards over MAX_BRUTE_CELLS cells
+    are rejected, since the search grows exponentially.
+    """
+    if rows < 0 or cols < 0:
+        raise ValueError("dimensions must be nonnegative")
+    if rows * cols > MAX_BRUTE_CELLS:
+        raise ValueError(
+            f"{rows}x{cols} exceeds the {MAX_BRUTE_CELLS}-cell brute-force bound"
+        )
+    if rows * cols % 2 == 1:
+        return 0
+    if rows == 0 or cols == 0:
+        return 1  # empty board: the empty tiling
+
+    full = (1 << (rows * cols)) - 1
+
+    def fill(used: int) -> int:
+        if used == full:
+            return 1
+        i = ((~used & full) & -(~used & full)).bit_length() - 1
+        r, c = divmod(i, cols)
+        total = 0
+        if c + 1 < cols and not used >> (i + 1) & 1:
+            total += fill(used | 1 << i | 1 << (i + 1))
+        if r + 1 < rows and not used >> (i + cols) & 1:
+            total += fill(used | 1 << i | 1 << (i + cols))
+        return total
+
+    return fill(0)

@@ -19,12 +19,12 @@ from quadres.checkers import (
     apply_checkers,
     kernel_element,
     solve,
-    solve_elimination,
 )
 from quadres.cli import main
 from quadres.sweeps import run_family
 from quadres.symbols import billiard_symbol
 from quadres.tilings import count_tilings
+from reference import solve_elimination
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:

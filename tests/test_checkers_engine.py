@@ -17,7 +17,7 @@ import sys
 from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadres.billiards import Rect, base_bounces, trace_path
@@ -32,16 +32,17 @@ from quadres.checkers import (
     bottom_row_puzzle,
     bottom_row_symbol,
     combined_puzzle_count,
+    kernel_dimension,
     kernel_element,
     left_column_puzzle,
     light_chase,
-    neighbor_matrix,
     single_pebble_counts,
     solve,
     solve_single_pebble,
 )
 from quadres.symbols import billiard_symbol
-from reference import crossings, kernel_checkers, two_color_checkers
+from quadres.tilings import count_tilings
+from reference import crossings, kernel_checkers, neighbor_matrix, ref_count_tilings, two_color_checkers
 
 
 def ref_neighbors(rows, cols, col, row):
@@ -184,8 +185,9 @@ def _refuse(*args, **kwargs):
 
 
 def _refuse_everywhere(monkeypatch, targets):
-    """Replace every binding of the target functions in every quadres module by _refuse."""
-    modules = [mod for name, mod in sys.modules.items() if name == "quadres" or name.startswith("quadres.")]
+    """Replace every binding of the target functions in every quadres module and the references by _refuse."""
+    modules = [mod for name, mod in sys.modules.items()
+               if name in ("quadres", "reference") or name.startswith("quadres.")]
     for module in modules:
         for attr, value in list(vars(module).items()):
             if callable(value) and value in targets:
@@ -195,13 +197,14 @@ def _refuse_everywhere(monkeypatch, targets):
 def test_solver_calls_no_oracle(monkeypatch):
     """solve and bottom_row_symbol run with every cross-check method disabled."""
     import quadres
-    from quadres import billiards, checkers, oracles, symbols
+    import reference
+    from quadres import billiards, oracles, symbols
 
     _refuse_everywhere(monkeypatch, {
         symbols.billiard_symbol, billiards._fold, oracles.jacobi_symbol,
-        oracles.euler_symbol, oracles.zolotarev_perm_sign, checkers.solve_elimination,
+        oracles.euler_symbol, oracles.zolotarev_perm_sign, reference.solve_elimination,
     })
-    assert quadres.billiard_symbol is _refuse and checkers.solve_elimination is _refuse
+    assert quadres.billiard_symbol is _refuse and reference.solve_elimination is _refuse
     assert symbols._fold is _refuse
 
     p = random_puzzle(Board(rows=6, cols=10), random.Random(3))
@@ -353,3 +356,71 @@ def test_bridge_sweep_reports_a_wrong_count(monkeypatch):
     result = sweeps.run_family("checkers_symbol")
     assert [(f["m"], f["n"], f["k"], f["checkers"]) for f in result.failures] == [(7, 11, x // 2, count + 1)]
     assert result.checked == 5377
+
+
+def test_kernel_dimension_matches_elimination_rank():
+    for m in range(2, 30):
+        for n in range(2, 30):
+            matrix = neighbor_matrix(Board(rows=m - 1, cols=n - 1))
+            assert kernel_dimension(m, n) == matrix.cols - matrix.rank(), (m, n)
+
+
+def test_kernel_dimension_of_empty_and_invalid_boards():
+    assert [kernel_dimension(1, n) for n in (1, 2, 9)] == [0, 0, 0]
+    assert [kernel_dimension(m, 1) for m in (2, 9)] == [0, 0]
+    for m, n in [(0, 5), (5, 0), (-1, 3)]:
+        with pytest.raises(ValueError, match="sides must be positive"):
+            kernel_dimension(m, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 199), st.integers(1, 199))
+@example(198, 198)  # random sides rarely share a large factor
+@example(120, 180)
+@example(199, 1)
+def test_kernel_and_cokernel_dimensions_follow_gcd(m, n):
+    g = math.gcd(m, n)
+    squares = (m - 1) * (n - 1)
+    nullity = kernel_dimension(m, n)
+    assert nullity == g // 2
+    assert squares // 2 - ((squares + 1) // 2 - nullity) == (g - 1) // 2  # light - rank
+
+
+def test_kernel_dimension_and_tiling_count_call_no_elimination_gcd_or_oracle(monkeypatch):
+    """The transfer map and the profile count run with the references, gcd, lcm and every oracle disabled."""
+    import inspect
+
+    import quadres
+    import reference
+    from quadres import oracles
+
+    sides = [(m, n) for m in range(1, 16) for n in range(1, 16)]
+    boards = [(r, c) for r in range(8) for c in range(8) if r * c <= reference.MAX_BRUTE_CELLS]
+    want_nullity = [math.gcd(m, n) // 2 for m, n in sides]
+    want_counts = [ref_count_tilings(r, c) for r, c in boards]
+    _refuse_everywhere(monkeypatch, {
+        reference.Mod2Matrix, reference.neighbor_matrix, reference.solve_elimination, ref_count_tilings,
+        *(f for _, f in inspect.getmembers(oracles, inspect.isfunction) if f.__module__ == oracles.__name__),
+    })
+    monkeypatch.setattr(math, "gcd", _refuse)
+    monkeypatch.setattr(math, "lcm", _refuse)
+    assert quadres.jacobi_symbol is _refuse and reference.neighbor_matrix is _refuse
+
+    assert [kernel_dimension(m, n) for m, n in sides] == want_nullity
+    assert [count_tilings(r, c) for r, c in boards] == want_counts
+    assert count_tilings(8, 8) == 12988816
+
+
+def test_kernel_sweep_reports_a_wrong_nullity(monkeypatch):
+    """A nullity off by one makes the kernel sweep fail at exactly that board."""
+    from quadres import sweeps
+
+    real = sweeps.ck.kernel_dimension
+
+    def off_by_one(m, n):
+        return real(m, n) + ((m, n) == (6, 9))
+
+    monkeypatch.setattr(sweeps.ck, "kernel_dimension", off_by_one)
+    result = sweeps.run_family("kernel")
+    assert result.failures == ({"m": 6, "n": 9, "nullity": 2, "cokernel": 2, "gcd": 3},)
+    assert result.checked == 169

@@ -10,7 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from quadres.cli import DEFAULT_MAX_CELLS, main
+from quadres.oracles import jacobi_symbol
 from quadres.sweeps import FAMILIES
+from quadres.symbols import bounce_evidence
 
 
 @pytest.fixture()
@@ -18,8 +20,8 @@ def runner():
     return CliRunner()
 
 
-def invoke_json(runner, args):
-    result = runner.invoke(main, args)
+def invoke_json(runner, args, env=None):
+    result = runner.invoke(main, args, env=env)
     payload = json.loads(result.output)
     return result, payload
 
@@ -115,12 +117,31 @@ class TestSymbol:
         }
 
     def test_size_limit_counts_n_alone(self, runner):
-        # the bounce list and the --verify permutation grow with n, not with m
+        # the --verify permutation grows with n, not with m
         env = {"QUADRES_MAX_CELLS": "100"}
         assert runner.invoke(main, ["symbol", "1000", "7", "--verify"], env=env).exit_code == 0
-        result = runner.invoke(main, ["symbol", "3", "101"], env=env)
+        result = runner.invoke(main, ["symbol", "3", "101", "--verify"], env=env)
         assert result.exit_code == 2
         assert "n=101 exceeds the safety limit of 100 cells" in result.output
+
+    def test_value_only_above_the_limit(self, runner):
+        result, payload = invoke_json(runner, ["symbol", "3", "1000003", "--json"])
+        assert result.exit_code == 0
+        assert payload["result"]["value"] == jacobi_symbol(3, 1000003) == -1
+        assert payload["result"]["base_bounces"] == [] and payload["result"]["base_bounces_omitted"] is True
+        assert (-1) ** payload["result"]["negative_bounces"] == -1
+        text = runner.invoke(main, ["symbol", "3", "1000003"])
+        assert text.exit_code == 0
+        assert "(3|1000003) = -1" in text.output and "bounce list omitted" in text.output
+
+    @pytest.mark.parametrize("m, n", [(5, 101), (2, 101), (7, 150), (101, 102), (6, 102), (3, 999)])
+    def test_value_only_count_matches_the_bounce_walk(self, runner, m, n):
+        ev = bounce_evidence(m, n)
+        result, payload = invoke_json(runner, ["symbol", str(m), str(n), "--json"],
+                                      env={"QUADRES_MAX_CELLS": "100"})
+        assert result.exit_code == 0
+        assert payload["result"] == {"value": ev.value, "negative_bounces": ev.negative_bounce_count,
+                                     "base_bounces": [], "base_bounces_omitted": True}
 
 
 class TestSolve:
@@ -227,7 +248,7 @@ class TestVerify:
         assert "cells      5  checked      10" in result.output
 
     def test_kernel_cap_counts_board_squares(self, runner):
-        # 60x60 is 3,600 grid cells, but the kernel sweep eliminates on 3,132,900 board squares
+        # 60x60 is 3,600 grid cells, but the kernel sweep chases 3,132,900 board squares
         result = runner.invoke(main, ["verify", "--max-n", "60", "--checks", "kernel"])
         assert result.exit_code == 2
         assert "(3132900 cells of work) exceeds the safety limit" in result.output

@@ -1,10 +1,17 @@
-"""Tests for domino tiling counts and the parity corollary."""
+"""Tests for domino tiling counts and the parity corollary.
+
+The profile count is checked against the backtracking counter it replaced,
+`ref_count_tilings` in `tests/reference.py`, and the invertibility it is
+compared with against the reference GF(2) elimination.
+"""
 
 import math
 
 import pytest
 
-from quadres.tilings import MAX_BRUTE_CELLS, count_tilings, tiling_parity_check
+from quadres.checkers import Board
+from quadres.tilings import MAX_TILING_WORK, count_tilings, tiling_parity_check
+from reference import MAX_BRUTE_CELLS, neighbor_matrix, ref_count_tilings
 
 
 def test_count_examples():
@@ -35,9 +42,24 @@ def test_count_empty_board():
 
 
 def test_count_rejects_large_board():
-    with pytest.raises(ValueError):
-        count_tilings(7, 7)
-    assert 6 * 7 <= MAX_BRUTE_CELLS  # the full acceptance range stays in bounds
+    for rows, cols in [(13, 13), (12, 13), (40, 13)]:  # 2^min(r, c) * r * c over the work bound
+        with pytest.raises(ValueError, match="over the bound"):
+            count_tilings(rows, cols)
+    assert 2**12 * 12 * 12 <= MAX_TILING_WORK  # 12x12, and so the full acceptance range, stays in bounds
+    assert count_tilings(2, 1000) > 0  # a long strip is cheap: the bound counts profiles, not cells
+
+
+def test_count_matches_backtracking_reference():
+    boards = [(r, c) for r in range(MAX_BRUTE_CELLS + 1) for c in range(MAX_BRUTE_CELLS + 1)
+              if r * c <= MAX_BRUTE_CELLS]
+    for rows, cols in boards:
+        assert count_tilings(rows, cols) == ref_count_tilings(rows, cols), (rows, cols)
+
+
+def test_count_known_square_values():
+    # domino tilings of the 2k x 2k board, k = 0..6 (Kasteleyn 1961; Temperley & Fisher 1961)
+    want = [1, 2, 36, 6728, 12988816, 258584046368, 53060477521960000]
+    assert [count_tilings(2 * k, 2 * k) for k in range(7)] == want
 
 
 def test_parity_check_examples():
@@ -67,10 +89,25 @@ def test_parity_corollary_sweep():
 
 
 def test_parity_check_beyond_brute_force_bound():
-    report = tiling_parity_check(9, 9)
-    assert report.count is None
-    assert report.consistent
-    assert report.parity == ("odd" if report.rank_full else "even")
+    for rows, cols in [(13, 13), (13, 14)]:  # past the work bound: parity from invertibility
+        report = tiling_parity_check(rows, cols)
+        assert report.count is None
+        assert report.consistent
+        assert report.parity == ("odd" if report.rank_full else "even")
+
+
+def test_parity_corollary_to_12x12():
+    for rows in range(1, 13):
+        for cols in range(1, 13):
+            report = tiling_parity_check(rows, cols)
+            assert report.count is not None and report.consistent, (rows, cols)
+
+
+def test_rank_full_matches_elimination():
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            want = neighbor_matrix(Board(rows=rows, cols=cols)).is_invertible()
+            assert tiling_parity_check(rows, cols).rank_full == want, (rows, cols)
 
 
 def test_odd_cell_boards_always_even():
