@@ -207,25 +207,30 @@ def kernel_dimension(m: int, n: int) -> int:
 def _walk(m: int, n: int, stretches: Iterable[tuple[int, int]]) -> Iterator[int]:
     """XOR the interior lattice points of each (start, stop) stretch of the m-by-n path into one int.
 
-    Point (x, y) is bit y*width + x, width being whole bytes a row, so a diagonal piece
-    is a run of bits of stride width -+ 1, cut from a precomputed run by one shift.
+    Point (x, y) is bit y*width + x, width being whole bytes a row, so a diagonal piece, from one
+    wall contact to the next, is a run of bits of stride width + dx*dy, cut from a precomputed run.
     Yields the grid after each stretch: the points visited an odd number of times so far.
     """
     width = (n + 8) & ~7
     longest = min(m, n) - 1  # the most interior points on one diagonal piece
-    runs = {s: ((1 << s * longest) - 1) // ((1 << s) - 1) for s in (width - 1, width + 1)}
+    rising, falling = (((1 << s * longest) - 1) // ((1 << s) - 1) for s in (width + 1, width - 1))
     grid = 0
-    for t, stop in stretches:
+    for t, stop in stretches:  # read the directions, position and next side (tx) and top/bottom (ty) contact off t
+        x, y, tx, ty = t % (2 * n), t % (2 * m), t - t % n + n, t - t % m + m  # x < n: moving right; y < m: up
+        dx, dy = (1 if x < n else -1), (1 if y < m else -1)
+        pos = (y if dy > 0 else 2 * m - y) * width + (x if dx > 0 else 2 * n - x)
         while t < stop:
-            step = min(n - t % n, m - t % m)  # time to the next wall contact
-            if step > 1:
-                x, dx = (t % (2 * n), 1) if t % (2 * n) < n else (2 * n - t % (2 * n), -1)
-                y, dy = (t % (2 * m), 1) if t % (2 * m) < m else (2 * m - t % (2 * m), -1)
-                if dy < 0:  # read a descending piece upward from its lower end
-                    x, dx, y = x + dx * step, -dx, y - step
-                stride = width + dx
-                grid ^= runs[stride] >> (longest - step + 1) * stride << (y + 1) * width + x + dx
-            t += step
+            step = (tx if tx < ty else ty) - t
+            end = pos + (dy * width + dx) * step
+            if step > 1:  # cut the piece's run upward from its lower end
+                stride = width + dx * dy
+                run = rising if dx == dy else falling
+                grid ^= run >> (longest - step + 1) * stride << (pos if dy > 0 else end) + stride
+            pos, t = end, t + step
+            if t == tx:
+                dx, tx = -dx, tx + n
+            if t == ty:
+                dy, ty = -dy, ty + m
         yield grid
 
 

@@ -130,7 +130,7 @@ def symbol(ctx, m: int, n: int, do_verify: bool, as_json: bool, out: str | None)
     negative-bounce count come from floor sums; --verify keeps the limit.
     """
     if do_verify:
-        _check_size(n, f"n={n}")  # the permutation oracle walks all n points
+        _check_size(n, f"n={n}")  # the permutation sign takes up to n steps for prime n
     limit = _max_cells()
     listed = n <= limit  # the bounce list grows with n alone
     ev = bounce_evidence(m, n) if listed else _value_only(m, n)
@@ -316,12 +316,14 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
             raise click.UsageError(f"unknown check families: {', '.join(unknown)}")
         if not names:
             raise click.UsageError(f"--checks {check_names!r} names no family; known: {', '.join(FAMILIES)}")
+    reproduce = {}  # the command that reruns one family alone at the bounds it ran with
     for name in names:  # a bound left out takes the family default
         family = FAMILIES[name]
         grid_m = family.default_max_m if max_m is None else max_m
         grid_n = family.default_max_n if max_n is None else max_n
         cost = family.cost(grid_m, grid_n)
         _check_size(cost, f"{name} sweep grid {grid_m}x{grid_n} ({cost} cells of work)")
+        reproduce[name] = f"quadres verify --checks {name} --max-m {grid_m} --max-n {grid_n}"
 
     results = []
     text_lines = []
@@ -329,7 +331,8 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
         res = run_family(name, max_m=max_m, max_n=max_n, parallelism=parallelism)
         results.append(res)
         status = "PASS" if res.ok else "FAIL"
-        line = f"{name:<20} cells {res.cells:>6}  checked {res.checked:>7}  failures {len(res.failures):>4}  {res.elapsed_s:6.2f} s  [{status}]"
+        line = (f"{name:<20} cells {res.cells:>6}  checked {res.checked:>7}  failures {len(res.failures):>4}  "
+                f"{res.elapsed_s * 1e3:8.1f} ms  {res.checks_per_s:>9.0f} checks/s  [{status}]")
         text_lines.append(line)
         if not as_json and out is None:
             click.echo(line)
@@ -341,7 +344,8 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
                 "name": r.name,
                 "status": "pass" if r.ok else "fail",
                 "witness": {"cells": r.cells, "checked": r.checked, "failures": list(r.failures)[:20],
-                            "failure_count": len(r.failures), "elapsed_s": r.elapsed_s},
+                            "failure_count": len(r.failures), "elapsed_s": r.elapsed_s,
+                            "checks_per_s": r.checks_per_s, "reproduce": reproduce[r.name]},
             }
             for r in results
         ]

@@ -66,27 +66,29 @@ def jacobi_symbol(a: int, n: int) -> SymbolValue:
 
 
 def zolotarev_perm_sign(m: int, n: int) -> SymbolValue:
-    """Sign of the permutation x -> m*x mod n on {0, ..., n-1}.
+    """Sign of the permutation x -> m*x mod n on {0, ..., n-1}: (-1)^(n - #cycles).
 
-    Computed by cycle decomposition: the sign is -1 to the number of
-    even-length cycles.  Requires gcd(m, n) = 1 so the map is a bijection.
+    The phi(d) points x with gcd(x, n) = n/d lie on cycles of length ord_d(m), so #cycles sums
+    phi(d)/ord_d(m) over the divisors d of n, found by trial division.  Requires gcd(m, n) = 1.
     """
     if m < 1 or n < 1:
         raise ValueError("arguments must be positive")
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) > 1: the map x -> {m}x mod {n} is not a permutation")
-    m %= n
-    seen = bytearray(n)
-    sign = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            x = m * x % n
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    divisors, rest, p = [(1, 1)], n, 2  # (d, phi(d)) for every divisor d of n found so far
+    while rest > 1:
+        p = p if p * p <= rest else rest  # no factor up to its square root: rest is prime
+        found, factor = divisors, p - 1  # phi(d*p) is phi(d)*(p-1) if p does not divide d, else phi(d)*p
+        while rest % p == 0:
+            rest //= p
+            found = [(d * p, f * factor) for d, f in found]
+            divisors, factor = divisors + found, p
+        p += 1
+    cycles = 0
+    for d, phi in divisors:
+        order, power = 1, m % d  # ord_d(m); d = 1 has power 0 and the one cycle {0}
+        while power > 1:
+            power = power * m % d
+            order += 1
+        cycles += phi // order
+    return -1 if (n - cycles) % 2 else 1

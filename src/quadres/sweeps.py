@@ -38,9 +38,9 @@ class FamilyResult:
     def ok(self) -> bool:
         return not self.failures
 
-
-def _odd_primes(limit: int) -> list[int]:
-    return [n for n in range(3, limit + 1) if oracles.is_odd_prime(n)]
+    @property
+    def checks_per_s(self) -> float:  # 0 when the run took no measurable time
+        return self.checked / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
 def _coprime_cells(kind: str, max_m: int, max_n: int, start: int = 1, step: int = 1) -> list[Cell]:
@@ -51,32 +51,20 @@ def _coprime_cells(kind: str, max_m: int, max_n: int, start: int = 1, step: int 
 def _agreement(n: int, ms, oracle: Callable[[int, int], int], name: str,
                n_key: str = "n") -> tuple[int, list[Failure]]:
     """The billiard symbol (m|n) against oracle(m, n), for every m in ms."""
-    checked = 0
-    failures = []
-    for m in ms:
-        checked += 1
-        got, want = symbols.billiard_symbol(m, n).value, oracle(m, n)
-        if got != want:
-            failures.append({"m": m, n_key: n, "billiard": got, name: want})
-    return checked, failures
+    values = [(m, symbols.billiard_symbol(m, n).value, oracle(m, n)) for m in ms]
+    return len(values), [{"m": m, n_key: n, "billiard": got, name: want} for m, got, want in values if got != want]
 
 
 def _identity(n: int, ms, check) -> tuple[int, list[Failure]]:
     """A reciprocity-style identity check(m, n), for every m in ms."""
-    checked = 0
-    failures = []
-    for m in ms:
-        checked += 1
-        rec = check(m, n)
-        if not rec.ok:
-            failures.append({"m": m, "n": n, "lhs": rec.lhs, "rhs": rec.rhs})
-    return checked, failures
+    records = [check(m, n) for m in ms]
+    return len(records), [{"m": r.m, "n": n, "lhs": r.lhs, "rhs": r.rhs} for r in records if not r.ok]
 
 
 # --- euler: billiard symbol vs Euler's criterion, prime denominators ---
 
 def _euler_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("euler", n) for n in _odd_primes(max_n)]
+    return [("euler", n) for n in range(3, max_n + 1) if oracles.is_odd_prime(n)]
 
 
 def _euler_check(cell: Cell) -> tuple[int, list[Failure]]:

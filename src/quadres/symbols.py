@@ -35,14 +35,15 @@ _VALUE_ONLY = {value: SymbolEvidence(value, None, ()) for value in (-1, 0, 1)}
 
 def _floor_sum(count: int, n: int, a: int) -> int:
     """Sum of floor(a*k/n) for 0 <= k < count, by Euclid-style descent in O(log n)."""
-    total, b = 0, 0
-    while True:
-        total += a // n * (count * (count - 1) // 2) + b // n * count
+    total, a = a // n * (count * (count - 1) >> 1), a % n
+    top = a * count
+    while top >= n:  # the same lattice points with the axes swapped, a and b then reduced mod n
+        count, b = top // n, top % n
+        n, a = a, n
+        total += a // n * (count * (count - 1) >> 1) + b // n * count
         a, b = a % n, b % n
         top = a * count + b
-        if top < n:
-            return total
-        count, b, n, a = top // n, top % n, a, n  # the same lattice points, axes swapped
+    return total
 
 
 def billiard_symbol(m: int, n: int) -> SymbolEvidence:

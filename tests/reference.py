@@ -3,16 +3,20 @@
 The path constructions trace the billiard path event by event and record
 every interior lattice-point visit in a dict, so they follow the paper's
 geometry step by step and share no code with the packed walk in
-`quadres.checkers`.  The GF(2) elimination solves a puzzle from the
-light-by-dark neighbour matrix alone, with no chase and no path (the
-matrix is read off the checkers stencil, and the tests check it against
-one built square by square), and the backtracking counter enumerates
-domino tilings one by one.  `quadres` itself calls none of them.
+`quadres.checkers`.  `ref_walk` is the packed walk that one replaced: it
+works out each piece's position and directions from its time anew.
+`ref_zolotarev_perm_sign` walks the cycles of x -> m*x mod n point by
+point, where the library counts them from multiplicative orders.  The
+GF(2) elimination solves a puzzle from the light-by-dark neighbour matrix
+alone, with no chase and no path (the matrix is read off the checkers
+stencil, and the tests check it against one built square by square), and
+the backtracking counter enumerates domino tilings one by one.  `quadres`
+itself calls none of them.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from quadres.billiards import BilliardPath, Rect, base_bounces, trace_path
 from quadres.checkers import Board, CheckerSet, PebbleSet, Square, _columns, _lit
@@ -104,6 +108,58 @@ def kernel_checkers(rect: Rect) -> set[tuple[int, int]]:
     return {divmod(key, rect.m + 1) for key in first.keys() - second.keys()}
 
 
+def ref_walk(m: int, n: int, stretches: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """XOR the interior lattice points of each (start, stop) stretch of the m-by-n path into one int.
+
+    Point (x, y) is bit y*width + x, width being whole bytes a row, so a diagonal piece
+    is a run of bits of stride width -+ 1, cut from a precomputed run by one shift.
+    Yields the grid after each stretch: the points visited an odd number of times so far.
+    """
+    width = (n + 8) & ~7
+    longest = min(m, n) - 1  # the most interior points on one diagonal piece
+    runs = {s: ((1 << s * longest) - 1) // ((1 << s) - 1) for s in (width - 1, width + 1)}
+    grid = 0
+    for t, stop in stretches:
+        while t < stop:
+            step = min(n - t % n, m - t % m)  # time to the next wall contact
+            if step > 1:
+                x, dx = (t % (2 * n), 1) if t % (2 * n) < n else (2 * n - t % (2 * n), -1)
+                y, dy = (t % (2 * m), 1) if t % (2 * m) < m else (2 * m - t % (2 * m), -1)
+                if dy < 0:  # read a descending piece upward from its lower end
+                    x, dx, y = x + dx * step, -dx, y - step
+                stride = width + dx
+                grid ^= runs[stride] >> (longest - step + 1) * stride << (y + 1) * width + x + dx
+            t += step
+        yield grid
+
+
+def ref_zolotarev_perm_sign(m: int, n: int) -> int:
+    """Sign of the permutation x -> m*x mod n on {0, ..., n-1}.
+
+    Computed by cycle decomposition: the sign is -1 to the number of
+    even-length cycles.  Requires gcd(m, n) = 1 so the map is a bijection.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("arguments must be positive")
+    if math.gcd(m, n) != 1:
+        raise ValueError(f"gcd({m}, {n}) > 1: the map x -> {m}x mod {n} is not a permutation")
+    m %= n
+    seen = bytearray(n)
+    sign = 1
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = m * x % n
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def residue_table(n: int) -> set[int]:
     """The set of nonzero-square values {x^2 mod n : 1 <= x <= n-1}."""
     if n < 2:
@@ -168,7 +224,20 @@ class Mod2Matrix:
         return Gf2Solution(consistent=consistent, particular=particular, kernel_basis=tuple(basis), rank=len(pivots))
 
     def rank(self) -> int:
-        return self.solve(0).rank
+        """Rank by forward elimination alone: solve's pivots, with no back substitution or kernel."""
+        rows = list(self.data)
+        rank = 0
+        for col in range(self.cols):
+            bit = 1 << col
+            sel = next((r for r in range(rank, self.rows) if rows[r] & bit), None)
+            if sel is None:
+                continue
+            rows[rank], rows[sel] = rows[sel], rows[rank]
+            for r in range(sel + 1, self.rows):
+                if rows[r] & bit:
+                    rows[r] ^= rows[rank]
+            rank += 1
+        return rank
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

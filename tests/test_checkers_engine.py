@@ -6,7 +6,8 @@ bottom-row residual cleared from the traced path's crossings.  It works on
 plain sets of (col, row) squares and shares no code with `quadres.checkers`.
 The single-pebble counts are checked against the straddling crossings of
 the traced path, found by bisecting the sorted visit times.  The packed
-walk's other checker sets are checked against the dict-based constructions
+walk itself is checked grid for grid against `ref_walk`, the walk it
+replaced, and its other checker sets against the dict-based constructions
 in `tests/reference.py`: `two_color_checkers` for single-pebble solutions and
 `kernel_checkers` for kernel elements.
 """
@@ -28,6 +29,7 @@ from quadres.checkers import (
     PuzzleNotUniquelySolvable,
     _rows,
     _two_color,
+    _walk,
     apply_checkers,
     bottom_row_puzzle,
     bottom_row_symbol,
@@ -42,7 +44,14 @@ from quadres.checkers import (
 )
 from quadres.symbols import billiard_symbol
 from quadres.tilings import count_tilings
-from reference import crossings, kernel_checkers, neighbor_matrix, ref_count_tilings, two_color_checkers
+from reference import (
+    crossings,
+    kernel_checkers,
+    neighbor_matrix,
+    ref_count_tilings,
+    ref_walk,
+    two_color_checkers,
+)
 
 
 def ref_neighbors(rows, cols, col, row):
@@ -271,6 +280,37 @@ def test_path_built_checker_sets_call_no_billiards_function(monkeypatch):
     assert [single_pebble_counts(m, n) for m, n in coprime_sides(12)] == want_counts
     assert bottom_row_symbol(7, 11) == -1
     assert solve(bottom_row_puzzle(Board(rows=4, cols=6))).count() == 7
+
+
+def walk_stretches(m, n, kind, seed=0):
+    """A stretch list of one kind: the whole path, the stretches the library walks, or random cuts."""
+    bounces = range(2 * m, m * n, 2 * m)  # past lcm(m, n) when gcd > 1: the walk runs on, reflected
+    if kind == "path":
+        return [(0, math.lcm(m, n))]
+    if kind == "alternate":  # bottom_row_symbol's color-1 stretches
+        return list(zip(bounces[::2], [*bounces[1::2], m * n]))
+    if kind == "single":  # single_pebble_counts' stretches
+        return [(t - 2 * m, t) for t in bounces]
+    rng = random.Random(seed)  # sorted cuts at any time; the repeated cut leaves an empty stretch
+    picks = [rng.randrange(2 * m * n + 1) for _ in range(rng.randrange(1, 7))]
+    cuts = sorted([*picks, rng.choice(picks)])
+    return list(zip(cuts, cuts[1:]))
+
+
+def test_walk_matches_reference_walk():
+    for m in range(1, 41):
+        for n in range(1, 41):
+            for kind in ("path", "alternate", "single", "cuts"):
+                stretches = walk_stretches(m, n, kind, seed=m * 41 + n)
+                assert list(_walk(m, n, stretches)) == list(ref_walk(m, n, stretches)), (m, n, kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 150), st.integers(1, 150), st.sampled_from(("path", "alternate", "single", "cuts")),
+       st.integers(0, 2**32 - 1))
+def test_walk_matches_reference_walk_on_large_sides(m, n, kind, seed):
+    stretches = walk_stretches(m, n, kind, seed)
+    assert list(_walk(m, n, stretches)) == list(ref_walk(m, n, stretches))
 
 
 def test_single_pebble_counts_match_straddling_crossings():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -239,12 +240,14 @@ class TestVerify:
             assert check["witness"]["checked"] > 0
             assert check["witness"]["cells"] > 0
             assert check["witness"]["elapsed_s"] >= 0
+            assert check["witness"]["checks_per_s"] >= 0
+            assert check["witness"]["reproduce"] == f"quadres verify --checks {check['name']} --max-m 12 --max-n 12"
         assert payload["result"]["all_ok"] is True
 
     def test_text_line_reports_elapsed_time(self, runner):
         result = runner.invoke(main, ["verify", "--max-n", "12", "--checks", "supplements"])
         assert result.exit_code == 0
-        assert " s  [PASS]" in result.output
+        assert " ms " in result.output and " checks/s  [PASS]" in result.output
         assert "cells      5  checked      10" in result.output
 
     def test_kernel_cap_counts_board_squares(self, runner):
@@ -309,8 +312,26 @@ class TestVerify:
         assert serial.exit_code == parallel.exit_code == 0
         serial_checks, parallel_checks = (json.loads(r.output)["checks"] for r in (serial, parallel))
         for check in serial_checks + parallel_checks:
-            del check["witness"]["elapsed_s"]  # wall time, the one field that may differ
+            del check["witness"]["elapsed_s"]  # wall time and the rate read from it, the fields that may differ
+            del check["witness"]["checks_per_s"]
         assert serial_checks == parallel_checks
+
+    @pytest.mark.parametrize("args", [[], ["--max-n", "9"], ["--max-m", "7", "--max-n", "11"]])
+    def test_witness_command_reproduces_it(self, runner, monkeypatch, args):
+        from quadres import sweeps
+
+        real = sweeps.ck.kernel_dimension
+        monkeypatch.setattr(sweeps.ck, "kernel_dimension", lambda m, n: real(m, n) + ((m, n) == (6, 9)))
+        _, payload = invoke_json(runner, ["verify", "--checks", "kernel,euler,tilings", "--json", *args])
+        assert [c["status"] for c in payload["checks"]] == ["fail", "pass", "pass"]  # every grid holds 6x9
+        for check in payload["checks"]:
+            command = shlex.split(check["witness"]["reproduce"])
+            assert command[:2] == ["quadres", "verify"]
+            _, again = invoke_json(runner, [*command[1:], "--json"])
+            (rerun,) = again["checks"]
+            for witness in (check["witness"], rerun["witness"]):
+                del witness["elapsed_s"], witness["checks_per_s"]
+            assert rerun == check
 
 
 class TestRender:

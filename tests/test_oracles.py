@@ -1,11 +1,15 @@
 """Tests for the classical number-theory oracles."""
 
+import inspect
 import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
-from reference import residue_table
+from reference import ref_zolotarev_perm_sign, residue_table
 
 
 def test_is_odd_prime():
@@ -107,6 +111,43 @@ def test_zolotarev_matches_jacobi_for_odd_denominators():
             if math.gcd(a, n) != 1:
                 continue
             assert jacobi_symbol(a, n) == zolotarev_perm_sign(a, n), (a, n)
+
+
+def test_zolotarev_matches_cycle_walk():
+    for n in range(1, 300):
+        for m in range(1, 300):
+            if math.gcd(m, n) == 1:
+                assert zolotarev_perm_sign(m, n) == ref_zolotarev_perm_sign(m, n), (m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**5))
+@example(7, 1)
+@example(10**6 - 1, 2 * 3**2 * 5 * 7 * 11 * 13)  # many divisors, m > n
+@example(3, 65537)  # prime n, m a primitive root: one order of n - 1 steps
+def test_zolotarev_matches_cycle_walk_on_large_n(m, n):
+    if math.gcd(m, n) == 1:
+        assert zolotarev_perm_sign(m, n) == ref_zolotarev_perm_sign(m, n)
+
+
+def test_zolotarev_calls_no_other_method(monkeypatch):
+    """The cycle count runs with every symbols and billiards function, Jacobi and Euler disabled."""
+    from quadres import billiards, oracles, symbols
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the permutation sign called a method it is checked against")
+
+    targets = {f for module in (symbols, billiards) for _, f in inspect.getmembers(module, inspect.isfunction)
+               if f.__module__ == module.__name__} | {oracles.jacobi_symbol, oracles.euler_symbol}
+    cells = [(m, n) for n in range(1, 60) for m in range(1, 120) if math.gcd(m, n) == 1]
+    want = [ref_zolotarev_perm_sign(m, n) for m, n in cells]
+    for name, module in list(sys.modules.items()):
+        if name == "quadres" or name.startswith("quadres."):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in targets:
+                    monkeypatch.setattr(module, attr, refuse)
+    assert oracles.jacobi_symbol is refuse and symbols._floor_sum is refuse and billiards._fold is refuse
+    assert [zolotarev_perm_sign(m, n) for m, n in cells] == want
 
 
 def test_zolotarev_multiplicative_in_numerator():

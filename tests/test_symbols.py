@@ -81,6 +81,13 @@ def test_floor_sums_match_bounce_walk():
                 assert sums[1] - 2 * sums[0] == walked.negative_bounce_count, (m, n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 3000))
+def test_floor_sum_matches_plain_sum(data, n):
+    count, a = data.draw(st.integers(0, n + 1)), data.draw(st.integers(0, 3 * n))
+    assert _floor_sum(count, n, a) == sum(a * k // n for k in range(count))
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("billiard_symbol called a method it is checked against")
 
