@@ -46,8 +46,6 @@ from .symbols import (
     SymbolEvidence,
     billiard_symbol,
     bounce_evidence,
-    check_almost_reciprocity,
-    check_reciprocity,
     mod4_symbol,
     symbol_supplement_minus_one,
     symbol_supplement_two,
@@ -74,8 +72,6 @@ __all__ = [
     "bottom_row_puzzle",
     "bottom_row_symbol",
     "bounce_evidence",
-    "check_almost_reciprocity",
-    "check_reciprocity",
     "combined_puzzle_count",
     "count_tilings",
     "euler_symbol",

@@ -28,7 +28,7 @@ from .checkers import (
 from .oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from .render import RenderSpec, render_board_ascii, render_board_svg, render_path_svg
 from .sweeps import FAMILIES, run_family
-from .symbols import SymbolEvidence, _floor_sum, billiard_symbol, bounce_evidence
+from .symbols import SymbolEvidence, billiard_symbol, bounce_evidence, negative_bounce_count
 
 DEFAULT_MAX_CELLS = 500 * 500
 
@@ -133,7 +133,8 @@ def symbol(ctx, m: int, n: int, do_verify: bool, as_json: bool, out: str | None)
         _check_size(n, f"n={n}")  # the permutation sign takes up to n steps for prime n
     limit = _max_cells()
     listed = n <= limit  # the bounce list grows with n alone
-    ev = bounce_evidence(m, n) if listed else _value_only(m, n)
+    ev = (bounce_evidence(m, n) if listed
+          else SymbolEvidence(billiard_symbol(m, n).value, negative_bounce_count(m, n), ()))
     checks: list[dict] = []
     if do_verify:
         oracle_values: dict[str, int] = {}
@@ -177,18 +178,6 @@ def symbol(ctx, m: int, n: int, do_verify: bool, as_json: bool, out: str | None)
         _emit("\n".join(lines), out)
     if failed:
         ctx.exit(1)
-
-
-def _value_only(m: int, n: int) -> SymbolEvidence:
-    """(m|n) and its exact negative-bounce count without the bounce list, in O(log n).
-
-    The bounce at time 2mk is negative iff floor(2mk/n) is odd, so the count is
-    sum floor(2mk/n) - 2 sum floor(mk/n) over 0 <= k < n/2.
-    """
-    value = billiard_symbol(m, n).value
-    half = (n + 1) // 2
-    count = _floor_sum(half, n, 2 * m) - 2 * _floor_sum(half, n, m) if value else 0
-    return SymbolEvidence(value, count, ())
 
 
 @main.command(name="solve")
@@ -317,10 +306,9 @@ def verify(ctx, max_n: int | None, max_m: int | None, check_names: str | None,
         if not names:
             raise click.UsageError(f"--checks {check_names!r} names no family; known: {', '.join(FAMILIES)}")
     reproduce = {}  # the command that reruns one family alone at the bounds it ran with
-    for name in names:  # a bound left out takes the family default
+    for name in names:
         family = FAMILIES[name]
-        grid_m = family.default_max_m if max_m is None else max_m
-        grid_n = family.default_max_n if max_n is None else max_n
+        grid_m, grid_n = family.bounds(max_m, max_n)
         cost = family.cost(grid_m, grid_n)
         _check_size(cost, f"{name} sweep grid {grid_m}x{grid_n} ({cost} cells of work)")
         reproduce[name] = f"quadres verify --checks {name} --max-m {grid_m} --max-n {grid_n}"

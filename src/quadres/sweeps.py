@@ -48,17 +48,21 @@ def _coprime_cells(kind: str, max_m: int, max_n: int, start: int = 1, step: int 
             if math.gcd(m, n) == 1]
 
 
-def _agreement(n: int, ms, oracle: Callable[[int, int], int], name: str,
-               n_key: str = "n") -> tuple[int, list[Failure]]:
-    """The billiard symbol (m|n) against oracle(m, n), for every m in ms."""
-    values = [(m, symbols.billiard_symbol(m, n).value, oracle(m, n)) for m in ms]
-    return len(values), [{"m": m, n_key: n, "billiard": got, name: want} for m, got, want in values if got != want]
+def _agreement(n: int, ms, lhs: Callable[[int, int], int], rhs: Callable[[int, int], int],
+               keys: tuple[str, str], n_key: str = "n") -> tuple[int, list[Failure]]:
+    """lhs(m, n) against rhs(m, n) for every m in ms; a failure records both under `keys`."""
+    values = [(m, lhs(m, n), rhs(m, n)) for m in ms]
+    left, right = keys
+    return len(values), [{"m": m, n_key: n, left: got, right: want} for m, got, want in values if got != want]
 
 
-def _identity(n: int, ms, check) -> tuple[int, list[Failure]]:
-    """A reciprocity-style identity check(m, n), for every m in ms."""
-    records = [check(m, n) for m in ms]
-    return len(records), [{"m": r.m, "n": n, "lhs": r.lhs, "rhs": r.rhs} for r in records if not r.ok]
+def _billiard(m: int, n: int) -> int:
+    return symbols.billiard_symbol(m, n).value
+
+
+def _swapped(m: int, n: int) -> int:
+    """(m|n)(n|m), the left side of both reciprocity identities."""
+    return symbols.billiard_symbol(m, n).value * symbols.billiard_symbol(n, m).value
 
 
 # --- euler: billiard symbol vs Euler's criterion, prime denominators ---
@@ -69,7 +73,8 @@ def _euler_cells(max_m: int, max_n: int) -> list[Cell]:
 
 def _euler_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n = cell
-    return _agreement(n, (m for m in range(1, 2 * n + 1) if m % n), oracles.euler_symbol, "euler")
+    return _agreement(n, (m for m in range(1, 2 * n + 1) if m % n), _billiard, oracles.euler_symbol,
+                      ("billiard", "euler"))
 
 
 # --- zolotarev: billiard symbol vs permutation sign, even denominators included ---
@@ -81,7 +86,7 @@ def _zolotarev_cells(max_m: int, max_n: int) -> list[Cell]:
 def _zolotarev_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n, max_m = cell
     coprime = (m for m in range(1, max_m + 1) if math.gcd(m, n) == 1)
-    return _agreement(n, coprime, oracles.zolotarev_perm_sign, "zolotarev")
+    return _agreement(n, coprime, _billiard, oracles.zolotarev_perm_sign, ("billiard", "zolotarev"))
 
 
 # --- jacobi: billiard symbol vs Jacobi symbol, odd denominators ---
@@ -92,7 +97,7 @@ def _jacobi_cells(max_m: int, max_n: int) -> list[Cell]:
 
 def _jacobi_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n, max_m = cell
-    return _agreement(n, range(1, max_m + 1), oracles.jacobi_symbol, "jacobi")
+    return _agreement(n, range(1, max_m + 1), _billiard, oracles.jacobi_symbol, ("billiard", "jacobi"))
 
 
 # --- supplements: closed forms for (n-1|n) and (2|n) ---
@@ -103,16 +108,10 @@ def _supplements_cells(max_m: int, max_n: int) -> list[Cell]:
 
 def _supplements_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n = cell
-    failures = []
-    want_minus = symbols.symbol_supplement_minus_one(n)
-    got_minus = symbols.billiard_symbol(n - 1, n).value
-    if want_minus != got_minus:
-        failures.append({"n": n, "identity": "minus_one", "closed": want_minus, "billiard": got_minus})
-    want_two = symbols.symbol_supplement_two(n)
-    got_two = symbols.billiard_symbol(2, n).value
-    if want_two != got_two:
-        failures.append({"n": n, "identity": "two", "closed": want_two, "billiard": got_two})
-    return 2, failures
+    closed = (("minus_one", n - 1, symbols.symbol_supplement_minus_one(n)),
+              ("two", 2, symbols.symbol_supplement_two(n)))
+    return 2, [{"n": n, "identity": identity, "closed": want, "billiard": got}
+               for identity, m, want in closed if (got := symbols.billiard_symbol(m, n).value) != want]
 
 
 # --- almost_reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n ---
@@ -121,9 +120,13 @@ def _almost_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("almost_reciprocity", n) for n in range(3, max_n + 1, 2)]
 
 
+def _reduced(m: int, n: int) -> int:
+    return symbols.billiard_symbol(m, n - m).value
+
+
 def _almost_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n = cell
-    return _identity(n, range(1, n, 2), symbols.check_almost_reciprocity)
+    return _agreement(n, range(1, n, 2), _swapped, _reduced, ("lhs", "rhs"))
 
 
 # --- mod4: closed form for odd numerator over even denominator ---
@@ -135,7 +138,7 @@ def _mod4_cells(max_m: int, max_n: int) -> list[Cell]:
 def _mod4_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, d, max_m = cell
     coprime = (m for m in range(1, max_m + 1, 2) if math.gcd(m, d) == 1)
-    return _agreement(d, coprime, symbols.mod4_symbol, "closed", n_key="d")
+    return _agreement(d, coprime, _billiard, symbols.mod4_symbol, ("billiard", "closed"), n_key="d")
 
 
 # --- reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n ---
@@ -144,9 +147,14 @@ def _reciprocity_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("reciprocity", n, max_m) for n in range(3, max_n + 1, 2)]
 
 
+def _reciprocity_sign(m: int, n: int) -> int:
+    return -1 if (m - 1) * (n - 1) // 4 % 2 else 1
+
+
 def _reciprocity_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, n, max_m = cell
-    return _identity(n, (m for m in range(3, max_m + 1, 2) if math.gcd(m, n) == 1), symbols.check_reciprocity)
+    coprime = (m for m in range(3, max_m + 1, 2) if math.gcd(m, n) == 1)
+    return _agreement(n, coprime, _swapped, _reciprocity_sign, ("lhs", "rhs"))
 
 
 # --- checkers_symbol: bottom-row puzzle parity vs billiards, plus the
@@ -163,11 +171,7 @@ def _checkers_cells(max_m: int, max_n: int) -> list[Cell]:
 def _checkers_check(cell: Cell) -> tuple[int, list[Failure]]:
     kind, m, n = cell
     if kind == "checkers_sym":
-        got = ck.bottom_row_symbol(m, n)
-        want = symbols.billiard_symbol(m, n).value
-        if got != want:
-            return 1, [{"m": m, "n": n, "checkers": got, "billiard": want}]
-        return 1, []
+        return _agreement(n, (m,), ck.bottom_row_symbol, _billiard, ("checkers", "billiard"))
     # signs from the bounce walk, checker counts from the lattice walk
     signs = symbols.bounce_evidence(m, n).base_bounces
     return len(signs), [{"m": m, "n": n, "k": x // 2, "sign": sign, "checkers": count}
@@ -248,6 +252,11 @@ class Family:
     description: str
     cost: Callable[[int, int], int] = operator.mul  # work in cells at bounds (max_m, max_n), for the size cap
 
+    def bounds(self, max_m: int | None, max_n: int | None) -> tuple[int, int]:
+        """The grid bounds a run uses: a bound left as None takes the family default."""
+        return (self.default_max_m if max_m is None else max_m,
+                self.default_max_n if max_n is None else max_n)
+
 
 FAMILIES: dict[str, Family] = {
     f.name: f
@@ -289,8 +298,7 @@ def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
     """
     start = time.perf_counter()
     family = FAMILIES[name]
-    cells = family.make_cells(family.default_max_m if max_m is None else max_m,
-                              family.default_max_n if max_n is None else max_n)
+    cells = family.make_cells(*family.bounds(max_m, max_n))
     workers = min(parallelism, os.cpu_count() or 1, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing

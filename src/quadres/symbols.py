@@ -1,10 +1,12 @@
-"""The billiards residue symbol (m|n) and the identities it satisfies.
+"""The billiards residue symbol (m|n) and its closed forms.
 
 (m|n) is the product of the bottom-bounce signs of the m-by-n billiard
 path, 0 when gcd(m, n) > 1, and +1 for an empty product.  It extends the
 Legendre symbol to arbitrary positive m and n, including even n, where it
 agrees with the permutation-sign (Zolotarev) definition rather than the
-Kronecker symbol: in particular (5|8) = +1.
+Kronecker symbol: in particular (5|8) = +1.  The supplements and the
+even-denominator form are closed forms; the identities that link (m|n)
+to them and to (n|m) are checked in `sweeps`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,18 @@ def billiard_symbol(m: int, n: int) -> SymbolEvidence:
     return _VALUE_ONLY[-1 if _floor_sum((n + 1) // 2, n, 2 * m) % 2 else 1]
 
 
+def negative_bounce_count(m: int, n: int) -> int:
+    """The number of negative bottom bounces of the m-by-n path, in O(log n); 0 when gcd > 1.
+
+    The bounce at time 2mk is negative iff floor(2mk/n) is odd, so the count is
+    sum floor(2mk/n) - 2 sum floor(mk/n) over 0 <= k < n/2, with no bounce listed.
+    """
+    if math.gcd(m, n) != 1:
+        return 0
+    half = (n + 1) // 2
+    return _floor_sum(half, n, 2 * m) - 2 * _floor_sum(half, n, m)
+
+
 def bounce_evidence(m: int, n: int) -> SymbolEvidence:
     """(m|n) from the bottom-bounce signs of m-by-n billiards, listed in base_bounces.
 
@@ -93,42 +107,6 @@ def _require_odd(n: int) -> None:
         raise ValueError(f"n must be odd and >= 3, got {n}")
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Both sides of a symbol identity plus the evidence behind them."""
-
-    m: int
-    n: int
-    lhs: SymbolValue
-    rhs: SymbolValue
-    witnesses: tuple[SymbolEvidence, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def check_almost_reciprocity(m: int, n: int) -> IdentityCheck:
-    """Verify (m|n)(n|m) = (m|n-m) for odd m < n.
-
-    Both sides are computed from billiards; both are 0 when gcd(m, n) > 1.
-    """
-    if m % 2 == 0 or n % 2 == 0:
-        raise ValueError(f"m and n must both be odd, got {m}, {n}")
-    if m >= n:
-        raise ValueError(f"need m < n, got m={m}, n={n}")
-    ev_mn = billiard_symbol(m, n)
-    ev_nm = billiard_symbol(n, m)
-    ev_red = billiard_symbol(m, n - m)
-    return IdentityCheck(
-        m=m,
-        n=n,
-        lhs=ev_mn.value * ev_nm.value,
-        rhs=ev_red.value,
-        witnesses=(ev_mn, ev_nm, ev_red),
-    )
-
-
 def mod4_symbol(m: int, d: int) -> SymbolValue:
     """Closed form for (m|d) with m odd, d even, coprime.
 
@@ -144,21 +122,3 @@ def mod4_symbol(m: int, d: int) -> SymbolValue:
     if d % 4 == 2:
         return 1
     return -1 if (m - 1) // 2 % 2 else 1
-
-
-def check_reciprocity(m: int, n: int) -> IdentityCheck:
-    """Verify (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3."""
-    if m < 3 or n < 3 or m % 2 == 0 or n % 2 == 0:
-        raise ValueError(f"m and n must be odd and >= 3, got {m}, {n}")
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"m and n must be coprime, got gcd={math.gcd(m, n)}")
-    ev_mn = billiard_symbol(m, n)
-    ev_nm = billiard_symbol(n, m)
-    exponent = (m - 1) * (n - 1) // 4
-    return IdentityCheck(
-        m=m,
-        n=n,
-        lhs=ev_mn.value * ev_nm.value,
-        rhs=-1 if exponent % 2 else 1,
-        witnesses=(ev_mn, ev_nm),
-    )

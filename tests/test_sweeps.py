@@ -1,5 +1,7 @@
 """Every check family passes at its full default bounds."""
 
+import dataclasses
+
 import pytest
 
 from quadres import sweeps
@@ -36,6 +38,39 @@ def test_checkers_symbol_reports_its_cells():
     result = run_family("checkers_symbol")
     assert result.cells == 2102  # 1,547 checkers_sym + 555 checkers_bridge cells
     assert result.checked == 5377
+
+
+def _flipped_at(fn, at):
+    """fn, with the sign of its value flipped at the one argument pair `at`."""
+    def wrong(m, n):
+        got = fn(m, n)
+        if (m, n) != at:
+            return got
+        return dataclasses.replace(got, value=-got.value) if hasattr(got, "value") else -got
+    return wrong
+
+
+# (family, module, function made wrong at one (m, n), that (m, n), every failure record at bounds 9)
+FAILURE_CASES = [
+    ("euler", sweeps.oracles, "euler_symbol", (2, 7), [{"m": 2, "n": 7, "billiard": 1, "euler": -1}]),
+    ("zolotarev", sweeps.oracles, "zolotarev_perm_sign", (3, 8),
+     [{"m": 3, "n": 8, "billiard": -1, "zolotarev": 1}]),
+    ("jacobi", sweeps.oracles, "jacobi_symbol", (2, 9), [{"m": 2, "n": 9, "billiard": 1, "jacobi": -1}]),
+    ("mod4", sweeps.symbols, "mod4_symbol", (3, 8), [{"m": 3, "d": 8, "billiard": -1, "closed": 1}]),
+    ("supplements", sweeps.symbols, "billiard_symbol", (2, 7),
+     [{"n": 7, "identity": "two", "closed": 1, "billiard": -1}]),
+    ("reciprocity", sweeps.symbols, "billiard_symbol", (3, 7),  # (3|7) enters the cells (7, 3) and (3, 7)
+     [{"m": 7, "n": 3, "lhs": 1, "rhs": -1}, {"m": 3, "n": 7, "lhs": 1, "rhs": -1}]),
+    ("almost_reciprocity", sweeps.symbols, "billiard_symbol", (3, 7), [{"m": 3, "n": 7, "lhs": 1, "rhs": -1}]),
+    ("checkers_symbol", sweeps.ck, "bottom_row_symbol", (3, 5), [{"m": 3, "n": 5, "checkers": 1, "billiard": -1}]),
+]
+
+
+@pytest.mark.parametrize("name, module, attr, at, want", FAILURE_CASES, ids=[c[0] for c in FAILURE_CASES])
+def test_failure_records_carry_each_familys_keys(monkeypatch, name, module, attr, at, want):
+    monkeypatch.setattr(module, attr, _flipped_at(getattr(module, attr), at))
+    result = run_family(name, max_m=9, max_n=9)
+    assert [list(f.items()) for f in result.failures] == [list(f.items()) for f in want]
 
 
 def test_kernel_cost_counts_board_squares():

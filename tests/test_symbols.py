@@ -13,9 +13,8 @@ from quadres.symbols import (
     _floor_sum,
     billiard_symbol,
     bounce_evidence,
-    check_almost_reciprocity,
-    check_reciprocity,
     mod4_symbol,
+    negative_bounce_count,
     symbol_supplement_minus_one,
     symbol_supplement_two,
 )
@@ -69,7 +68,7 @@ def test_billiard_symbol_matches_traced_path():
 def test_floor_sums_match_bounce_walk():
     # the O(log n) value against the bounce walk it replaces, on every grid
     # shape: even n, m > n and gcd > 1 included; each descent is checked to
-    # the integer against its plain sum, and together they give the exact count
+    # the integer against its plain sum, and negative_bounce_count against the walked count
     for m in range(1, 399):
         for n in range(1, 202):
             walked = bounce_evidence(m, n)
@@ -77,8 +76,7 @@ def test_floor_sums_match_bounce_walk():
             count = (n + 1) // 2
             sums = [_floor_sum(count, n, a) for a in (m, 2 * m)]
             assert sums == [sum(a * k // n for k in range(count)) for a in (m, 2 * m)], (m, n)
-            if walked.value:
-                assert sums[1] - 2 * sums[0] == walked.negative_bounce_count, (m, n)
+            assert negative_bounce_count(m, n) == walked.negative_bounce_count, (m, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -154,11 +152,26 @@ def test_multiplicative_in_numerator_large(m1, m2, n):
     assert billiard_symbol(m1 * m2, n).value == prod
 
 
+def _swapped(m, n):
+    return billiard_symbol(m, n).value * billiard_symbol(n, m).value
+
+
+def _reciprocity_sign(m, n):
+    return -1 if (m - 1) * (n - 1) // 4 % 2 else 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=_odd, n=_odd)
 def test_reciprocity_large(m, n):
     assume(m >= 3 and n >= 3 and math.gcd(m, n) == 1)
-    assert check_reciprocity(m, n).ok
+    assert _swapped(m, n) == _reciprocity_sign(m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_odd, n=_odd)
+def test_almost_reciprocity_large(m, n):
+    assume(m < n)
+    assert _swapped(m, n) == billiard_symbol(m, n - m).value
 
 
 @settings(max_examples=300, deadline=None)
@@ -191,21 +204,9 @@ def test_supplements_match_billiards_all_odd():
 
 
 def test_almost_reciprocity_examples():
-    rec = check_almost_reciprocity(5, 7)
-    assert rec.ok and rec.lhs == 1 == rec.rhs  # (-1)(-1) = (5|2) = +1
-    rec = check_almost_reciprocity(3, 9)
-    assert rec.ok and rec.lhs == 0 == rec.rhs
-    rec = check_almost_reciprocity(1, 3)
-    assert rec.ok and rec.lhs == 1
-
-
-def test_almost_reciprocity_validation():
-    with pytest.raises(ValueError):
-        check_almost_reciprocity(7, 5)
-    with pytest.raises(ValueError):
-        check_almost_reciprocity(2, 7)
-    with pytest.raises(ValueError):
-        check_almost_reciprocity(3, 8)
+    assert _swapped(5, 7) == 1 == billiard_symbol(5, 2).value  # (-1)(-1) = (5|2) = +1
+    assert _swapped(3, 9) == 0 == billiard_symbol(3, 6).value
+    assert _swapped(1, 3) == 1 == billiard_symbol(1, 2).value
 
 
 def test_mod4_symbol_examples():
@@ -224,21 +225,9 @@ def test_mod4_symbol_validation():
 
 
 def test_reciprocity_examples():
-    rec = check_reciprocity(5, 7)
-    assert rec.ok and rec.lhs == 1
-    rec = check_reciprocity(3, 7)
-    assert rec.ok and rec.lhs == -1  # (3|7) = -1, (7|3) = +1, exponent 3 odd
-    rec = check_reciprocity(13, 17)
-    assert rec.ok and rec.lhs == 1
-
-
-def test_reciprocity_validation():
-    with pytest.raises(ValueError):
-        check_reciprocity(3, 9)
-    with pytest.raises(ValueError):
-        check_reciprocity(4, 7)
-    with pytest.raises(ValueError):
-        check_reciprocity(1, 7)
+    assert _swapped(5, 7) == 1 == _reciprocity_sign(5, 7)
+    assert _swapped(3, 7) == -1 == _reciprocity_sign(3, 7)  # (3|7) = -1, (7|3) = +1, exponent 3 odd
+    assert _swapped(13, 17) == 1 == _reciprocity_sign(13, 17)
 
 
 def test_periodicity_in_numerator():
