@@ -14,7 +14,6 @@ from .billiards import (
     Rect,
     Wall,
     base_bounces,
-    position_at,
     trace_path,
 )
 from .checkers import (
@@ -23,16 +22,15 @@ from .checkers import (
     PebbleSet,
     PuzzleNotUniquelySolvable,
     apply_checkers,
+    bottom_row_count,
     bottom_row_puzzle,
     bottom_row_symbol,
-    combined_puzzle_count,
     kernel_dimension,
     kernel_element,
     left_column_puzzle,
     light_chase,
     single_pebble_counts,
     solve,
-    solve_single_pebble,
 )
 from .oracles import (
     SymbolValue,
@@ -69,10 +67,10 @@ __all__ = [
     "apply_checkers",
     "base_bounces",
     "billiard_symbol",
+    "bottom_row_count",
     "bottom_row_puzzle",
     "bottom_row_symbol",
     "bounce_evidence",
-    "combined_puzzle_count",
     "count_tilings",
     "euler_symbol",
     "is_odd_prime",
@@ -82,13 +80,11 @@ __all__ = [
     "left_column_puzzle",
     "light_chase",
     "mod4_symbol",
-    "position_at",
     "render_board_ascii",
     "render_board_svg",
     "render_path_svg",
     "single_pebble_counts",
     "solve",
-    "solve_single_pebble",
     "symbol_supplement_minus_one",
     "symbol_supplement_two",
     "tiling_parity_check",

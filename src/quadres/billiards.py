@@ -86,22 +86,6 @@ def _fold(t: int, side: int) -> tuple[int, int]:
     return 2 * side - r, -1
 
 
-def position_at(rect: Rect, t: int) -> tuple[int, int, int, int]:
-    """Ball state (x, y, dx, dy) at integer time t in [0, lcm(m, n)].
-
-    dx, dy give the outgoing direction (the post-reflection direction when
-    the ball is on a wall).  At the final corner the direction is undefined
-    and reported as (0, 0).
-    """
-    if t < 0 or t > rect.length:
-        raise ValueError(f"t={t} outside [0, {rect.length}]")
-    x, dx = _fold(t, rect.n)
-    y, dy = _fold(t, rect.m)
-    if t == rect.length:
-        return x, y, 0, 0
-    return x, y, dx, dy
-
-
 def trace_path(rect: Rect) -> BilliardPath:
     """Trace the full path event by event.
 

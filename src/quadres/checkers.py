@@ -277,20 +277,6 @@ def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
     return _rows(m, n, _two_color(m, n, sorted(2 * m * min(k, n - k) for k in ks)))
 
 
-def solve_single_pebble(m: int, n: int, k: int) -> CheckerSet:
-    """Solution of the puzzle with one pebble at bottom-row square 2k-1.
-
-    By the billiards two-coloring, checkers go on the board squares of the
-    path self-crossings that straddle the bottom bounce at (2k, 0), after
-    the (-1, -1) shift from lattice points to squares.
-    """
-    if math.gcd(m, n) != 1:
-        raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
-    if not 0 < 2 * k < n:
-        raise ValueError(f"need 0 < 2k < n, got k={k}, n={n}")
-    return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), _clear_bottom_row(m, n, 1 << 2 * k - 1))
-
-
 def solve(p: PebbleSet) -> CheckerSet:
     """The unique solution of a pebble puzzle on a coprime board.
 
@@ -320,8 +306,8 @@ def kernel_element(m: int, n: int) -> CheckerSet:
     return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), _rows(m, n, grid))
 
 
-def bottom_row_symbol(m: int, n: int) -> int:
-    """(m|n) as (-1)^s where s counts checkers in the bottom-row solution.
+def bottom_row_count(m: int, n: int) -> int:
+    """Checker count s of the bottom-row solution on the (m-1)-by-(n-1) board.
 
     Every bottom bounce carries a pebble, so light chasing places nothing and the
     color flips at every bounce time 2m, 4m, ... < mn, with no inverse or sort.
@@ -330,20 +316,9 @@ def bottom_row_symbol(m: int, n: int) -> int:
         raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
-    s = _two_color(m, n, range(2 * m, m * n, 2 * m)).bit_count()
-    return -1 if s % 2 else 1
+    return _two_color(m, n, range(2 * m, m * n, 2 * m)).bit_count()
 
 
-def combined_puzzle_count(m: int, n: int) -> int:
-    """Checker count of the bottom-row-plus-left-column puzzle.
-
-    For odd coprime m and n it equals (m-1)(n-1)/4 and has the parity of
-    s + t, the counts of the two one-sided solutions.
-    """
-    if m % 2 == 0 or n % 2 == 0:
-        raise ValueError(f"m and n must both be odd, got {m}, {n}")
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"m and n must be coprime, got gcd={math.gcd(m, n)}")
-    board = Board(rows=m - 1, cols=n - 1)
-    puzzle = bottom_row_puzzle(board) ^ left_column_puzzle(board)
-    return solve(puzzle).count()
+def bottom_row_symbol(m: int, n: int) -> int:
+    """(m|n) as (-1)^s, s the checker count of the bottom-row solution."""
+    return -1 if bottom_row_count(m, n) % 2 else 1

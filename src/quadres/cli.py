@@ -58,10 +58,13 @@ def _positive(_ctx, param, value):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:  # a missing or unwritable directory is a usage error, not a disagreement
+            raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         click.echo(text)
 

@@ -207,21 +207,35 @@ def _kernel_check(cell: Cell) -> tuple[int, list[Failure]]:
     return 1, failures
 
 
-# --- superposition: combined puzzle count equals (m-1)(n-1)/4 ---
+# --- superposition: the paper's checkers proof of reciprocity, s + t = u (mod 2), where s and t
+# --- count the bottom-row and left-column solutions and u = (m-1)(n-1)/4 the combined one ---
 
 def _superposition_cells(max_m: int, max_n: int) -> list[Cell]:
     return _coprime_cells("superposition", max_m, max_n, start=3, step=2)
+
+
+def _combined_solution(board: ck.Board) -> ck.CheckerSet:
+    """Checkers on every dark square of the odd rows: the odd columns of rows 1, 3, ...
+
+    For odd m and n the board has an even number of rows and of columns.  A light square of an
+    odd row then sees the checkers left and right of it, and one of an even row those above and
+    below; only the left column and the bottom row miss one, so this solves the combined puzzle.
+    """
+    odd_columns = sum(1 << col for col in range(1, board.cols, 2))
+    return ck.CheckerSet._from_rows(board, (odd_columns if row % 2 else 0 for row in range(board.rows)))
 
 
 def _superposition_check(cell: Cell) -> tuple[int, list[Failure]]:
     _, m, n = cell
     failures = []
     board = ck.Board(rows=m - 1, cols=n - 1)
-    s = ck.solve(ck.bottom_row_puzzle(board)).count()
-    t = ck.solve(ck.left_column_puzzle(board)).count()
-    u = ck.combined_puzzle_count(m, n)
-    if u != (m - 1) * (n - 1) // 4:
-        failures.append({"m": m, "n": n, "u": u, "formula": (m - 1) * (n - 1) // 4})
+    combined = _combined_solution(board)
+    if ck.apply_checkers(combined) != ck.bottom_row_puzzle(board) ^ ck.left_column_puzzle(board):
+        failures.append({"m": m, "n": n, "combined": "not a solution"})
+    u, formula = combined.count(), (m - 1) * (n - 1) // 4
+    s, t = ck.bottom_row_count(m, n), ck.bottom_row_count(n, m)  # transposing the board: t(m, n) = s(n, m)
+    if u != formula:
+        failures.append({"m": m, "n": n, "u": u, "formula": formula})
     if u % 2 != (s + t) % 2:
         failures.append({"m": m, "n": n, "u": u, "s": s, "t": t})
     return 1, failures
@@ -282,7 +296,7 @@ FAMILIES: dict[str, Family] = {
                "cokernel floor((g-1)/2); explicit kernel element otherwise",
                lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
         Family("superposition", _superposition_cells, _superposition_check, 31, 31,
-               "combined bottom+left puzzle count = (m-1)(n-1)/4, odd coprime m, n"),
+               "s + t = u (mod 2), u = (m-1)(n-1)/4 from the explicit combined solution, odd coprime m, n"),
         Family("tilings", _tilings_cells, _tilings_check, 6, 6,
                "domino tiling parity = mod-2 invertibility = gcd condition"),
     )

@@ -10,7 +10,10 @@ point, where the library counts them from multiplicative orders.  The
 GF(2) elimination solves a puzzle from the light-by-dark neighbour matrix
 alone, with no chase and no path (the matrix is read off the checkers
 stencil, and the tests check it against one built square by square), and
-the backtracking counter enumerates domino tilings one by one.  `quadres`
+the backtracking counter enumerates domino tilings one by one.
+`position_at` reads the ball's state off one time, `solve_single_pebble`
+clears one bottom-row pebble, and `combined_puzzle_count` solves the
+bottom-row plus left-column puzzle with the general `solve`.  `quadres`
 itself calls none of them.
 """
 
@@ -18,8 +21,20 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from quadres.billiards import BilliardPath, Rect, base_bounces, trace_path
-from quadres.checkers import Board, CheckerSet, PebbleSet, Square, _columns, _lit
+from quadres.billiards import BilliardPath, Rect, _fold, base_bounces, trace_path
+from quadres.checkers import (
+    Board,
+    CheckerSet,
+    PebbleSet,
+    PuzzleNotUniquelySolvable,
+    Square,
+    _clear_bottom_row,
+    _columns,
+    _lit,
+    bottom_row_puzzle,
+    left_column_puzzle,
+    solve,
+)
 
 
 class Crossing(NamedTuple):
@@ -106,6 +121,51 @@ def kernel_checkers(rect: Rect) -> set[tuple[int, int]]:
         raise ValueError(f"sides {rect.m}x{rect.n} are coprime: every interior point is covered twice")
     first, second = _interior_visits(trace_path(rect))
     return {divmod(key, rect.m + 1) for key in first.keys() - second.keys()}
+
+
+def position_at(rect: Rect, t: int) -> tuple[int, int, int, int]:
+    """Ball state (x, y, dx, dy) at integer time t in [0, lcm(m, n)].
+
+    dx, dy give the outgoing direction (the post-reflection direction when
+    the ball is on a wall).  At the final corner the direction is undefined
+    and reported as (0, 0).
+    """
+    if t < 0 or t > rect.length:
+        raise ValueError(f"t={t} outside [0, {rect.length}]")
+    x, dx = _fold(t, rect.n)
+    y, dy = _fold(t, rect.m)
+    if t == rect.length:
+        return x, y, 0, 0
+    return x, y, dx, dy
+
+
+def solve_single_pebble(m: int, n: int, k: int) -> CheckerSet:
+    """Solution of the puzzle with one pebble at bottom-row square 2k-1.
+
+    By the billiards two-coloring, checkers go on the board squares of the
+    path self-crossings that straddle the bottom bounce at (2k, 0), after
+    the (-1, -1) shift from lattice points to squares.
+    """
+    if math.gcd(m, n) != 1:
+        raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
+    if not 0 < 2 * k < n:
+        raise ValueError(f"need 0 < 2k < n, got k={k}, n={n}")
+    return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), _clear_bottom_row(m, n, 1 << 2 * k - 1))
+
+
+def combined_puzzle_count(m: int, n: int) -> int:
+    """Checker count of the bottom-row-plus-left-column puzzle.
+
+    For odd coprime m and n it equals (m-1)(n-1)/4 and has the parity of
+    s + t, the counts of the two one-sided solutions.
+    """
+    if m % 2 == 0 or n % 2 == 0:
+        raise ValueError(f"m and n must both be odd, got {m}, {n}")
+    if math.gcd(m, n) != 1:
+        raise ValueError(f"m and n must be coprime, got gcd={math.gcd(m, n)}")
+    board = Board(rows=m - 1, cols=n - 1)
+    puzzle = bottom_row_puzzle(board) ^ left_column_puzzle(board)
+    return solve(puzzle).count()
 
 
 def ref_walk(m: int, n: int, stretches: Iterable[tuple[int, int]]) -> Iterator[int]:

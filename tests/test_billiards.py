@@ -9,8 +9,8 @@ import math
 
 import pytest
 
-from quadres.billiards import Rect, Wall, base_bounces, position_at, trace_path
-from reference import crossings, kernel_checkers, two_color_checkers
+from quadres.billiards import Rect, Wall, base_bounces, trace_path
+from reference import crossings, kernel_checkers, position_at, two_color_checkers
 
 
 def step_simulate(m, n):

@@ -14,15 +14,22 @@ from quadres.checkers import (
     apply_checkers,
     bottom_row_puzzle,
     bottom_row_symbol,
-    combined_puzzle_count,
     kernel_element,
     left_column_puzzle,
     light_chase,
     solve,
-    solve_single_pebble,
 )
 from quadres.symbols import billiard_symbol
-from reference import Mod2Matrix, checkers_at, config_bits, neighbor_matrix, pebbles, solve_elimination
+from reference import (
+    Mod2Matrix,
+    checkers_at,
+    combined_puzzle_count,
+    config_bits,
+    neighbor_matrix,
+    pebbles,
+    solve_elimination,
+    solve_single_pebble,
+)
 
 FIG_S1_CHECKERS = frozenset({(0, 2), (1, 1), (1, 3), (2, 2), (4, 0), (4, 2), (5, 3)})
 FIG_S1_PEBBLES = frozenset({(1, 0), (3, 0), (5, 0)})

@@ -31,25 +31,27 @@ from quadres.checkers import (
     _two_color,
     _walk,
     apply_checkers,
+    bottom_row_count,
     bottom_row_puzzle,
     bottom_row_symbol,
-    combined_puzzle_count,
     kernel_dimension,
     kernel_element,
     left_column_puzzle,
     light_chase,
     single_pebble_counts,
     solve,
-    solve_single_pebble,
 )
+from quadres.sweeps import _combined_solution
 from quadres.symbols import billiard_symbol
 from quadres.tilings import count_tilings
 from reference import (
+    combined_puzzle_count,
     crossings,
     kernel_checkers,
     neighbor_matrix,
     ref_count_tilings,
     ref_walk,
+    solve_single_pebble,
     two_color_checkers,
 )
 
@@ -396,6 +398,57 @@ def test_bridge_sweep_reports_a_wrong_count(monkeypatch):
     result = sweeps.run_family("checkers_symbol")
     assert [(f["m"], f["n"], f["k"], f["checkers"]) for f in result.failures] == [(7, 11, x // 2, count + 1)]
     assert result.checked == 5377
+
+
+def test_bottom_row_count_matches_both_one_sided_solutions():
+    """s(m, n) counts the bottom-row solution; transposing the board, s(n, m) counts the left-column one."""
+    for m, n in coprime_sides(40):
+        board = Board(rows=m - 1, cols=n - 1)
+        assert bottom_row_count(m, n) == solve(bottom_row_puzzle(board)).count(), (m, n)
+        assert bottom_row_count(n, m) == solve(left_column_puzzle(board)).count(), (m, n)
+
+
+def test_bottom_row_count_rejects_a_missing_or_shared_board():
+    with pytest.raises(PuzzleNotUniquelySolvable):
+        bottom_row_count(6, 9)
+    for m, n in [(0, 1), (-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match="sides must be positive"):
+            bottom_row_count(m, n)
+
+
+def test_combined_solution_solves_every_odd_board():
+    """The odd rows' dark squares solve the combined puzzle, coprime or not, with (m-1)(n-1)/4 checkers."""
+    for m in range(1, 62, 2):
+        for n in range(1, 62, 2):
+            board = Board(rows=m - 1, cols=n - 1)
+            combined = _combined_solution(board)
+            assert apply_checkers(combined) == bottom_row_puzzle(board) ^ left_column_puzzle(board), (m, n)
+            assert combined.count() == (m - 1) * (n - 1) // 4, (m, n)
+
+
+def test_combined_solution_is_the_solved_one():
+    for m, n in coprime_sides(39):
+        if m % 2 and n % 2:
+            board = Board(rows=m - 1, cols=n - 1)
+            combined = _combined_solution(board)
+            assert combined == solve(bottom_row_puzzle(board) ^ left_column_puzzle(board)), (m, n)
+            assert combined.count() == combined_puzzle_count(m, n), (m, n)
+
+
+def test_superposition_sweep_calls_no_solver_or_other_leg(monkeypatch):
+    """s, t and u come from the bottom-row walk and the explicit set alone."""
+    import inspect
+
+    from quadres import billiards, checkers, oracles, sweeps, symbols
+
+    legs = {f for module in (billiards, symbols, oracles)
+            for _, f in inspect.getmembers(module, inspect.isfunction) if f.__module__ == module.__name__}
+    _refuse_everywhere(monkeypatch, {*legs, checkers.solve, checkers.light_chase})
+    assert sweeps.ck.solve is _refuse and sweeps.ck.light_chase is _refuse and symbols._fold is _refuse
+    assert sweeps.symbols.billiard_symbol is _refuse and sweeps.oracles.jacobi_symbol is _refuse
+
+    result = sweeps.run_family("superposition")
+    assert (result.cells, result.checked, result.failures) == (182, 182, ())
 
 
 def test_kernel_dimension_matches_elimination_rank():

@@ -68,6 +68,19 @@ class TestTrace:
         assert runner.invoke(main, ["trace", "5"]).exit_code == 2
         assert runner.invoke(main, ["trace", "x", "7"]).exit_code == 2
 
+    def test_out_into_missing_directory_exit_2(self, runner, tmp_path):
+        assert_unwritable_out(runner, ["trace", "5", "7"], tmp_path)
+
+
+def assert_unwritable_out(runner, args, tmp_path):
+    """--out into a missing directory is a usage error naming the path, with no traceback."""
+    target = tmp_path / "missing" / "x.txt"
+    result = runner.invoke(main, [*args, "--out", str(target)])
+    assert result.exit_code == 2
+    assert f"cannot write --out {target}" in result.output
+    assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+    assert not target.parent.exists()
+
 
 class TestSymbol:
     def test_plain(self, runner):
@@ -216,6 +229,10 @@ class TestVerify:
         assert result.exit_code == 0
         assert "reciprocity" in result.output
         assert "all checks passed" in result.output
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    def test_out_into_missing_directory_exit_2(self, runner, tmp_path, as_json):
+        assert_unwritable_out(runner, ["verify", "--checks", "kernel", "--max-n", "4", *as_json], tmp_path)
 
     def test_kernel_family(self, runner):
         result = runner.invoke(main, ["verify", "--max-n", "14", "--checks", "kernel"])

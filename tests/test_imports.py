@@ -1,0 +1,51 @@
+"""The three legs stay independent in the source: each module imports only the quadres names allowed.
+
+The billiards, checkers and oracle legs import no other quadres module;
+`symbols` takes only the triangle wave and the value alias, and `tilings`
+only the kernel dimension.  The refusal tests catch a call at run time;
+this catches a new import before anything runs.
+"""
+
+import ast
+from pathlib import Path
+
+import quadres
+
+ALLOWED = {
+    "billiards": set(),
+    "checkers": set(),
+    "oracles": set(),
+    "symbols": {"billiards._fold", "oracles.SymbolValue"},
+    "tilings": {"checkers.kernel_dimension"},
+}
+
+
+def quadres_imports(source: str) -> set[str]:
+    """Every quadres module or name a module's source imports, anywhere in it, relative to the package."""
+    edges = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            edges |= {a.name.removeprefix("quadres.") for a in node.names if a.name.split(".")[0] == "quadres"}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "quadres"):
+            module = (node.module or "") if node.level else node.module.removeprefix("quadres").lstrip(".")
+            edges |= {f"{module}.{a.name}" if module else a.name for a in node.names}
+    return edges
+
+
+def test_quadres_imports_reads_every_form():
+    source = """
+import quadres.oracles
+from . import checkers as ck
+from .billiards import _fold
+from quadres.symbols import billiard_symbol
+
+def late():
+    from quadres import tilings
+"""
+    assert quadres_imports(source) == {"oracles", "checkers", "billiards._fold", "symbols.billiard_symbol", "tilings"}
+
+
+def test_legs_import_only_the_allowed_quadres_names():
+    package = Path(quadres.__file__).parent
+    edges = {path.stem: quadres_imports(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    assert {name: edges[name] for name in ALLOWED} == ALLOWED

@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 from quadres import sweeps
+from quadres.checkers import Board
 from quadres.sweeps import FAMILIES, run_family
+from reference import pebbles
 
 ALL_FAMILIES = sorted(FAMILIES)
 
@@ -40,35 +42,58 @@ def test_checkers_symbol_reports_its_cells():
     assert result.checked == 5377
 
 
-def _flipped_at(fn, at):
-    """fn, with the sign of its value flipped at the one argument pair `at`."""
-    def wrong(m, n):
-        got = fn(m, n)
-        if (m, n) != at:
-            return got
-        return dataclasses.replace(got, value=-got.value) if hasattr(got, "value") else -got
-    return wrong
+def _negated(value):
+    return dataclasses.replace(value, value=-value.value) if hasattr(value, "value") else -value
 
 
-# (family, module, function made wrong at one (m, n), that (m, n), every failure record at bounds 9)
+def _wrong_at(at, change=_negated):
+    """Breaks a function of (m, n): `change` applied to its value at the one argument pair `at`."""
+    def breaker(fn):
+        return lambda m, n: change(fn(m, n)) if (m, n) == at else fn(m, n)
+    return breaker
+
+
+def _extra_pebble_at(m, n):
+    """Breaks apply_checkers: on the (m-1)x(n-1) board its image gains a pebble at (1, 0)."""
+    board = Board(rows=m - 1, cols=n - 1)
+
+    def breaker(apply):
+        return lambda c: apply(c) ^ pebbles(board, (1, 0)) if c.board == board else apply(c)
+    return breaker
+
+
+# (family, module, function broken by the breaker, breaker, every failure record at bounds 9)
 FAILURE_CASES = [
-    ("euler", sweeps.oracles, "euler_symbol", (2, 7), [{"m": 2, "n": 7, "billiard": 1, "euler": -1}]),
-    ("zolotarev", sweeps.oracles, "zolotarev_perm_sign", (3, 8),
+    ("euler", sweeps.oracles, "euler_symbol", _wrong_at((2, 7)), [{"m": 2, "n": 7, "billiard": 1, "euler": -1}]),
+    ("zolotarev", sweeps.oracles, "zolotarev_perm_sign", _wrong_at((3, 8)),
      [{"m": 3, "n": 8, "billiard": -1, "zolotarev": 1}]),
-    ("jacobi", sweeps.oracles, "jacobi_symbol", (2, 9), [{"m": 2, "n": 9, "billiard": 1, "jacobi": -1}]),
-    ("mod4", sweeps.symbols, "mod4_symbol", (3, 8), [{"m": 3, "d": 8, "billiard": -1, "closed": 1}]),
-    ("supplements", sweeps.symbols, "billiard_symbol", (2, 7),
+    ("jacobi", sweeps.oracles, "jacobi_symbol", _wrong_at((2, 9)), [{"m": 2, "n": 9, "billiard": 1, "jacobi": -1}]),
+    ("mod4", sweeps.symbols, "mod4_symbol", _wrong_at((3, 8)), [{"m": 3, "d": 8, "billiard": -1, "closed": 1}]),
+    ("supplements", sweeps.symbols, "billiard_symbol", _wrong_at((2, 7)),
      [{"n": 7, "identity": "two", "closed": 1, "billiard": -1}]),
-    ("reciprocity", sweeps.symbols, "billiard_symbol", (3, 7),  # (3|7) enters the cells (7, 3) and (3, 7)
+    ("reciprocity", sweeps.symbols, "billiard_symbol", _wrong_at((3, 7)),  # (3|7) enters the cells (7, 3) and (3, 7)
      [{"m": 7, "n": 3, "lhs": 1, "rhs": -1}, {"m": 3, "n": 7, "lhs": 1, "rhs": -1}]),
-    ("almost_reciprocity", sweeps.symbols, "billiard_symbol", (3, 7), [{"m": 3, "n": 7, "lhs": 1, "rhs": -1}]),
-    ("checkers_symbol", sweeps.ck, "bottom_row_symbol", (3, 5), [{"m": 3, "n": 5, "checkers": 1, "billiard": -1}]),
+    ("almost_reciprocity", sweeps.symbols, "billiard_symbol", _wrong_at((3, 7)),
+     [{"m": 3, "n": 7, "lhs": 1, "rhs": -1}]),
+    ("checkers_symbol", sweeps.ck, "bottom_row_symbol", _wrong_at((3, 5)),
+     [{"m": 3, "n": 5, "checkers": 1, "billiard": -1}]),
+    # negating a count keeps its parity, so the count is made one too many; s(3, 5) is also t(5, 3)
+    ("superposition", sweeps.ck, "bottom_row_count", _wrong_at((3, 5), lambda s: s + 1),
+     [{"m": 3, "n": 5, "u": 2, "s": 4, "t": 3}, {"m": 5, "n": 3, "u": 2, "s": 3, "t": 4}]),
+    ("superposition", sweeps.ck, "apply_checkers", _extra_pebble_at(5, 7),
+     [{"m": 5, "n": 7, "combined": "not a solution"}]),
 ]
 
 
-@pytest.mark.parametrize("name, module, attr, at, want", FAILURE_CASES, ids=[c[0] for c in FAILURE_CASES])
-def test_failure_records_carry_each_familys_keys(monkeypatch, name, module, attr, at, want):
-    monkeypatch.setattr(module, attr, _flipped_at(getattr(module, attr), at))
+def _case_id(case):
+    """The family's name, and the broken function's too where the family has several cases."""
+    name, _, attr, *_ = case
+    return name if [c[0] for c in FAILURE_CASES].count(name) == 1 else f"{name}-{attr}"
+
+
+@pytest.mark.parametrize("name, module, attr, breaker, want", FAILURE_CASES, ids=map(_case_id, FAILURE_CASES))
+def test_failure_records_carry_each_familys_keys(monkeypatch, name, module, attr, breaker, want):
+    monkeypatch.setattr(module, attr, breaker(getattr(module, attr)))
     result = run_family(name, max_m=9, max_n=9)
     assert [list(f.items()) for f in result.failures] == [list(f.items()) for f in want]
 
