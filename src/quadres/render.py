@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from .billiards import BilliardPath, base_bounces
 from .checkers import Board, CheckerSet, PebbleSet
 
+BOARD_CELL_PX = 24
+
 
 @dataclass(frozen=True)
 class RenderSpec:
@@ -114,12 +116,9 @@ def render_board_ascii(board: Board, pebbles: PebbleSet | None = None, checkers:
     return "\n".join(lines)
 
 
-def render_board_svg(board: Board, pebbles: PebbleSet | None = None, checkers: CheckerSet | None = None,
-                     cell_px: int = 24) -> str:
-    """Standalone SVG of a checkerboard with pebbles and checkers as circles."""
-    if cell_px < 4:
-        raise ValueError(f"cell_px must be >= 4, got {cell_px}")
-    px = cell_px
+def render_board_svg(board: Board, pebbles: PebbleSet | None = None, checkers: CheckerSet | None = None) -> str:
+    """Standalone SVG of a checkerboard with pebbles and checkers as circles, BOARD_CELL_PX a square."""
+    px = BOARD_CELL_PX
     width = max(board.cols, 1) * px
     height = max(board.rows, 1) * px
 

@@ -65,7 +65,7 @@ def _swapped(m: int, n: int) -> int:
     return symbols.billiard_symbol(m, n).value * symbols.billiard_symbol(n, m).value
 
 
-# --- euler: billiard symbol vs Euler's criterion, prime denominators ---
+# --- euler: billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m ---
 
 def _euler_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("euler", n) for n in range(3, max_n + 1) if oracles.is_odd_prime(n)]
@@ -77,7 +77,7 @@ def _euler_check(cell: Cell) -> tuple[int, list[Failure]]:
                       ("billiard", "euler"))
 
 
-# --- zolotarev: billiard symbol vs permutation sign, even denominators included ---
+# --- zolotarev: billiard symbol vs permutation sign, coprime m, n, even denominators included ---
 
 def _zolotarev_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("zolotarev", n, max_m) for n in range(1, max_n + 1)]
@@ -100,7 +100,7 @@ def _jacobi_check(cell: Cell) -> tuple[int, list[Failure]]:
     return _agreement(n, range(1, max_m + 1), _billiard, oracles.jacobi_symbol, ("billiard", "jacobi"))
 
 
-# --- supplements: closed forms for (n-1|n) and (2|n) ---
+# --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
 
 def _supplements_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("supplements", n) for n in range(3, max_n + 1, 2)]
@@ -129,7 +129,7 @@ def _almost_check(cell: Cell) -> tuple[int, list[Failure]]:
     return _agreement(n, range(1, n, 2), _swapped, _reduced, ("lhs", "rhs"))
 
 
-# --- mod4: closed form for odd numerator over even denominator ---
+# --- mod4: closed form for (m|d), odd numerator m over even denominator d, coprime ---
 
 def _mod4_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("mod4", d, max_m) for d in range(2, max_n + 1, 2)]
@@ -141,7 +141,7 @@ def _mod4_check(cell: Cell) -> tuple[int, list[Failure]]:
     return _agreement(d, coprime, _billiard, symbols.mod4_symbol, ("billiard", "closed"), n_key="d")
 
 
-# --- reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n ---
+# --- reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3 ---
 
 def _reciprocity_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("reciprocity", n, max_m) for n in range(3, max_n + 1, 2)]
@@ -157,8 +157,8 @@ def _reciprocity_check(cell: Cell) -> tuple[int, list[Failure]]:
     return _agreement(n, coprime, _swapped, _reciprocity_sign, ("lhs", "rhs"))
 
 
-# --- checkers_symbol: bottom-row puzzle parity vs billiards, plus the
-# --- per-bounce bridge between single-pebble solutions and bounce signs ---
+# --- checkers_symbol: bottom-row puzzle parity vs billiards, plus the per-bounce
+# --- bridge between single-pebble solutions and bounce signs, capped at BRIDGE_DEFAULT ---
 
 BRIDGE_DEFAULT = 30
 
@@ -179,8 +179,8 @@ def _checkers_check(cell: Cell) -> tuple[int, list[Failure]]:
                         if x != at or (sign > 0) != (count % 2 == 0)]
 
 
-# --- kernel: unique solvability iff coprime; kernel and cokernel dimensions from gcd;
-# --- explicit kernel element otherwise ---
+# --- kernel: unique solvability iff g = gcd(m, n) = 1; kernel dimension floor(g/2) and cokernel
+# --- floor((g-1)/2); explicit kernel element otherwise ---
 
 def _kernel_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("kernel", m, n) for m in range(2, max_m + 1) for n in range(2, max_n + 1)]
@@ -207,8 +207,8 @@ def _kernel_check(cell: Cell) -> tuple[int, list[Failure]]:
     return 1, failures
 
 
-# --- superposition: the paper's checkers proof of reciprocity, s + t = u (mod 2), where s and t
-# --- count the bottom-row and left-column solutions and u = (m-1)(n-1)/4 the combined one ---
+# --- superposition: the paper's checkers proof of reciprocity for odd coprime m, n, s + t = u (mod 2),
+# --- where s and t count the bottom-row and left-column solutions and u = (m-1)(n-1)/4 the combined one ---
 
 def _superposition_cells(max_m: int, max_n: int) -> list[Cell]:
     return _coprime_cells("superposition", max_m, max_n, start=3, step=2)
@@ -241,7 +241,7 @@ def _superposition_check(cell: Cell) -> tuple[int, list[Failure]]:
     return 1, failures
 
 
-# --- tilings: tiling-count parity vs invertibility vs gcd ---
+# --- tilings: domino tiling-count parity vs mod-2 invertibility vs the gcd condition ---
 
 def _tilings_cells(max_m: int, max_n: int) -> list[Cell]:
     return [("tilings", r, c) for r in range(1, max_m + 1) for c in range(1, max_n + 1)]
@@ -263,7 +263,6 @@ class Family:
     check: CheckFn
     default_max_m: int
     default_max_n: int
-    description: str
     cost: Callable[[int, int], int] = operator.mul  # work in cells at bounds (max_m, max_n), for the size cap
 
     def bounds(self, max_m: int | None, max_n: int | None) -> tuple[int, int]:
@@ -275,30 +274,18 @@ class Family:
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        Family("euler", _euler_cells, _euler_check, 398, 199,
-               "billiard symbol = Euler criterion for odd primes n, 1 <= m <= 2n"),
-        Family("zolotarev", _zolotarev_cells, _zolotarev_check, 100, 100,
-               "billiard symbol = permutation sign for coprime m, n (even n included)"),
-        Family("jacobi", _jacobi_cells, _jacobi_check, 151, 151,
-               "billiard symbol = Jacobi symbol for odd n"),
-        Family("supplements", _supplements_cells, _supplements_check, 199, 199,
-               "closed forms for (n-1|n) and (2|n) vs billiards, odd n"),
-        Family("almost_reciprocity", _almost_cells, _almost_check, 201, 201,
-               "(m|n)(n|m) = (m|n-m) for odd m < n"),
-        Family("mod4", _mod4_cells, _mod4_check, 201, 200,
-               "closed form for (m|d), m odd, d even, coprime"),
-        Family("reciprocity", _reciprocity_cells, _reciprocity_check, 199, 199,
-               "(m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3"),
-        Family("checkers_symbol", _checkers_cells, _checkers_check, 50, 50,
-               f"bottom-row puzzle parity = billiard symbol; bounce-sign bridge (capped at {BRIDGE_DEFAULT})"),
+        Family("euler", _euler_cells, _euler_check, 398, 199),
+        Family("zolotarev", _zolotarev_cells, _zolotarev_check, 100, 100),
+        Family("jacobi", _jacobi_cells, _jacobi_check, 151, 151),
+        Family("supplements", _supplements_cells, _supplements_check, 199, 199),
+        Family("almost_reciprocity", _almost_cells, _almost_check, 201, 201),
+        Family("mod4", _mod4_cells, _mod4_check, 201, 200),
+        Family("reciprocity", _reciprocity_cells, _reciprocity_check, 199, 199),
+        Family("checkers_symbol", _checkers_cells, _checkers_check, 50, 50),
         Family("kernel", _kernel_cells, _kernel_check, 14, 14,
-               "checker map invertible iff gcd(m, n) = g = 1; kernel dimension floor(g/2), "
-               "cokernel floor((g-1)/2); explicit kernel element otherwise",
                lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
-        Family("superposition", _superposition_cells, _superposition_check, 31, 31,
-               "s + t = u (mod 2), u = (m-1)(n-1)/4 from the explicit combined solution, odd coprime m, n"),
-        Family("tilings", _tilings_cells, _tilings_check, 6, 6,
-               "domino tiling parity = mod-2 invertibility = gcd condition"),
+        Family("superposition", _superposition_cells, _superposition_check, 31, 31),
+        Family("tilings", _tilings_cells, _tilings_check, 6, 6),
     )
 }
 

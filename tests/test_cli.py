@@ -150,12 +150,17 @@ class TestSymbol:
 
     @pytest.mark.parametrize("m, n", [(5, 101), (2, 101), (7, 150), (101, 102), (6, 102), (3, 999)])
     def test_value_only_count_matches_the_bounce_walk(self, runner, m, n):
+        # both branches take the value and count from floor sums; the walked record must agree
         ev = bounce_evidence(m, n)
         result, payload = invoke_json(runner, ["symbol", str(m), str(n), "--json"],
                                       env={"QUADRES_MAX_CELLS": "100"})
         assert result.exit_code == 0
         assert payload["result"] == {"value": ev.value, "negative_bounces": ev.negative_bounce_count,
                                      "base_bounces": [], "base_bounces_omitted": True}
+        result, payload = invoke_json(runner, ["symbol", str(m), str(n), "--json"])
+        assert result.exit_code == 0
+        assert payload["result"] == {"value": ev.value, "negative_bounces": ev.negative_bounce_count,
+                                     "base_bounces": [list(b) for b in ev.base_bounces]}
 
 
 class TestSolve:
@@ -233,6 +238,20 @@ class TestVerify:
     @pytest.mark.parametrize("as_json", [[], ["--json"]])
     def test_out_into_missing_directory_exit_2(self, runner, tmp_path, as_json):
         assert_unwritable_out(runner, ["verify", "--checks", "kernel", "--max-n", "4", *as_json], tmp_path)
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    def test_out_is_checked_before_any_family_runs(self, runner, tmp_path, monkeypatch, as_json):
+        from quadres import cli
+
+        ran = []
+
+        def family_must_not_run(name, **_):
+            ran.append(name)
+            raise AssertionError(f"{name} ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_family", family_must_not_run)
+        assert_unwritable_out(runner, ["verify", "--checks", "kernel,tilings", *as_json], tmp_path)
+        assert ran == []
 
     def test_kernel_family(self, runner):
         result = runner.invoke(main, ["verify", "--max-n", "14", "--checks", "kernel"])
@@ -372,6 +391,67 @@ class TestRender:
         assert result.exit_code == 0
         assert_envelope(payload, "render")
         assert payload["result"]["svg"].startswith("<svg")
+
+
+class TestTextMatchesJson:
+    """The text and --json output of one invocation report the same result."""
+
+    @staticmethod
+    def both(runner, args, env=None):
+        text = runner.invoke(main, args, env=env)
+        data = runner.invoke(main, [*args, "--json"], env=env)
+        assert text.exit_code == data.exit_code
+        return text.output.splitlines(), json.loads(data.output)
+
+    @pytest.mark.parametrize("args", [["5", "7"], ["6", "9"], ["2", "3"], ["1", "1"]])
+    def test_trace(self, runner, args):
+        lines, payload = self.both(runner, ["trace", *args])
+        rows = [line.split() for line in lines[1:-1]] if payload["result"]["bounces"] else []
+        assert rows == [[str(b["t"]), str(b["x"]), str(b["y"]), b["wall"], "+" if b["sign"] > 0 else "-"]
+                        for b in payload["result"]["bounces"]]
+        assert lines[-1] == "end ({}, {}) at t={}".format(*payload["result"]["end"], payload["result"]["length"])
+
+    @pytest.mark.parametrize("args, env", [
+        (["5", "7"], None), (["5", "8", "--verify"], None), (["6", "9"], None), (["1", "1"], None),
+        (["3", "1000003"], None), (["6", "101"], {"QUADRES_MAX_CELLS": "100"}),
+    ])
+    def test_symbol(self, runner, args, env):
+        lines, payload = self.both(runner, ["symbol", *args], env)
+        result = payload["result"]
+        value = lines[0].split(" = ")[1]
+        assert int(value) == result["value"]
+        signs = ["+" if s > 0 else "-" for _, s in result["base_bounces"]]
+        if result["value"] == 0:
+            assert result["negative_bounces"] == 0 and signs == []
+        elif result.get("base_bounces_omitted"):
+            assert lines[1].startswith(f"negative bounces: {result['negative_bounces']} (bounce list omitted")
+        else:
+            assert lines[1] == "base-bounce signs: " + (" ".join(signs) or "(no bounces)")
+            assert signs.count("-") == result["negative_bounces"]
+
+    @pytest.mark.parametrize("args", [
+        ["5", "7", "--bottom-row"], ["7", "11", "--both"], ["7", "11", "--left-column"],
+        ["6", "9", "--kernel"], ["5", "7", "--pebble", "3", "0"],
+    ])
+    def test_solve(self, runner, args):
+        lines, payload = self.both(runner, ["solve", *args])
+        result = payload["result"]
+        checkers = " ".join(f"({c},{r})" for c, r in result["checkers"])
+        assert lines[:2] == [f"checkers ({result['count']}): {checkers}",
+                             f"count s = {result['count']}, (-1)^s = {result['symbol']:+d}"]
+
+    @pytest.mark.parametrize("args", [["--max-n", "12", "--checks", "euler,supplements"],
+                                      ["--max-n", "6", "--checks", "kernel,tilings,superposition"]])
+    def test_verify(self, runner, args):
+        lines, payload = self.both(runner, ["verify", *args])
+        assert len(lines) == len(payload["checks"]) + 1
+        for line, check in zip(lines, payload["checks"]):
+            words = line.split()
+            witness = check["witness"]
+            assert words[0] == check["name"]
+            assert [int(words[i]) for i in (2, 4, 6)] == [witness["cells"], witness["checked"],
+                                                           witness["failure_count"]]
+            assert words[-1] == f"[{check['status'].upper()}]"
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -2,8 +2,9 @@
 
 The billiards, checkers and oracle legs import no other quadres module;
 `symbols` takes only the triangle wave and the value alias, and `tilings`
-only the kernel dimension.  The refusal tests catch a call at run time;
-this catches a new import before anything runs.
+only the kernel dimension.  The CLI imports only public names.  The
+refusal tests catch a call at run time; this catches a new import before
+anything runs.
 """
 
 import ast
@@ -49,3 +50,11 @@ def test_legs_import_only_the_allowed_quadres_names():
     package = Path(quadres.__file__).parent
     edges = {path.stem: quadres_imports(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
     assert {name: edges[name] for name in ALLOWED} == ALLOWED
+
+
+def test_cli_imports_no_private_quadres_name():
+    """The CLI reaches the library through its public names only (dunders such as __version__ are public)."""
+    source = (Path(quadres.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    private = {edge for edge in quadres_imports(source)
+               if any(part.startswith("_") and not part.endswith("__") for part in edge.split("."))}
+    assert private == set()

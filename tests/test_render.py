@@ -6,7 +6,7 @@ import pytest
 
 from quadres.billiards import Rect, trace_path
 from quadres.checkers import Board, CheckerSet, PebbleSet, bottom_row_puzzle, kernel_element, solve
-from quadres.render import RenderSpec, render_board_ascii, render_board_svg, render_path_svg
+from quadres.render import BOARD_CELL_PX, RenderSpec, render_board_ascii, render_board_svg, render_path_svg
 
 ALLOWED_TAGS = {"svg", "rect", "line", "polyline", "circle", "text"}
 
@@ -119,3 +119,4 @@ def test_board_svg_well_formed():
     assert set(tags) <= ALLOWED_TAGS
     circles = [el for el in root.iter() if el.tag.split("}")[-1] == "circle"]
     assert len(circles) == 3 + 7  # pebbles + checkers
+    assert (root.get("width"), root.get("height")) == (str(6 * BOARD_CELL_PX), str(4 * BOARD_CELL_PX))
