@@ -249,6 +249,8 @@ def single_pebble_counts(m: int, n: int) -> list[tuple[int, int]]:
     piece into the packed lattice, so at a bottom bounce the set bits are the
     points visited once so far, which are exactly those crossings.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
     bounces = range(2 * m, m * n, 2 * m)
@@ -300,6 +302,8 @@ def kernel_element(m: int, n: int) -> CheckerSet:
     The checkers sit on the board squares of the billiard lattice points that
     the main path visits exactly once, the set bits of one walk (none is visited thrice).
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) == 1:
         raise ValueError(f"gcd({m}, {n}) = 1: the kernel is trivial")
     grid = next(_walk(m, n, [(0, math.lcm(m, n))]))

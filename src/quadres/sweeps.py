@@ -1,8 +1,8 @@
 """Verification sweeps: every identity the library claims, over finite grids.
 
 Each check family enumerates a grid of inputs, evaluates an identity on
-each cell, and reports the cells that fail.  Families are exposed to the
-CLI `verify` command and reused directly by the test suite.
+each cell, and reports the cells that fail.  The six symbol families are
+rows of one table, COMPARISONS.  The CLI `verify` runs every family.
 
 Cells are coarse units of work (one denominator, or one (m, n) pair), so a
 sweep can be partitioned across processes; results are merged in cell
@@ -16,7 +16,8 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable, NamedTuple
 
 from . import checkers as ck
 from . import oracles, symbols, tilings
@@ -65,39 +66,53 @@ def _swapped(m: int, n: int) -> int:
     return symbols.billiard_symbol(m, n).value * symbols.billiard_symbol(n, m).value
 
 
-# --- euler: billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m ---
+# --- the six symbol comparisons: for each denominator n up to max_n, lhs(m, n) against rhs(m, n) over the
+# --- numerators m of n up to max_m.  A side looks its callee up in its module when the cell runs, so a function
+# --- patched after import is the one checked.  A cell holds its row's name, not its lambdas, so it pickles ---
 
-def _euler_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("euler", n) for n in range(3, max_n + 1) if oracles.is_odd_prime(n)]
-
-
-def _euler_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, n = cell
-    return _agreement(n, (m for m in range(1, 2 * n + 1) if m % n), _billiard, oracles.euler_symbol,
-                      ("billiard", "euler"))
-
-
-# --- zolotarev: billiard symbol vs permutation sign, coprime m, n, even denominators included ---
-
-def _zolotarev_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("zolotarev", n, max_m) for n in range(1, max_n + 1)]
+class Comparison(NamedTuple):
+    denominators: Callable[[int], Iterable[int]]
+    numerators: Callable[[int, int], Iterable[int]]
+    lhs: Callable[[int, int], int]
+    rhs: Callable[[int, int], int]
+    keys: tuple[str, str]
+    n_key: str = "n"
 
 
-def _zolotarev_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, n, max_m = cell
-    coprime = (m for m in range(1, max_m + 1) if math.gcd(m, n) == 1)
-    return _agreement(n, coprime, _billiard, oracles.zolotarev_perm_sign, ("billiard", "zolotarev"))
+COMPARISONS: dict[str, Comparison] = {
+    # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
+    "euler": Comparison(lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
+                        lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n),
+                        _billiard, lambda m, n: oracles.euler_symbol(m, n), ("billiard", "euler")),
+    # billiard symbol vs permutation sign, coprime m, n, even denominators included
+    "zolotarev": Comparison(lambda max_n: range(1, max_n + 1),
+                            lambda n, max_m: (m for m in range(1, max_m + 1) if math.gcd(m, n) == 1),
+                            _billiard, lambda m, n: oracles.zolotarev_perm_sign(m, n), ("billiard", "zolotarev")),
+    # billiard symbol vs Jacobi symbol, odd denominators
+    "jacobi": Comparison(lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
+                         _billiard, lambda m, n: oracles.jacobi_symbol(m, n), ("billiard", "jacobi")),
+    # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
+    "almost_reciprocity": Comparison(lambda max_n: range(3, max_n + 1, 2), lambda n, max_m: range(1, n, 2),
+                                     _swapped, lambda m, n: symbols.billiard_symbol(m, n - m).value, ("lhs", "rhs")),
+    # closed form for (m|d), odd numerator m over even denominator d, coprime
+    "mod4": Comparison(lambda max_n: range(2, max_n + 1, 2),
+                       lambda d, max_m: (m for m in range(1, max_m + 1, 2) if math.gcd(m, d) == 1),
+                       _billiard, lambda m, d: symbols.mod4_symbol(m, d), ("billiard", "closed"), n_key="d"),
+    # reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3
+    "reciprocity": Comparison(lambda max_n: range(3, max_n + 1, 2),
+                              lambda n, max_m: (m for m in range(3, max_m + 1, 2) if math.gcd(m, n) == 1),
+                              _swapped, lambda m, n: -1 if (m - 1) * (n - 1) // 4 % 2 else 1, ("lhs", "rhs")),
+}
 
 
-# --- jacobi: billiard symbol vs Jacobi symbol, odd denominators ---
-
-def _jacobi_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("jacobi", n, max_m) for n in range(1, max_n + 1, 2)]
+def _comparison_cells(name: str, max_m: int, max_n: int) -> list[Cell]:
+    return [(name, n, max_m) for n in COMPARISONS[name].denominators(max_n)]
 
 
-def _jacobi_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, n, max_m = cell
-    return _agreement(n, range(1, max_m + 1), _billiard, oracles.jacobi_symbol, ("billiard", "jacobi"))
+def _comparison_check(cell: Cell) -> tuple[int, list[Failure]]:
+    name, n, max_m = cell
+    row = COMPARISONS[name]
+    return _agreement(n, row.numerators(n, max_m), row.lhs, row.rhs, row.keys, row.n_key)
 
 
 # --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
@@ -112,49 +127,6 @@ def _supplements_check(cell: Cell) -> tuple[int, list[Failure]]:
               ("two", 2, symbols.symbol_supplement_two(n)))
     return 2, [{"n": n, "identity": identity, "closed": want, "billiard": got}
                for identity, m, want in closed if (got := symbols.billiard_symbol(m, n).value) != want]
-
-
-# --- almost_reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n ---
-
-def _almost_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("almost_reciprocity", n) for n in range(3, max_n + 1, 2)]
-
-
-def _reduced(m: int, n: int) -> int:
-    return symbols.billiard_symbol(m, n - m).value
-
-
-def _almost_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, n = cell
-    return _agreement(n, range(1, n, 2), _swapped, _reduced, ("lhs", "rhs"))
-
-
-# --- mod4: closed form for (m|d), odd numerator m over even denominator d, coprime ---
-
-def _mod4_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("mod4", d, max_m) for d in range(2, max_n + 1, 2)]
-
-
-def _mod4_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, d, max_m = cell
-    coprime = (m for m in range(1, max_m + 1, 2) if math.gcd(m, d) == 1)
-    return _agreement(d, coprime, _billiard, symbols.mod4_symbol, ("billiard", "closed"), n_key="d")
-
-
-# --- reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3 ---
-
-def _reciprocity_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("reciprocity", n, max_m) for n in range(3, max_n + 1, 2)]
-
-
-def _reciprocity_sign(m: int, n: int) -> int:
-    return -1 if (m - 1) * (n - 1) // 4 % 2 else 1
-
-
-def _reciprocity_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, n, max_m = cell
-    coprime = (m for m in range(3, max_m + 1, 2) if math.gcd(m, n) == 1)
-    return _agreement(n, coprime, _swapped, _reciprocity_sign, ("lhs", "rhs"))
 
 
 # --- checkers_symbol: bottom-row puzzle parity vs billiards, plus the per-bounce
@@ -274,13 +246,13 @@ class Family:
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        Family("euler", _euler_cells, _euler_check, 398, 199),
-        Family("zolotarev", _zolotarev_cells, _zolotarev_check, 100, 100),
-        Family("jacobi", _jacobi_cells, _jacobi_check, 151, 151),
+        Family("euler", partial(_comparison_cells, "euler"), _comparison_check, 398, 199),
+        Family("zolotarev", partial(_comparison_cells, "zolotarev"), _comparison_check, 100, 100),
+        Family("jacobi", partial(_comparison_cells, "jacobi"), _comparison_check, 151, 151),
         Family("supplements", _supplements_cells, _supplements_check, 199, 199),
-        Family("almost_reciprocity", _almost_cells, _almost_check, 201, 201),
-        Family("mod4", _mod4_cells, _mod4_check, 201, 200),
-        Family("reciprocity", _reciprocity_cells, _reciprocity_check, 199, 199),
+        Family("almost_reciprocity", partial(_comparison_cells, "almost_reciprocity"), _comparison_check, 201, 201),
+        Family("mod4", partial(_comparison_cells, "mod4"), _comparison_check, 201, 200),
+        Family("reciprocity", partial(_comparison_cells, "reciprocity"), _comparison_check, 199, 199),
         Family("checkers_symbol", _checkers_cells, _checkers_check, 50, 50),
         Family("kernel", _kernel_cells, _kernel_check, 14, 14,
                lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards

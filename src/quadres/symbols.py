@@ -67,6 +67,8 @@ def negative_bounce_count(m: int, n: int) -> int:
     The bounce at time 2mk is negative iff floor(2mk/n) is odd, so the count is
     sum floor(2mk/n) - 2 sum floor(mk/n) over 0 <= k < n/2, with no bounce listed.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) != 1:
         return 0
     half = (n + 1) // 2

@@ -466,6 +466,14 @@ def test_kernel_dimension_of_empty_and_invalid_boards():
             kernel_dimension(m, n)
 
 
+@pytest.mark.parametrize("fn", [single_pebble_counts, kernel_element])
+@pytest.mark.parametrize("m, n", [(1, 0), (0, 5), (-1, 3), (-3, 5)])
+def test_walks_refuse_a_missing_board(fn, m, n):
+    """Checked before gcd: (1, 0) would walk no board and (0, 5) would shift by a negative count."""
+    with pytest.raises(ValueError, match="sides must be positive"):
+        fn(m, n)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 199), st.integers(1, 199))
 @example(198, 198)  # random sides rarely share a large factor

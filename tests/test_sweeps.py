@@ -36,6 +36,29 @@ def test_family_passes_at_default_bounds(name):
     assert result.failures == (), result.failures[:3]
 
 
+# (cells, checked) at two bound pairs that differ, so that a family reading max_m for max_n shows
+ASYMMETRIC_SIZES = {
+    (21, 13): {
+        "euler": (5, 68), "zolotarev": (13, 180), "jacobi": (7, 147), "supplements": (6, 12),
+        "almost_reciprocity": (6, 21), "mod4": (6, 56), "reciprocity": (6, 46), "checkers_symbol": (360, 687),
+        "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
+    },
+    (13, 21): {
+        "euler": (7, 136), "zolotarev": (21, 180), "jacobi": (11, 143), "supplements": (10, 20),
+        "almost_reciprocity": (10, 55), "mod4": (10, 61), "reciprocity": (10, 46), "checkers_symbol": (360, 1031),
+        "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
+    },
+}
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+@pytest.mark.parametrize("max_m, max_n", sorted(ASYMMETRIC_SIZES))
+def test_family_grid_follows_each_bound(name, max_m, max_n):
+    result = run_family(name, max_m=max_m, max_n=max_n)
+    assert (result.cells, result.checked) == ASYMMETRIC_SIZES[max_m, max_n][name]
+    assert result.ok, result.failures[:3]
+
+
 def test_checkers_symbol_reports_its_cells():
     result = run_family("checkers_symbol")
     assert result.cells == 2102  # 1,547 checkers_sym + 555 checkers_bridge cells
@@ -116,9 +139,11 @@ def test_reduced_bounds_shrink_the_sweep():
     assert small.ok and full.ok
 
 
-def test_parallel_merge_matches_serial():
-    serial = run_family("kernel", max_m=12, max_n=12, parallelism=1)
-    parallel = run_family("kernel", max_m=12, max_n=12, parallelism=4)
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_parallel_merge_matches_serial(name):
+    """Two worker processes: each cell and check pickles, and a worker runs the same sides."""
+    serial = run_family(name, max_m=13, max_n=21, parallelism=1)
+    parallel = run_family(name, max_m=13, max_n=21, parallelism=2)
     assert serial == parallel
 
 

@@ -47,11 +47,10 @@ def test_billiard_symbol_empty_products():
 
 
 def test_billiard_symbol_rejects_nonpositive():
-    for symbol in (billiard_symbol, bounce_evidence):
-        with pytest.raises(ValueError):
-            symbol(0, 5)
-        with pytest.raises(ValueError):
-            symbol(5, 0)
+    for symbol in (billiard_symbol, bounce_evidence, negative_bounce_count):
+        for m, n in [(0, 5), (5, 0), (1, 0), (-3, 5)]:
+            with pytest.raises(ValueError, match="sides must be positive"):
+                symbol(m, n)
 
 
 def test_billiard_symbol_matches_traced_path():
