@@ -43,9 +43,12 @@ _PUZZLES = {
 def _max_cells() -> int:
     raw = os.environ.get("QUADRES_MAX_CELLS")
     try:
-        return DEFAULT_MAX_CELLS if raw is None else int(raw)
-    except ValueError as exc:
-        raise click.UsageError(f"QUADRES_MAX_CELLS must be an integer, got {raw!r}") from exc
+        limit = DEFAULT_MAX_CELLS if raw is None else int(raw)
+    except ValueError:
+        limit = 0  # refused below, with the same message as a nonpositive limit
+    if limit < 1:
+        raise click.UsageError(f"QUADRES_MAX_CELLS must be a positive integer, got {raw!r}")
+    return limit
 
 
 def _check_size(cells: int, what: str) -> None:

@@ -1,8 +1,9 @@
 """Verification sweeps: every identity the library claims, over finite grids.
 
 Each check family enumerates a grid of inputs, evaluates an identity on
-each cell, and reports the cells that fail.  The six symbol families are
-rows of one table, COMPARISONS.  The CLI `verify` runs every family.
+each cell, and reports the cells that fail.  Every family is one row of
+one registry, FAMILIES; a cell is the tuple of its check's arguments.
+The CLI `verify` runs every family.
 
 Cells are coarse units of work (one denominator, or one (m, n) pair), so a
 sweep can be partitioned across processes; results are merged in cell
@@ -11,20 +12,19 @@ order, which keeps output deterministic regardless of scheduling.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from . import checkers as ck
 from . import oracles, symbols, tilings
 
-Cell = tuple
 Failure = dict
-CheckFn = Callable[[Cell], tuple[int, list[Failure]]]
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,23 @@ class FamilyResult:
         return self.checked / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
-def _coprime_cells(kind: str, max_m: int, max_n: int, start: int = 1, step: int = 1) -> list[Cell]:
-    return [(kind, m, n) for m in range(start, max_m + 1, step) for n in range(start, max_n + 1, step)
+@dataclass(frozen=True)
+class Family:
+    name: str
+    make_cells: Callable[[int, int], list[tuple]]  # the argument tuples of `check`, in order
+    check: Callable[..., tuple[int, list[Failure]]]
+    default_max_m: int
+    default_max_n: int
+    cost: Callable[[int, int], int] = operator.mul  # work in cells at bounds (max_m, max_n), for the size cap
+
+    def bounds(self, max_m: int | None, max_n: int | None) -> tuple[int, int]:
+        """The grid bounds a run uses: a bound left as None takes the family default."""
+        return (self.default_max_m if max_m is None else max_m,
+                self.default_max_n if max_n is None else max_n)
+
+
+def _coprime_pairs(max_m: int, max_n: int, start: int = 1, step: int = 1) -> list[tuple[int, int]]:
+    return [(m, n) for m in range(start, max_m + 1, step) for n in range(start, max_n + 1, step)
             if math.gcd(m, n) == 1]
 
 
@@ -66,63 +81,22 @@ def _swapped(m: int, n: int) -> int:
     return symbols.billiard_symbol(m, n).value * symbols.billiard_symbol(n, m).value
 
 
-# --- the six symbol comparisons: for each denominator n up to max_n, lhs(m, n) against rhs(m, n) over the
-# --- numerators m of n up to max_m.  A side looks its callee up in its module when the cell runs, so a function
-# --- patched after import is the one checked.  A cell holds its row's name, not its lambdas, so it pickles ---
+def _comparison(name: str, default_max_m: int, default_max_n: int, denominators: Callable[[int], Iterable[int]],
+                numerators: Callable[[int, int], Iterable[int]], lhs: Callable[[int, int], int],
+                rhs: Callable[[int, int], int], keys: tuple[str, str], n_key: str = "n") -> Family:
+    """A symbol family: for each denominator n up to max_n, lhs(m, n) against rhs(m, n) over the numerators m of n.
 
-class Comparison(NamedTuple):
-    denominators: Callable[[int], Iterable[int]]
-    numerators: Callable[[int, int], Iterable[int]]
-    lhs: Callable[[int, int], int]
-    rhs: Callable[[int, int], int]
-    keys: tuple[str, str]
-    n_key: str = "n"
-
-
-COMPARISONS: dict[str, Comparison] = {
-    # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
-    "euler": Comparison(lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
-                        lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n),
-                        _billiard, lambda m, n: oracles.euler_symbol(m, n), ("billiard", "euler")),
-    # billiard symbol vs permutation sign, coprime m, n, even denominators included
-    "zolotarev": Comparison(lambda max_n: range(1, max_n + 1),
-                            lambda n, max_m: (m for m in range(1, max_m + 1) if math.gcd(m, n) == 1),
-                            _billiard, lambda m, n: oracles.zolotarev_perm_sign(m, n), ("billiard", "zolotarev")),
-    # billiard symbol vs Jacobi symbol, odd denominators
-    "jacobi": Comparison(lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
-                         _billiard, lambda m, n: oracles.jacobi_symbol(m, n), ("billiard", "jacobi")),
-    # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
-    "almost_reciprocity": Comparison(lambda max_n: range(3, max_n + 1, 2), lambda n, max_m: range(1, n, 2),
-                                     _swapped, lambda m, n: symbols.billiard_symbol(m, n - m).value, ("lhs", "rhs")),
-    # closed form for (m|d), odd numerator m over even denominator d, coprime
-    "mod4": Comparison(lambda max_n: range(2, max_n + 1, 2),
-                       lambda d, max_m: (m for m in range(1, max_m + 1, 2) if math.gcd(m, d) == 1),
-                       _billiard, lambda m, d: symbols.mod4_symbol(m, d), ("billiard", "closed"), n_key="d"),
-    # reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3
-    "reciprocity": Comparison(lambda max_n: range(3, max_n + 1, 2),
-                              lambda n, max_m: (m for m in range(3, max_m + 1, 2) if math.gcd(m, n) == 1),
-                              _swapped, lambda m, n: -1 if (m - 1) * (n - 1) // 4 % 2 else 1, ("lhs", "rhs")),
-}
-
-
-def _comparison_cells(name: str, max_m: int, max_n: int) -> list[Cell]:
-    return [(name, n, max_m) for n in COMPARISONS[name].denominators(max_n)]
-
-
-def _comparison_check(cell: Cell) -> tuple[int, list[Failure]]:
-    name, n, max_m = cell
-    row = COMPARISONS[name]
-    return _agreement(n, row.numerators(n, max_m), row.lhs, row.rhs, row.keys, row.n_key)
+    A cell is (n, max_m).  A side looks its callee up in its module when the cell runs, so a function
+    patched after import is the one checked.
+    """
+    return Family(name, lambda max_m, max_n: [(n, max_m) for n in denominators(max_n)],
+                  lambda n, max_m: _agreement(n, numerators(n, max_m), lhs, rhs, keys, n_key),
+                  default_max_m, default_max_n)
 
 
 # --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
 
-def _supplements_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("supplements", n) for n in range(3, max_n + 1, 2)]
-
-
-def _supplements_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, n = cell
+def _supplements_check(n: int) -> tuple[int, list[Failure]]:
     closed = (("minus_one", n - 1, symbols.symbol_supplement_minus_one(n)),
               ("two", 2, symbols.symbol_supplement_two(n)))
     return 2, [{"n": n, "identity": identity, "closed": want, "billiard": got}
@@ -135,13 +109,13 @@ def _supplements_check(cell: Cell) -> tuple[int, list[Failure]]:
 BRIDGE_DEFAULT = 30
 
 
-def _checkers_cells(max_m: int, max_n: int) -> list[Cell]:
+def _checkers_cells(max_m: int, max_n: int) -> list[tuple[str, int, int]]:
     bridge_m, bridge_n = min(max_m, BRIDGE_DEFAULT), min(max_n, BRIDGE_DEFAULT)
-    return _coprime_cells("checkers_sym", max_m, max_n) + _coprime_cells("checkers_bridge", bridge_m, bridge_n)
+    return ([("checkers_sym", m, n) for m, n in _coprime_pairs(max_m, max_n)]
+            + [("checkers_bridge", m, n) for m, n in _coprime_pairs(bridge_m, bridge_n)])
 
 
-def _checkers_check(cell: Cell) -> tuple[int, list[Failure]]:
-    kind, m, n = cell
+def _checkers_check(kind: str, m: int, n: int) -> tuple[int, list[Failure]]:
     if kind == "checkers_sym":
         return _agreement(n, (m,), ck.bottom_row_symbol, _billiard, ("checkers", "billiard"))
     # signs from the bounce walk, checker counts from the lattice walk
@@ -154,12 +128,7 @@ def _checkers_check(cell: Cell) -> tuple[int, list[Failure]]:
 # --- kernel: unique solvability iff g = gcd(m, n) = 1; kernel dimension floor(g/2) and cokernel
 # --- floor((g-1)/2); explicit kernel element otherwise ---
 
-def _kernel_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("kernel", m, n) for m in range(2, max_m + 1) for n in range(2, max_n + 1)]
-
-
-def _kernel_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, m, n = cell
+def _kernel_check(m: int, n: int) -> tuple[int, list[Failure]]:
     failures = []
     odd = (m - 1) * (n - 1) % 2  # an odd board has one more dark square than light ones
     nullity = ck.kernel_dimension(m, n)
@@ -182,10 +151,6 @@ def _kernel_check(cell: Cell) -> tuple[int, list[Failure]]:
 # --- superposition: the paper's checkers proof of reciprocity for odd coprime m, n, s + t = u (mod 2),
 # --- where s and t count the bottom-row and left-column solutions and u = (m-1)(n-1)/4 the combined one ---
 
-def _superposition_cells(max_m: int, max_n: int) -> list[Cell]:
-    return _coprime_cells("superposition", max_m, max_n, start=3, step=2)
-
-
 def _combined_solution(board: ck.Board) -> ck.CheckerSet:
     """Checkers on every dark square of the odd rows: the odd columns of rows 1, 3, ...
 
@@ -197,8 +162,7 @@ def _combined_solution(board: ck.Board) -> ck.CheckerSet:
     return ck.CheckerSet._from_rows(board, (odd_columns if row % 2 else 0 for row in range(board.rows)))
 
 
-def _superposition_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, m, n = cell
+def _superposition_check(m: int, n: int) -> tuple[int, list[Failure]]:
     failures = []
     board = ck.Board(rows=m - 1, cols=n - 1)
     combined = _combined_solution(board)
@@ -215,12 +179,7 @@ def _superposition_check(cell: Cell) -> tuple[int, list[Failure]]:
 
 # --- tilings: domino tiling-count parity vs mod-2 invertibility vs the gcd condition ---
 
-def _tilings_cells(max_m: int, max_n: int) -> list[Cell]:
-    return [("tilings", r, c) for r in range(1, max_m + 1) for c in range(1, max_n + 1)]
-
-
-def _tilings_check(cell: Cell) -> tuple[int, list[Failure]]:
-    _, rows, cols = cell
+def _tilings_check(rows: int, cols: int) -> tuple[int, list[Failure]]:
     report = tilings.tiling_parity_check(rows, cols)
     if not report.consistent:
         return 1, [{"rows": rows, "cols": cols, "count": report.count,
@@ -228,38 +187,47 @@ def _tilings_check(cell: Cell) -> tuple[int, list[Failure]]:
     return 1, []
 
 
-@dataclass(frozen=True)
-class Family:
-    name: str
-    make_cells: Callable[[int, int], list[Cell]]
-    check: CheckFn
-    default_max_m: int
-    default_max_n: int
-    cost: Callable[[int, int], int] = operator.mul  # work in cells at bounds (max_m, max_n), for the size cap
-
-    def bounds(self, max_m: int | None, max_n: int | None) -> tuple[int, int]:
-        """The grid bounds a run uses: a bound left as None takes the family default."""
-        return (self.default_max_m if max_m is None else max_m,
-                self.default_max_n if max_n is None else max_n)
-
-
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        Family("euler", partial(_comparison_cells, "euler"), _comparison_check, 398, 199),
-        Family("zolotarev", partial(_comparison_cells, "zolotarev"), _comparison_check, 100, 100),
-        Family("jacobi", partial(_comparison_cells, "jacobi"), _comparison_check, 151, 151),
-        Family("supplements", _supplements_cells, _supplements_check, 199, 199),
-        Family("almost_reciprocity", partial(_comparison_cells, "almost_reciprocity"), _comparison_check, 201, 201),
-        Family("mod4", partial(_comparison_cells, "mod4"), _comparison_check, 201, 200),
-        Family("reciprocity", partial(_comparison_cells, "reciprocity"), _comparison_check, 199, 199),
+        # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
+        _comparison("euler", 398, 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
+                    lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n),
+                    _billiard, lambda m, n: oracles.euler_symbol(m, n), ("billiard", "euler")),
+        # billiard symbol vs permutation sign, coprime m, n, even denominators included
+        _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1),
+                    lambda n, max_m: (m for m in range(1, max_m + 1) if math.gcd(m, n) == 1),
+                    _billiard, lambda m, n: oracles.zolotarev_perm_sign(m, n), ("billiard", "zolotarev")),
+        # billiard symbol vs Jacobi symbol, odd denominators
+        _comparison("jacobi", 151, 151, lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
+                    _billiard, lambda m, n: oracles.jacobi_symbol(m, n), ("billiard", "jacobi")),
+        Family("supplements", lambda max_m, max_n: [(n,) for n in range(3, max_n + 1, 2)],
+               _supplements_check, 199, 199),
+        # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
+        _comparison("almost_reciprocity", 201, 201, lambda max_n: range(3, max_n + 1, 2),
+                    lambda n, max_m: range(1, n, 2),
+                    _swapped, lambda m, n: symbols.billiard_symbol(m, n - m).value, ("lhs", "rhs")),
+        # closed form for (m|d), odd numerator m over even denominator d, coprime
+        _comparison("mod4", 201, 200, lambda max_n: range(2, max_n + 1, 2),
+                    lambda d, max_m: (m for m in range(1, max_m + 1, 2) if math.gcd(m, d) == 1),
+                    _billiard, lambda m, d: symbols.mod4_symbol(m, d), ("billiard", "closed"), n_key="d"),
+        # reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3
+        _comparison("reciprocity", 199, 199, lambda max_n: range(3, max_n + 1, 2),
+                    lambda n, max_m: (m for m in range(3, max_m + 1, 2) if math.gcd(m, n) == 1),
+                    _swapped, lambda m, n: -1 if (m - 1) * (n - 1) // 4 % 2 else 1, ("lhs", "rhs")),
         Family("checkers_symbol", _checkers_cells, _checkers_check, 50, 50),
-        Family("kernel", _kernel_cells, _kernel_check, 14, 14,
-               lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
-        Family("superposition", _superposition_cells, _superposition_check, 31, 31),
-        Family("tilings", _tilings_cells, _tilings_check, 6, 6),
+        Family("kernel", lambda max_m, max_n: list(itertools.product(range(2, max_m + 1), range(2, max_n + 1))),
+               _kernel_check, 14, 14, lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
+        Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31),
+        Family("tilings", lambda max_m, max_n: list(itertools.product(range(1, max_m + 1), range(1, max_n + 1))),
+               _tilings_check, 6, 6),
     )
 }
+
+
+def _run_cell(name: str, cell: tuple) -> tuple[int, list[Failure]]:
+    """One cell of a family; module-level, so that a worker receives only the name and the cell."""
+    return FAMILIES[name].check(*cell)
 
 
 def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
@@ -272,13 +240,14 @@ def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
     start = time.perf_counter()
     family = FAMILIES[name]
     cells = family.make_cells(*family.bounds(max_m, max_n))
+    run = partial(_run_cell, name)
     workers = min(parallelism, os.cpu_count() or 1, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(family.check, cells, chunksize=max(1, len(cells) // (4 * workers))))
+            results = list(pool.map(run, cells, chunksize=max(1, len(cells) // (4 * workers))))
     else:
-        results = [family.check(cell) for cell in cells]
+        results = list(map(run, cells))
     return FamilyResult(name=name, checked=sum(c for c, _ in results),
                         failures=tuple(f for _, fails in results for f in fails), cells=len(cells),
                         elapsed_s=time.perf_counter() - start)

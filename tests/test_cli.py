@@ -333,6 +333,13 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", [["symbol", "3", "7"], ["trace", "1", "1"]], ids=["symbol", "trace"])
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+    def test_max_cells_must_be_a_positive_integer(self, runner, command, raw):
+        result = runner.invoke(main, command, env={"QUADRES_MAX_CELLS": raw})
+        assert result.exit_code == 2
+        assert f"QUADRES_MAX_CELLS must be a positive integer, got '{raw}'" in result.output
+
     @pytest.mark.parametrize("bound", ["--max-m", "--max-n"])
     def test_max_cells_checks_the_default_side(self, runner, bound):
         # the bound left out takes the family default, and the cap counts it

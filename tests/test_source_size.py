@@ -1,10 +1,10 @@
-"""The library stays within its size budget: src/quadres holds at most 1,625 lines."""
+"""The library stays within its size budget: src/quadres holds at most 1,597 lines."""
 
 from pathlib import Path
 
 import quadres
 
-MAX_SOURCE_LINES = 1625
+MAX_SOURCE_LINES = 1597
 
 
 def test_source_lines_within_budget():

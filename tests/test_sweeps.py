@@ -59,12 +59,6 @@ def test_family_grid_follows_each_bound(name, max_m, max_n):
     assert result.ok, result.failures[:3]
 
 
-def test_checkers_symbol_reports_its_cells():
-    result = run_family("checkers_symbol")
-    assert result.cells == 2102  # 1,547 checkers_sym + 555 checkers_bridge cells
-    assert result.checked == 5377
-
-
 def _negated(value):
     return dataclasses.replace(value, value=-value.value) if hasattr(value, "value") else -value
 
@@ -105,6 +99,9 @@ FAILURE_CASES = [
      [{"m": 3, "n": 5, "u": 2, "s": 4, "t": 3}, {"m": 5, "n": 3, "u": 2, "s": 3, "t": 4}]),
     ("superposition", sweeps.ck, "apply_checkers", _extra_pebble_at(5, 7),
      [{"m": 5, "n": 7, "combined": "not a solution"}]),
+    ("tilings", sweeps.tilings, "count_tilings", _wrong_at((2, 2), lambda count: count + 1),
+     [{"rows": 2, "cols": 2, "count": 3, "gcd_flag": False, "rank_full": False}]),
+    ("kernel", sweeps.ck, "kernel_element", _wrong_at((6, 9), lambda e: e ^ e), [{"m": 6, "n": 9, "kernel": "empty"}]),
 ]
 
 
