@@ -1,9 +1,9 @@
 """Verification sweeps: every identity the library claims, over finite grids.
 
-Each check family enumerates a grid of inputs, evaluates an identity on
+Each check family enumerates a grid of inputs, evaluates one identity on
 each cell, and reports the cells that fail.  Every family is one row of
-one registry, FAMILIES; a cell is the tuple of its check's arguments.
-The CLI `verify` runs every family.
+one registry, FAMILIES; a cell is the tuple of its check's arguments, and
+a row's cost counts only the bounds its grid reads.  `verify` runs them all.
 
 Cells are coarse units of work (one denominator, or one (m, n) pair), so a
 sweep can be partitioned across processes; results are merged in cell
@@ -64,6 +64,10 @@ def _coprime_pairs(max_m: int, max_n: int, start: int = 1, step: int = 1) -> lis
             if math.gcd(m, n) == 1]
 
 
+def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> Iterable[int]:
+    return (m for m in range(start, max_m + 1, step) if math.gcd(m, n) == 1)
+
+
 def _agreement(n: int, ms, lhs: Callable[[int, int], int], rhs: Callable[[int, int], int],
                keys: tuple[str, str], n_key: str = "n") -> tuple[int, list[Failure]]:
     """lhs(m, n) against rhs(m, n) for every m in ms; a failure records both under `keys`."""
@@ -83,7 +87,8 @@ def _swapped(m: int, n: int) -> int:
 
 def _comparison(name: str, default_max_m: int, default_max_n: int, denominators: Callable[[int], Iterable[int]],
                 numerators: Callable[[int, int], Iterable[int]], lhs: Callable[[int, int], int],
-                rhs: Callable[[int, int], int], keys: tuple[str, str], n_key: str = "n") -> Family:
+                rhs: Callable[[int, int], int], keys: tuple[str, str], n_key: str = "n",
+                cost: Callable[[int, int], int] = operator.mul) -> Family:
     """A symbol family: for each denominator n up to max_n, lhs(m, n) against rhs(m, n) over the numerators m of n.
 
     A cell is (n, max_m).  A side looks its callee up in its module when the cell runs, so a function
@@ -91,7 +96,7 @@ def _comparison(name: str, default_max_m: int, default_max_n: int, denominators:
     """
     return Family(name, lambda max_m, max_n: [(n, max_m) for n in denominators(max_n)],
                   lambda n, max_m: _agreement(n, numerators(n, max_m), lhs, rhs, keys, n_key),
-                  default_max_m, default_max_n)
+                  default_max_m, default_max_n, cost)
 
 
 # --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
@@ -103,21 +108,9 @@ def _supplements_check(n: int) -> tuple[int, list[Failure]]:
                for identity, m, want in closed if (got := symbols.billiard_symbol(m, n).value) != want]
 
 
-# --- checkers_symbol: bottom-row puzzle parity vs billiards, plus the per-bounce
-# --- bridge between single-pebble solutions and bounce signs, capped at BRIDGE_DEFAULT ---
+# --- checkers_bridge: the single-pebble solution above a bottom bounce is even iff the bounce is positive ---
 
-BRIDGE_DEFAULT = 30
-
-
-def _checkers_cells(max_m: int, max_n: int) -> list[tuple[str, int, int]]:
-    bridge_m, bridge_n = min(max_m, BRIDGE_DEFAULT), min(max_n, BRIDGE_DEFAULT)
-    return ([("checkers_sym", m, n) for m, n in _coprime_pairs(max_m, max_n)]
-            + [("checkers_bridge", m, n) for m, n in _coprime_pairs(bridge_m, bridge_n)])
-
-
-def _checkers_check(kind: str, m: int, n: int) -> tuple[int, list[Failure]]:
-    if kind == "checkers_sym":
-        return _agreement(n, (m,), ck.bottom_row_symbol, _billiard, ("checkers", "billiard"))
+def _bridge_check(m: int, n: int) -> tuple[int, list[Failure]]:
     # signs from the bounce walk, checker counts from the lattice walk
     signs = symbols.bounce_evidence(m, n).base_bounces
     return len(signs), [{"m": m, "n": n, "k": x // 2, "sign": sign, "checkers": count}
@@ -192,30 +185,31 @@ FAMILIES: dict[str, Family] = {
     for f in (
         # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
         _comparison("euler", 398, 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
-                    lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n),
-                    _billiard, lambda m, n: oracles.euler_symbol(m, n), ("billiard", "euler")),
+                    lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n), _billiard,
+                    lambda m, n: oracles.euler_symbol(m, n), ("billiard", "euler"), cost=lambda m, n: 2 * n * n),
         # billiard symbol vs permutation sign, coprime m, n, even denominators included
-        _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1),
-                    lambda n, max_m: (m for m in range(1, max_m + 1) if math.gcd(m, n) == 1),
+        _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1), _coprime_numerators,
                     _billiard, lambda m, n: oracles.zolotarev_perm_sign(m, n), ("billiard", "zolotarev")),
         # billiard symbol vs Jacobi symbol, odd denominators
         _comparison("jacobi", 151, 151, lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
                     _billiard, lambda m, n: oracles.jacobi_symbol(m, n), ("billiard", "jacobi")),
         Family("supplements", lambda max_m, max_n: [(n,) for n in range(3, max_n + 1, 2)],
-               _supplements_check, 199, 199),
+               _supplements_check, 199, 199, lambda m, n: n),
         # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
         _comparison("almost_reciprocity", 201, 201, lambda max_n: range(3, max_n + 1, 2),
-                    lambda n, max_m: range(1, n, 2),
-                    _swapped, lambda m, n: symbols.billiard_symbol(m, n - m).value, ("lhs", "rhs")),
+                    lambda n, max_m: range(1, n, 2), _swapped,
+                    lambda m, n: symbols.billiard_symbol(m, n - m).value, ("lhs", "rhs"), cost=lambda m, n: n * n),
         # closed form for (m|d), odd numerator m over even denominator d, coprime
-        _comparison("mod4", 201, 200, lambda max_n: range(2, max_n + 1, 2),
-                    lambda d, max_m: (m for m in range(1, max_m + 1, 2) if math.gcd(m, d) == 1),
+        _comparison("mod4", 201, 200, lambda max_n: range(2, max_n + 1, 2), partial(_coprime_numerators, step=2),
                     _billiard, lambda m, d: symbols.mod4_symbol(m, d), ("billiard", "closed"), n_key="d"),
         # reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3
         _comparison("reciprocity", 199, 199, lambda max_n: range(3, max_n + 1, 2),
-                    lambda n, max_m: (m for m in range(3, max_m + 1, 2) if math.gcd(m, n) == 1),
+                    partial(_coprime_numerators, start=3, step=2),
                     _swapped, lambda m, n: -1 if (m - 1) * (n - 1) // 4 % 2 else 1, ("lhs", "rhs")),
-        Family("checkers_symbol", _checkers_cells, _checkers_check, 50, 50),
+        # bottom-row puzzle parity vs billiard symbol, coprime m, n
+        _comparison("checkers_symbol", 50, 50, lambda max_n: range(1, max_n + 1), _coprime_numerators,
+                    lambda m, n: ck.bottom_row_symbol(m, n), _billiard, ("checkers", "billiard")),
+        Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30),
         Family("kernel", lambda max_m, max_n: list(itertools.product(range(2, max_m + 1), range(2, max_n + 1))),
                _kernel_check, 14, 14, lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
         Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31),

@@ -382,7 +382,7 @@ def test_single_pebble_counts_call_no_path_tracer_or_oracle(monkeypatch):
 
 
 def test_bridge_sweep_reports_a_wrong_count(monkeypatch):
-    """One count off by one makes the checkers_symbol sweep fail at exactly that bounce."""
+    """One count off by one makes the checkers_bridge sweep fail at exactly that bounce."""
     from quadres import sweeps
 
     real = sweeps.ck.single_pebble_counts
@@ -395,9 +395,9 @@ def test_bridge_sweep_reports_a_wrong_count(monkeypatch):
         return counts
 
     monkeypatch.setattr(sweeps.ck, "single_pebble_counts", off_by_one)
-    result = sweeps.run_family("checkers_symbol")
+    result = sweeps.run_family("checkers_bridge")
     assert [(f["m"], f["n"], f["k"], f["checkers"]) for f in result.failures] == [(7, 11, x // 2, count + 1)]
-    assert result.checked == 5377
+    assert result.checked == 3830
 
 
 def test_bottom_row_count_matches_both_one_sided_solutions():

@@ -318,6 +318,13 @@ class TestVerify:
         assert "names no family" in result.output
         assert "all checks passed" not in result.output
 
+    def test_cap_counts_no_m_where_the_grid_reads_none(self, runner):
+        # euler runs m <= 2n, almost_reciprocity m < n and supplements no m, whatever --max-m says
+        result = runner.invoke(
+            main, ["verify", "--checks", "supplements,euler,almost_reciprocity", "--max-m", "100000", "--max-n", "21"]
+        )
+        assert result.exit_code == 0, result.output
+
     def test_oversized_sweep_exit_2(self, runner):
         result = runner.invoke(main, ["verify", "--max-n", "600", "--max-m", "600"])
         assert result.exit_code == 2

@@ -1,6 +1,9 @@
 """Every check family passes at its full default bounds."""
 
 import dataclasses
+import itertools
+import math
+from pathlib import Path
 
 import pytest
 
@@ -13,18 +16,25 @@ ALL_FAMILIES = sorted(FAMILIES)
 
 
 def test_family_registry_names():
-    assert set(FAMILIES) == {
+    assert list(FAMILIES) == [
         "euler", "zolotarev", "jacobi", "supplements", "almost_reciprocity",
-        "mod4", "reciprocity", "checkers_symbol", "kernel", "superposition",
-        "tilings",
-    }
+        "mod4", "reciprocity", "checkers_symbol", "checkers_bridge", "kernel",
+        "superposition", "tilings",
+    ]
+
+
+def test_readme_family_table_follows_the_registry():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(readme) if line.startswith("| family "))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), readme[start + 2:])  # past the header and rule
+    assert [row.split("|")[1].strip() for row in rows] == list(FAMILIES)
 
 
 # (cells, checked) at the default bounds, so that a faster check cannot quietly verify less
 DEFAULT_SIZES = {
     "euler": (45, 8360), "zolotarev": (100, 6087), "jacobi": (76, 11476), "supplements": (99, 198),
     "almost_reciprocity": (100, 5050), "mod4": (100, 8222), "reciprocity": (99, 7952),
-    "checkers_symbol": (2102, 5377),  # 1,547 checkers_sym + 555 checkers_bridge cells
+    "checkers_symbol": (50, 1547), "checkers_bridge": (555, 3830),
     "kernel": (169, 169), "superposition": (182, 182), "tilings": (36, 36),
 }
 
@@ -40,13 +50,13 @@ def test_family_passes_at_default_bounds(name):
 ASYMMETRIC_SIZES = {
     (21, 13): {
         "euler": (5, 68), "zolotarev": (13, 180), "jacobi": (7, 147), "supplements": (6, 12),
-        "almost_reciprocity": (6, 21), "mod4": (6, 56), "reciprocity": (6, 46), "checkers_symbol": (360, 687),
-        "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
+        "almost_reciprocity": (6, 21), "mod4": (6, 56), "reciprocity": (6, 46), "checkers_symbol": (13, 180),
+        "checkers_bridge": (180, 507), "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
     },
     (13, 21): {
         "euler": (7, 136), "zolotarev": (21, 180), "jacobi": (11, 143), "supplements": (10, 20),
-        "almost_reciprocity": (10, 55), "mod4": (10, 61), "reciprocity": (10, 46), "checkers_symbol": (360, 1031),
-        "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
+        "almost_reciprocity": (10, 55), "mod4": (10, 61), "reciprocity": (10, 46), "checkers_symbol": (21, 180),
+        "checkers_bridge": (180, 851), "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
     },
 }
 
@@ -59,6 +69,19 @@ def test_family_grid_follows_each_bound(name, max_m, max_n):
     assert result.ok, result.failures[:3]
 
 
+@pytest.mark.parametrize("max_m, max_n", [(None, None), *sorted(ASYMMETRIC_SIZES), (40, 40)])
+def test_checkers_families_check_every_coprime_pair_and_bottom_bounce(max_m, max_n):
+    """A coprime m x n path bounces on the bottom at 2mk for each k with 2mk < mn: (n-1)//2 bounces."""
+    def coprime_pairs(name):
+        bound_m, bound_n = FAMILIES[name].bounds(max_m, max_n)
+        return [(m, n) for m in range(1, bound_m + 1) for n in range(1, bound_n + 1) if math.gcd(m, n) == 1]
+
+    assert run_family("checkers_symbol", max_m, max_n).checked == len(coprime_pairs("checkers_symbol"))
+    bridge = run_family("checkers_bridge", max_m, max_n)
+    assert bridge.checked == sum((n - 1) // 2 for _, n in coprime_pairs("checkers_bridge"))
+    assert bridge.ok, bridge.failures[:3]
+
+
 def _negated(value):
     return dataclasses.replace(value, value=-value.value) if hasattr(value, "value") else -value
 
@@ -68,6 +91,14 @@ def _wrong_at(at, change=_negated):
     def breaker(fn):
         return lambda m, n: change(fn(m, n)) if (m, n) == at else fn(m, n)
     return breaker
+
+
+def _count_one_more_at(index):
+    """Breaks single_pebble_counts' list: the checker count of the bounce at `index` is one too many."""
+    def change(counts):
+        x, count = counts[index]
+        return [*counts[:index], (x, count + 1), *counts[index + 1:]]
+    return change
 
 
 def _extra_pebble_at(m, n):
@@ -94,6 +125,8 @@ FAILURE_CASES = [
      [{"m": 3, "n": 7, "lhs": 1, "rhs": -1}]),
     ("checkers_symbol", sweeps.ck, "bottom_row_symbol", _wrong_at((3, 5)),
      [{"m": 3, "n": 5, "checkers": 1, "billiard": -1}]),
+    ("checkers_bridge", sweeps.ck, "single_pebble_counts", _wrong_at((5, 7), _count_one_more_at(1)),
+     [{"m": 5, "n": 7, "k": 3, "sign": 1, "checkers": 9}]),
     # negating a count keeps its parity, so the count is made one too many; s(3, 5) is also t(5, 3)
     ("superposition", sweeps.ck, "bottom_row_count", _wrong_at((3, 5), lambda s: s + 1),
      [{"m": 3, "n": 5, "u": 2, "s": 4, "t": 3}, {"m": 5, "n": 3, "u": 2, "s": 3, "t": 4}]),
@@ -124,9 +157,10 @@ def test_kernel_cost_counts_board_squares():
     assert kernel.cost(32, 32) == 246016
     assert kernel.cost(33, 33) == 278784
     assert kernel.cost(2, 14) == 91
+    n_only = {"euler": 2 * 40 * 40, "almost_reciprocity": 40 * 40, "supplements": 40}  # their grids read no m
     for family in FAMILIES.values():
         if family.name != "kernel":
-            assert family.cost(33, 40) == 33 * 40, family.name
+            assert family.cost(33, 40) == n_only.get(family.name, 33 * 40), family.name
 
 
 def test_reduced_bounds_shrink_the_sweep():
