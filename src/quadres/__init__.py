@@ -8,6 +8,8 @@ proves quadratic reciprocity from the geometry.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .billiards import (
     BilliardPath,
     BounceEvent,
@@ -50,44 +52,6 @@ from .symbols import (
 )
 from .tilings import TilingReport, count_tilings, tiling_parity_check
 
-__all__ = [
-    "__version__",
-    "BilliardPath",
-    "Board",
-    "BounceEvent",
-    "CheckerSet",
-    "PebbleSet",
-    "PuzzleNotUniquelySolvable",
-    "Rect",
-    "RenderSpec",
-    "SymbolEvidence",
-    "SymbolValue",
-    "TilingReport",
-    "Wall",
-    "apply_checkers",
-    "base_bounces",
-    "billiard_symbol",
-    "bottom_row_count",
-    "bottom_row_puzzle",
-    "bottom_row_symbol",
-    "bounce_evidence",
-    "count_tilings",
-    "euler_symbol",
-    "is_odd_prime",
-    "jacobi_symbol",
-    "kernel_dimension",
-    "kernel_element",
-    "left_column_puzzle",
-    "light_chase",
-    "mod4_symbol",
-    "render_board_ascii",
-    "render_board_svg",
-    "render_path_svg",
-    "single_pebble_counts",
-    "solve",
-    "symbol_supplement_minus_one",
-    "symbol_supplement_two",
-    "tiling_parity_check",
-    "trace_path",
-    "zolotarev_perm_sign",
-]
+# every public name imported above; the submodules those imports bind are not part of the API
+__all__ = ["__version__", *sorted(name for name, value in globals().items()
+                                  if not name.startswith("_") and not isinstance(value, _ModuleType))]

@@ -73,10 +73,6 @@ class BilliardPath:
     end: tuple[int, int]
     length: int
 
-    def vertex_times(self) -> tuple[int, ...]:
-        """Times at which the path is at each vertex."""
-        return (0,) + tuple(b.t for b in self.bounces) + (self.length,)
-
 
 def _fold(t: int, side: int) -> tuple[int, int]:
     """Triangle wave: coordinate and outgoing direction at time t (period 2*side)."""

@@ -55,10 +55,6 @@ class Board:
         """Light squares in row-major order, bottom row first."""
         return [(c, r) for r in range(self.rows) for c in range(self.cols) if (c + r) % 2 == 1]
 
-    def dark_squares(self) -> list[Square]:
-        """Dark squares in row-major order, bottom row first."""
-        return [(c, r) for r in range(self.rows) for c in range(self.cols) if (c + r) % 2 == 0]
-
 
 def _columns(bits: int) -> Iterator[int]:
     """Indices of the set bits of a row bitmask, lowest first."""

@@ -148,17 +148,22 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
     """Compute the billiards symbol (M|N).
 
     For N over the size limit the bounce list is omitted and the value and
-    negative-bounce count come from floor sums; --verify keeps the limit.
+    negative-bounce count come from floor sums.  --verify counts the oracles'
+    work against the limit: factoring N takes up to about sqrt(N) trial divisions.
     """
     if do_verify:
-        _check_size(n, f"n={n}")  # the permutation sign takes up to n steps for prime n
+        _check_size(math.isqrt(n), f"--verify on n={n} ({math.isqrt(n)} trial divisions)")
     limit = _max_cells()
     listed = n <= limit  # the bounce list grows with n alone
     value, negatives = billiard_symbol(m, n).value, negative_bounce_count(m, n)
     bounces = bounce_evidence(m, n).base_bounces if listed else ()
     oracle_values: dict[str, int] = {}
     if do_verify:
-        if is_odd_prime(n):
+        try:
+            prime = is_odd_prime(n)
+        except ValueError as exc:  # primality is proven exact only below 3.3e24
+            raise click.UsageError(str(exc)) from exc
+        if prime:
             oracle_values["euler"] = euler_symbol(m, n)
         if n % 2 == 1:
             oracle_values["jacobi"] = jacobi_symbol(m, n)

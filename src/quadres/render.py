@@ -75,8 +75,7 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
         tk = next((t for x, _, t in bottom if x == 2 * split_k), None)
         if tk is None:
             raise ValueError(f"no bottom bounce at ({2 * split_k}, 0) to split at")
-        times = path.vertex_times()
-        cut = times.index(tk)
+        cut = 1 + [b.t for b in path.bounces].index(tk)  # vertex 0 is the start corner
         parts.append(polyline(vertices[: cut + 1], spec.color_before))
         parts.append(polyline(vertices[cut:], spec.color_after))
 

@@ -209,7 +209,8 @@ FAMILIES: dict[str, Family] = {
         # bottom-row puzzle parity vs billiard symbol, coprime m, n
         _comparison("checkers_symbol", 50, 50, lambda max_n: range(1, max_n + 1), _coprime_numerators,
                     lambda m, n: ck.bottom_row_symbol(m, n), _billiard, ("checkers", "billiard")),
-        Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30),
+        Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30,
+               lambda m, n: m * n * (m + n) // 8),  # each cell walks its whole path: about cubic, 1 s at 100
         Family("kernel", lambda max_m, max_n: list(itertools.product(range(2, max_m + 1), range(2, max_n + 1))),
                _kernel_check, 14, 14, lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
         Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31),

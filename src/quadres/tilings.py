@@ -71,10 +71,7 @@ class TilingReport:
 
     @property
     def consistent(self) -> bool:
-        agree = (self.parity == "odd") == self.gcd_flag == self.rank_full
-        if self.count is not None:
-            agree = agree and (self.count % 2 == 1) == (self.parity == "odd")
-        return agree
+        return (self.parity == "odd") == self.gcd_flag == self.rank_full
 
 
 def tiling_parity_check(rows: int, cols: int) -> TilingReport:

@@ -74,7 +74,7 @@ def _interior_visits(path: BilliardPath) -> tuple[dict[int, int], dict[int, int]
     interior.  No point is visited three times.
     """
     side = path.rect.m + 1
-    times = path.vertex_times()
+    times = (0, *(b.t for b in path.bounces), path.length)  # the time at each vertex
     first: dict[int, int] = {}
     second: dict[int, int] = {}
     for i in range(len(times) - 1):
@@ -220,11 +220,28 @@ def ref_zolotarev_perm_sign(m: int, n: int) -> int:
     return sign
 
 
+def ref_cycle_count(m: int, n: int) -> int:
+    """Number of cycles of x -> m*x mod n on {0, ..., n-1}, gcd(m, n) = 1, by walking every point."""
+    seen, cycles = bytearray(n), 0
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x], x = 1, m * x % n
+    return cycles
+
+
 def residue_table(n: int) -> set[int]:
     """The set of nonzero-square values {x^2 mod n : 1 <= x <= n-1}."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     return {x * x % n for x in range(1, n)}
+
+
+def dark_squares(board: Board) -> list[Square]:
+    """Dark squares in row-major order, bottom row first."""
+    return [(c, r) for r in range(board.rows) for c in range(board.cols) if (c + r) % 2 == 0]
 
 
 def pebbles(board: Board, *squares: Square) -> PebbleSet:
@@ -319,7 +336,7 @@ class Gf2Solution:
 
 def config_bits(config: PebbleSet | CheckerSet) -> tuple[int, ...]:
     """0/1 vector over the squares of the configuration's color in board order."""
-    squares = config.board.dark_squares() if config.dark else config.board.light_squares()
+    squares = dark_squares(config.board) if config.dark else config.board.light_squares()
     return tuple(config.row_bits[row] >> col & 1 for col, row in squares)
 
 
@@ -362,7 +379,7 @@ class EliminationResult:
 
 
 def _unpack(board: Board, bits: int) -> CheckerSet:
-    darks = board.dark_squares()
+    darks = dark_squares(board)
     return CheckerSet(board, frozenset(sq for j, sq in enumerate(darks) if bits >> j & 1))
 
 

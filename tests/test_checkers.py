@@ -25,6 +25,7 @@ from reference import (
     checkers_at,
     combined_puzzle_count,
     config_bits,
+    dark_squares,
     neighbor_matrix,
     pebbles,
     solve_elimination,
@@ -44,7 +45,7 @@ def test_board_coloring():
     board = Board(rows=4, cols=6)
     assert board.is_dark(0, 0)
     assert not board.is_dark(1, 0)
-    assert len(board.light_squares()) == len(board.dark_squares()) == 12
+    assert len(board.light_squares()) == len(dark_squares(board)) == 12
 
 
 def test_board_validation():
@@ -93,7 +94,7 @@ def test_apply_checkers_linearity():
     for rows in range(1, 13, 3):
         for cols in range(1, 13, 3):
             board = Board(rows=rows, cols=cols)
-            darks = board.dark_squares()
+            darks = dark_squares(board)
             for _ in range(5):
                 c1 = CheckerSet(board, frozenset(sq for sq in darks if rng.random() < 0.5))
                 c2 = CheckerSet(board, frozenset(sq for sq in darks if rng.random() < 0.5))
@@ -152,8 +153,8 @@ def test_solve_single_pebble_3_4_1_matches_brute_force():
     board = Board(rows=2, cols=3)
     want = pebbles(board, (1, 0))
     solutions = []
-    for size in range(len(board.dark_squares()) + 1):
-        for combo in itertools.combinations(board.dark_squares(), size):
+    for size in range(len(dark_squares(board)) + 1):
+        for combo in itertools.combinations(dark_squares(board), size):
             if apply_checkers(CheckerSet(board, frozenset(combo))) == want:
                 solutions.append(frozenset(combo))
     assert len(solutions) == 1
@@ -270,7 +271,7 @@ def test_unique_solvability_iff_coprime():
             assert matrix.is_invertible() == (math.gcd(m, n) == 1), (m, n)
             if math.gcd(m, n) == 1:
                 # at least one side of the board is even, balancing the colors
-                assert len(board.light_squares()) == len(board.dark_squares())
+                assert len(board.light_squares()) == len(dark_squares(board))
 
 
 def test_kernel_element_examples():
@@ -291,7 +292,7 @@ def test_kernel_element_3_3_matches_brute_force():
     nontrivial = [
         frozenset(combo)
         for size in range(1, 3)
-        for combo in itertools.combinations(board.dark_squares(), size)
+        for combo in itertools.combinations(dark_squares(board), size)
         if not apply_checkers(CheckerSet(board, frozenset(combo))).squares
     ]
     assert nontrivial == [frozenset({(0, 0), (1, 1)})]

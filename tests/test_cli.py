@@ -131,12 +131,27 @@ class TestSymbol:
         }
 
     def test_size_limit_counts_n_alone(self, runner):
-        # the --verify permutation grows with n, not with m
+        # the --verify oracles factor n by up to isqrt(n) trial divisions, whatever m is
         env = {"QUADRES_MAX_CELLS": "100"}
         assert runner.invoke(main, ["symbol", "1000", "7", "--verify"], env=env).exit_code == 0
-        result = runner.invoke(main, ["symbol", "3", "101", "--verify"], env=env)
+        assert runner.invoke(main, ["symbol", "3", "10007", "--verify"], env=env).exit_code == 0  # isqrt 100
+        result = runner.invoke(main, ["symbol", "3", "10201", "--verify"], env=env)
         assert result.exit_code == 2
-        assert "n=101 exceeds the safety limit of 100 cells" in result.output
+        assert "--verify on n=10201 (101 trial divisions) exceeds the safety limit of 100 cells" in result.output
+
+    def test_verify_near_10_12(self, runner):
+        result, payload = invoke_json(runner, ["symbol", "3", "1000000000039", "--verify", "--json"],
+                                      env={"QUADRES_MAX_CELLS": "1000000"})  # isqrt(n) = 10^6 trial divisions
+        assert result.exit_code == 0
+        assert [(c["name"], c["status"]) for c in payload["checks"]] == [
+            ("euler", "pass"), ("jacobi", "pass"), ("zolotarev", "pass")]
+        assert payload["result"]["value"] == -1 and payload["result"]["base_bounces_omitted"] is True
+
+    def test_verify_beyond_exact_primality_exit_2(self, runner):
+        n = 33 * 10**23 + 1  # odd, and within an overridden cap: isqrt(n) is about 1.8e12
+        result = runner.invoke(main, ["symbol", "3", str(n), "--verify"], env={"QUADRES_MAX_CELLS": str(10**13)})
+        assert result.exit_code == 2
+        assert "primality is proven exact only below 3.3e24" in result.output
 
     def test_value_only_above_the_limit(self, runner):
         result, payload = invoke_json(runner, ["symbol", "3", "1000003", "--json"])
@@ -324,6 +339,14 @@ class TestVerify:
             main, ["verify", "--checks", "supplements,euler,almost_reciprocity", "--max-m", "100000", "--max-n", "21"]
         )
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("bound", [150, 500])
+    def test_bridge_cap_counts_its_path_walks(self, runner, bound):
+        # each checkers_bridge cell walks its whole path: about cubic work, which the grid's bound*bound hides
+        result = runner.invoke(main, ["verify", "--checks", "checkers_bridge", "--max-n", str(bound)])
+        assert result.exit_code == 2
+        cost = bound * bound * 2 * bound // 8
+        assert f"grid {bound}x{bound} ({cost} cells of work) exceeds the safety limit" in result.output
 
     def test_oversized_sweep_exit_2(self, runner):
         result = runner.invoke(main, ["verify", "--max-n", "600", "--max-m", "600"])

@@ -2,20 +2,54 @@
 
 import inspect
 import math
+import random
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadres import oracles
 from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
-from reference import ref_zolotarev_perm_sign, residue_table
+from reference import ref_cycle_count, ref_zolotarev_perm_sign, residue_table
 
 
 def test_is_odd_prime():
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     for n in range(2, 50):
         assert is_odd_prime(n) == (n in primes)
+
+
+def test_is_odd_prime_matches_a_sieve_up_to_10_6():
+    limit = 10**6
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    assert [n for n in range(limit + 1) if is_odd_prime(n) != (prime[n] == 1 and n != 2)] == []
+
+
+# strong pseudoprimes to the first 1, 2, 3, 4, 11 and 12 prime bases: the last passes 2..37, so base 41 is needed
+@pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751, 3825123056546413051, 318665857834031151167461])
+def test_is_odd_prime_rejects_strong_pseudoprimes(n):
+    assert not is_odd_prime(n)
+
+
+def test_is_odd_prime_rejects_a_carmichael_number_with_no_factor_up_to_41():
+    # 211 * 421 * 631: every base is a Fermat liar, and a squaring that reaches 1 without passing -1 is the witness
+    assert not is_odd_prime(56052361)
+
+
+def test_is_odd_prime_accepts_large_primes():
+    assert is_odd_prime(10**12 + 39)
+    assert is_odd_prime(2**61 - 1)
+
+
+@pytest.mark.parametrize("n", [33 * 10**23, 33 * 10**23 + 1, 10**30])
+def test_is_odd_prime_refuses_where_its_bases_are_not_proven(n):
+    with pytest.raises(ValueError, match="3.3e24"):
+        is_odd_prime(n)
 
 
 def test_euler_symbol_examples():
@@ -130,9 +164,43 @@ def test_zolotarev_matches_cycle_walk_on_large_n(m, n):
         assert zolotarev_perm_sign(m, n) == ref_zolotarev_perm_sign(m, n)
 
 
+def test_cycle_count_matches_cycle_walk():
+    """The count itself: the sign reads only whether m^(phi(d)/2) = 1 mod d, hiding a wrong odd part of an order."""
+    for n in range(1, 200):
+        for m in range(1, 60):
+            if math.gcd(m, n) == 1:
+                assert oracles._cycle_count(m, n) == ref_cycle_count(m, n), (m, n)
+
+
+def test_zolotarev_matches_jacobi_at_seeded_odd_n_up_to_10_12():
+    """Jacobi is a test oracle here only: the permutation sign never calls it."""
+    rng = random.Random(16)
+    for _ in range(40):
+        n = int(10 ** rng.uniform(0, 12)) | 1  # log-uniform
+        m = rng.randrange(1, 2 * n)
+        while math.gcd(m, n) != 1:
+            m = rng.randrange(1, 2 * n)
+        assert zolotarev_perm_sign(m, n) == jacobi_symbol(m, n), (m, n)
+
+
+@pytest.mark.parametrize("n", [3**12, 2**19, 2 * 3**2 * 5 * 7 * 11 * 13])
+def test_zolotarev_matches_cycle_walk_on_structured_n(n):
+    for m in (17, n - 1):
+        assert zolotarev_perm_sign(m, n) == ref_zolotarev_perm_sign(m, n), m
+
+
+@pytest.mark.parametrize("n", [720720 * 11 + 1, 2**40 + 1, 3**25])
+def test_zolotarev_matches_jacobi_on_structured_n_above_10_6(n):
+    assert zolotarev_perm_sign(2, n) == jacobi_symbol(2, n)
+
+
+def test_factorisation_cache_is_bounded():
+    assert oracles._unit_groups.cache_info().maxsize is not None
+
+
 def test_zolotarev_calls_no_other_method(monkeypatch):
     """The cycle count runs with every symbols and billiards function, Jacobi and Euler disabled."""
-    from quadres import billiards, oracles, symbols
+    from quadres import billiards, symbols
 
     def refuse(*args, **kwargs):
         raise AssertionError("the permutation sign called a method it is checked against")
@@ -141,6 +209,9 @@ def test_zolotarev_calls_no_other_method(monkeypatch):
                if f.__module__ == module.__name__} | {oracles.jacobi_symbol, oracles.euler_symbol}
     cells = [(m, n) for n in range(1, 60) for m in range(1, 120) if math.gcd(m, n) == 1]
     want = [ref_zolotarev_perm_sign(m, n) for m, n in cells]
+    cells.append((3, 10**12 + 39))  # n prime, so both n and n - 1 are factored
+    want.append(jacobi_symbol(3, 10**12 + 39))
+    oracles._unit_groups.cache_clear()  # a factorisation cached earlier would skip the code under test
     for name, module in list(sys.modules.items()):
         if name == "quadres" or name.startswith("quadres."):
             for attr, value in list(vars(module).items()):
