@@ -13,10 +13,11 @@ Configurations are kept as one int bitmask per row (bit c = column c), so
 the map and light chasing work a row at a time by shifts and XORs.
 
 The solver is the greedy top-to-bottom "light chasing" pass combined with
-the billiards two-coloring for the bottom-row residue.  The same chase,
-run from the top row alone, is a transfer map that gives the dimension of
-the kernel, and (for gcd > 1 boards) the once-visited billiard points give
-a kernel element.
+the billiards two-coloring for the bottom-row residue, laid arch by arch
+(bottom bounce to bottom bounce) down one packed grid.  The same chase, run
+from the top row alone, is a transfer map that gives the dimension of the
+kernel, and (for gcd > 1 boards) the once-visited billiard points give a
+kernel element.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator
 
 
 class PuzzleNotUniquelySolvable(ValueError):
@@ -200,86 +201,107 @@ def kernel_dimension(m: int, n: int) -> int:
     return len(tops) - len(leading)
 
 
-def _walk(m: int, n: int, stretches: Iterable[tuple[int, int]]) -> Iterator[int]:
-    """XOR the interior lattice points of each (start, stop) stretch of the m-by-n path into one int.
+def _walk(m: int, n: int) -> Iterator[int]:
+    """XOR the interior lattice points of the m-by-n path into one int, one diagonal piece at a time.
 
-    Point (x, y) is bit y*width + x, width being whole bytes a row, so a diagonal piece, from one
-    wall contact to the next, is a run of bits of stride width + dx*dy, cut from a precomputed run.
-    Yields the grid after each stretch: the points visited an odd number of times so far.
+    Point (x, y) is bit y*width + x, so a piece is a run of bits of stride width + dx*dy, cut from a
+    precomputed run.  Yields the grid at each bottom bounce: the points visited an odd number of times.
     """
     width = (n + 8) & ~7
     longest = min(m, n) - 1  # the most interior points on one diagonal piece
     rising, falling = (((1 << s * longest) - 1) // ((1 << s) - 1) for s in (width + 1, width - 1))
-    grid = 0
-    for t, stop in stretches:  # read the directions, position and next side (tx) and top/bottom (ty) contact off t
-        x, y, tx, ty = t % (2 * n), t % (2 * m), t - t % n + n, t - t % m + m  # x < n: moving right; y < m: up
-        dx, dy = (1 if x < n else -1), (1 if y < m else -1)
-        pos = (y if dy > 0 else 2 * m - y) * width + (x if dx > 0 else 2 * n - x)
-        while t < stop:
-            step = (tx if tx < ty else ty) - t
-            end = pos + (dy * width + dx) * step
-            if step > 1:  # cut the piece's run upward from its lower end
-                stride = width + dx * dy
-                run = rising if dx == dy else falling
-                grid ^= run >> (longest - step + 1) * stride << (pos if dy > 0 else end) + stride
-            pos, t = end, t + step
-            if t == tx:
-                dx, tx = -dx, tx + n
-            if t == ty:
-                dy, ty = -dy, ty + m
-        yield grid
-
-
-def _rows(m: int, n: int, grid: int) -> list[int]:
-    """Board rows of a packed `_walk` grid: lattice point (x, y) is square (x-1, y-1)."""
-    span = n // 8 + 1  # bytes a lattice row
-    raw = grid.to_bytes(m * span, "little")
-    return [int.from_bytes(raw[y * span:(y + 1) * span], "little") >> 1 for y in range(1, m)]
+    grid = pos = t = 0
+    dx, dy, tx, ty = 1, 1, n, m  # the directions, and the next side and top/bottom contact times
+    while True:
+        step = (tx if tx < ty else ty) - t
+        end = pos + (dy * width + dx) * step
+        if step > 1:  # cut the piece's run upward from its lower end
+            stride = width + dx * dy
+            run = rising if dx == dy else falling
+            grid ^= run >> (longest - step + 1) * stride << (pos if dy > 0 else end) + stride
+        pos, t = end, t + step
+        if t == tx:
+            dx, tx = -dx, tx + n
+        if t == ty:
+            dy, ty = -dy, ty + m
+            if dy > 0:
+                yield grid
 
 
 def single_pebble_counts(m: int, n: int) -> list[tuple[int, int]]:
     """(x, count) for every bottom bounce of the coprime m-by-n path, in time order.
 
-    count is the checker count of the puzzle with one pebble above the bounce at
-    (x, 0): the crossings whose two visits straddle it.  One walk XORs each diagonal
-    piece into the packed lattice, so at a bottom bounce the set bits are the
-    points visited once so far, which are exactly those crossings.
+    count is the checker count of the puzzle with one pebble above the bounce at (x, 0): the
+    crossings whose two visits straddle it, which are the points the walk has visited once so far.
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
     bounces = range(2 * m, m * n, 2 * m)
-    grids = _walk(m, n, ((t - 2 * m, t) for t in bounces))
-    return [(min(t % (2 * n), -t % (2 * n)), grid.bit_count()) for t, grid in zip(bounces, grids)]
+    return [(min(t % (2 * n), -t % (2 * n)), grid.bit_count()) for t, grid in zip(bounces, _walk(m, n))]
 
 
-def _two_color(m: int, n: int, cuts: Sequence[int]) -> int:
-    """Packed `_walk` grid of the checkers for a coprime m-by-n path whose color flips at sorted `cuts`.
+def _stride(m: int, n: int) -> int:
+    """Bits a row of a laid grid: whole bytes, and more than one tile (m + n - 1 bits)."""
+    return (m + n + 7) & ~7
 
-    A crossing carries a checker exactly when one of its two visits has color 1, so XORing
-    the interior points of every color-1 stretch leaves the checkers.  After an odd number
-    of cuts the last such stretch runs to the end corner m*n (zip drops that stop otherwise).
+
+def _lay(m: int, n: int, arches: Iterable[int], length: int) -> int:
+    """The interior lattice points that the chosen arches of the m-by-n path visit an odd number of times.
+
+    Arch k runs from the bottom bounce at time 2mk, at unfolded abscissa u = 2mk mod 2n, up to the
+    top wall and back down to the next bounce, unless the path ends at time `length` first.  On row
+    y it rises through x = +-(u + y) and falls through x = +-(u' - y), u' its next bounce's abscissa,
+    so the arches' points are A(x - y) ^ A(-x - y), A the 2n-bit pattern of their starts u and
+    mirrored ends -u'.  Tiles of A and of its mirror go down the rows at strides S + 1 and S - 1 by
+    doubling shift-ORs, then the grid is masked to 1 <= x < n, 1 <= y < m: point (x, y) is bit y*S + x.
     """
-    grid = 0  # no cuts, no checkers
-    for grid in _walk(m, n, zip(cuts[::2], [*cuts[1::2], m * n])):
-        pass
-    return grid
+    period, stride, size, step = 2 * n, _stride(m, n), m + n - 1, 2 * m
+    rise = fall = 0  # A and its mirror
+    for k in arches:
+        t = step * k
+        rise ^= 1 << t % period
+        fall ^= 1 << -t % period
+        if t + step <= length:  # the arch falls back before the path ends
+            rise ^= 1 << -(t + step) % period
+            fall ^= 1 << (t + step) % period
+    lead = -m % period  # bit i of row 0 of the rising copies is A(i - m), so point (x, y) lands at bit m + y*S + x
+    repunit = ((1 << period * ((size + lead) // period + 1)) - 1) // ((1 << period) - 1)
+    rising, falling = rise * repunit >> lead & (1 << size) - 1, fall * repunit & (1 << size) - 1
+    copies = 1
+    while copies < m:  # copies past row m - 1 land outside the mask
+        rising |= rising << copies * (stride + 1)
+        falling |= falling << copies * (stride - 1)
+        copies *= 2
+    mask = int.from_bytes(((1 << n) - 2).to_bytes(stride // 8, "little") * (m - 1), "little") << stride
+    return (rising >> m ^ falling) & mask
+
+
+def _laid_rows(m: int, n: int, grid: int) -> list[int]:
+    """Board rows of a laid grid, one byte slice each: lattice point (x, y) is square (x-1, y-1)."""
+    width, span = _stride(m, n) // 8, n // 8 + 1
+    raw = grid.to_bytes(m * width, "little")
+    return [int.from_bytes(raw[y * width:y * width + span], "little") >> 1 for y in range(1, m)]
 
 
 def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
-    """Checker rows that solve the puzzle with pebbles `pebbled` in the bottom row."""
-    # The color flips at the bounce below each pebble c, at x = c+1 = 2j and time 2mk with mk = +-j (mod n).
+    """Checker rows that solve the puzzle with pebbles `pebbled` in the bottom row of a coprime board.
+
+    The path's color flips at the bounce below each pebble, and a crossing carries a checker exactly
+    when one of its two visits has color 1: the color-1 arches, past an odd number of cuts, are laid.
+    """
+    # the bounce below pebble c is at x = c+1 = 2j, time 2mk with mk = +-j (mod n), so it starts arch k
     inverse = pow(m, -1, n)
-    ks = ((col + 1) // 2 * inverse % n for col in _columns(pebbled))
-    return _rows(m, n, _two_color(m, n, sorted(2 * m * min(k, n - k) for k in ks)))
+    cuts = sorted(min(k, n - k) for k in ((col + 1) // 2 * inverse % n for col in _columns(pebbled)))
+    colored = (k for start, stop in zip(cuts[::2], [*cuts[1::2], (n + 1) // 2]) for k in range(start, stop))
+    return _laid_rows(m, n, _lay(m, n, colored, m * n))
 
 
 def solve(p: PebbleSet) -> CheckerSet:
     """The unique solution of a pebble puzzle on a coprime board.
 
-    Light chasing reduces the puzzle to a bottom-row residual, which the
-    billiards two-coloring then clears.
+    Light chasing reduces the puzzle to a bottom-row residual, which the two-coloring then clears.
     """
     board = p.board
     m, n = board.rows + 1, board.cols + 1
@@ -293,30 +315,30 @@ def solve(p: PebbleSet) -> CheckerSet:
 
 
 def kernel_element(m: int, n: int) -> CheckerSet:
-    """A nonempty checker set with no pebbles, for gcd(m, n) > 1.
+    """A nonempty checker set with no pebbles, for gcd(m, n) > 1: every arch up to lcm(m, n), laid.
 
-    The checkers sit on the board squares of the billiard lattice points that
-    the main path visits exactly once, the set bits of one walk (none is visited thrice).
+    The checkers sit on the lattice points that the path visits exactly once (none is visited thrice).
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) == 1:
         raise ValueError(f"gcd({m}, {n}) = 1: the kernel is trivial")
-    grid = next(_walk(m, n, [(0, math.lcm(m, n))]))
-    return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), _rows(m, n, grid))
+    length = math.lcm(m, n)
+    grid = _lay(m, n, range(-(-length // (2 * m))), length)
+    return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), _laid_rows(m, n, grid))
 
 
 def bottom_row_count(m: int, n: int) -> int:
     """Checker count s of the bottom-row solution on the (m-1)-by-(n-1) board.
 
-    Every bottom bounce carries a pebble, so light chasing places nothing and the
-    color flips at every bounce time 2m, 4m, ... < mn, with no inverse or sort.
+    Every bottom bounce carries a pebble, so light chasing places nothing and the color flips at
+    every bounce: s is the popcount of the laid color-1 arches k = 1, 3, 5, ... < n/2.
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
-    return _two_color(m, n, range(2 * m, m * n, 2 * m)).bit_count()
+    return _lay(m, n, range(1, (n + 1) // 2, 2), m * n).bit_count()
 
 
 def bottom_row_symbol(m: int, n: int) -> int:

@@ -51,13 +51,10 @@ def _max_cells() -> int:
     return limit
 
 
-def _check_size(cells: int, what: str) -> None:
-    limit = _max_cells()
-    if cells > limit:
-        raise click.UsageError(
-            f"{what} exceeds the safety limit of {limit} cells "
-            "(override with QUADRES_MAX_CELLS)"
-        )
+def _check_size(estimate: int, what: str) -> None:
+    """Refuse a run whose work estimate passes the limit; `what` names the estimate and its unit."""
+    if estimate > (limit := _max_cells()):
+        raise click.UsageError(f"{what} exceeds the safety limit of {limit} (override with QUADRES_MAX_CELLS)")
 
 
 def _positive(_ctx, param, value):
@@ -124,7 +121,7 @@ def main() -> None:
 @_output()
 def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
     """Trace the M x N billiard path and list its bounces."""
-    _check_size(m * n, f"{m}x{n}")
+    _check_size(m * n, f"{m}x{n} ({m * n} cells)")
     path = trace_path(Rect(m=m, n=n))
     result = {
         "bounces": [{"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign} for b in path.bounces],
@@ -205,7 +202,7 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
 def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
               as_json: bool, out: str | None) -> None:
     """Solve a parity-checkers puzzle on the (M-1) x (N-1) board."""
-    _check_size(m * n, f"{m}x{n}")
+    _check_size(m * n, f"{m}x{n} ({m * n} cells)")
     if pebble_args and puzzle_kind:
         raise click.UsageError("--pebble cannot be combined with another puzzle kind")
     if not pebble_args and not puzzle_kind:
@@ -283,7 +280,7 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
         family = FAMILIES[name]
         grid_m, grid_n = family.bounds(max_m, max_n)
         cost = family.cost(grid_m, grid_n)
-        _check_size(cost, f"{name} sweep grid {grid_m}x{grid_n} ({cost} cells of work)")
+        _check_size(cost, f"{name} sweep grid {grid_m}x{grid_n} ({cost} work units)")
         reproduce[name] = f"quadres verify --checks {name} --max-m {grid_m} --max-n {grid_n}"
     if out:
         _write(out, "", "a")  # fail on an unwritable target before any family runs
@@ -324,7 +321,7 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
 def render_cmd(m: int, n: int, split_k: int | None, cell_px: int, grid: bool, signs: bool,
                color_before: str, color_after: str, as_json: bool, out: str | None) -> None:
     """Render the M x N billiard path as SVG."""
-    _check_size(m * n, f"{m}x{n}")
+    _check_size(m * n, f"{m}x{n} ({m * n} cells)")
     try:
         spec = RenderSpec(cell_px=cell_px, show_grid=grid, color_before=color_before,
                           color_after=color_after, annotate_signs=signs)

@@ -38,10 +38,8 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
     """
     spec = spec or RenderSpec()
     m, n = path.rect.m, path.rect.n
-    px = spec.cell_px
-    margin = px
-    width = n * px + 2 * margin
-    height = m * px + 2 * margin
+    px = margin = spec.cell_px
+    width, height = n * px + 2 * margin, m * px + 2 * margin
 
     def sx(x: int) -> int:
         return margin + x * px
@@ -54,14 +52,10 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
         f'<rect x="{sx(0)}" y="{sy(m)}" width="{n * px}" height="{m * px}" fill="white" stroke="black"/>',
     ]
     if spec.show_grid:
-        for gx in range(1, n):
-            parts.append(
-                f'<line x1="{sx(gx)}" y1="{sy(0)}" x2="{sx(gx)}" y2="{sy(m)}" stroke="lightgray"/>'
-            )
-        for gy in range(1, m):
-            parts.append(
-                f'<line x1="{sx(0)}" y1="{sy(gy)}" x2="{sx(n)}" y2="{sy(gy)}" stroke="lightgray"/>'
-            )
+        parts += [f'<line x1="{sx(gx)}" y1="{sy(0)}" x2="{sx(gx)}" y2="{sy(m)}" stroke="lightgray"/>'
+                  for gx in range(1, n)]
+        parts += [f'<line x1="{sx(0)}" y1="{sy(gy)}" x2="{sx(n)}" y2="{sy(gy)}" stroke="lightgray"/>'
+                  for gy in range(1, m)]
 
     def polyline(points: list[tuple[int, int]], color: str) -> str:
         coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in points)
@@ -80,12 +74,8 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
         parts.append(polyline(vertices[cut:], spec.color_after))
 
     if spec.annotate_signs:
-        for x, sign, _ in bottom:
-            label = "+" if sign > 0 else "-"
-            parts.append(
-                f'<text x="{sx(x)}" y="{sy(0) + px // 2 + 4}" '
-                f'text-anchor="middle" font-size="{px // 2 + 4}">{label}</text>'
-            )
+        parts += [f'<text x="{sx(x)}" y="{sy(0) + px // 2 + 4}" text-anchor="middle" font-size="{px // 2 + 4}">'
+                  f'{"+" if sign > 0 else "-"}</text>' for x, sign, _ in bottom]
 
     parts.append("</svg>")
     return "\n".join(parts)
@@ -99,27 +89,19 @@ def render_board_ascii(board: Board, pebbles: PebbleSet | None = None, checkers:
     """
     pebble_squares = pebbles.squares if pebbles else frozenset()
     checker_squares = checkers.squares if checkers else frozenset()
-    lines = []
-    for row in range(board.rows - 1, -1, -1):
-        chars = []
-        for col in range(board.cols):
-            if (col, row) in checker_squares:
-                chars.append("O")
-            elif (col, row) in pebble_squares:
-                chars.append("o")
-            elif board.is_dark(col, row):
-                chars.append("#")
-            else:
-                chars.append(".")
-        lines.append("".join(chars))
-    return "\n".join(lines)
+
+    def char(col: int, row: int) -> str:
+        if (col, row) in checker_squares:
+            return "O"
+        return "o" if (col, row) in pebble_squares else "#" if board.is_dark(col, row) else "."
+
+    return "\n".join("".join(char(col, row) for col in range(board.cols)) for row in range(board.rows - 1, -1, -1))
 
 
 def render_board_svg(board: Board, pebbles: PebbleSet | None = None, checkers: CheckerSet | None = None) -> str:
     """Standalone SVG of a checkerboard with pebbles and checkers as circles, BOARD_CELL_PX a square."""
     px = BOARD_CELL_PX
-    width = max(board.cols, 1) * px
-    height = max(board.rows, 1) * px
+    width, height = max(board.cols, 1) * px, max(board.rows, 1) * px
 
     def corner(col: int, row: int) -> tuple[int, int]:
         return col * px, (board.rows - 1 - row) * px
@@ -137,8 +119,6 @@ def render_board_svg(board: Board, pebbles: PebbleSet | None = None, checkers: C
         parts.append(f'<circle cx="{x + px // 2}" cy="{y + px // 2}" r="{px // 5}" fill="black"/>')
     for col, row in sorted(checker_squares):
         x, y = corner(col, row)
-        parts.append(
-            f'<circle cx="{x + px // 2}" cy="{y + px // 2}" r="{px // 3}" fill="firebrick" stroke="black"/>'
-        )
+        parts.append(f'<circle cx="{x + px // 2}" cy="{y + px // 2}" r="{px // 3}" fill="firebrick" stroke="black"/>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -99,6 +99,11 @@ def _comparison(name: str, default_max_m: int, default_max_n: int, denominators:
                   default_max_m, default_max_n, cost)
 
 
+def _layout_cost(max_m: int, max_n: int) -> int:
+    """One laid grid of about m*(m+n) bits a cell, summed over the grid: about 1 s at bounds 200, the default cap."""
+    return max_m * max_n * (max_m + max_n) // 64
+
+
 # --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
 
 def _supplements_check(n: int) -> tuple[int, list[Failure]]:
@@ -174,10 +179,8 @@ def _superposition_check(m: int, n: int) -> tuple[int, list[Failure]]:
 
 def _tilings_check(rows: int, cols: int) -> tuple[int, list[Failure]]:
     report = tilings.tiling_parity_check(rows, cols)
-    if not report.consistent:
-        return 1, [{"rows": rows, "cols": cols, "count": report.count,
-                    "gcd_flag": report.gcd_flag, "rank_full": report.rank_full}]
-    return 1, []
+    return 1, [] if report.consistent else [{"rows": rows, "cols": cols, "count": report.count,
+                                             "gcd_flag": report.gcd_flag, "rank_full": report.rank_full}]
 
 
 FAMILIES: dict[str, Family] = {
@@ -208,12 +211,12 @@ FAMILIES: dict[str, Family] = {
                     _swapped, lambda m, n: -1 if (m - 1) * (n - 1) // 4 % 2 else 1, ("lhs", "rhs")),
         # bottom-row puzzle parity vs billiard symbol, coprime m, n
         _comparison("checkers_symbol", 50, 50, lambda max_n: range(1, max_n + 1), _coprime_numerators,
-                    lambda m, n: ck.bottom_row_symbol(m, n), _billiard, ("checkers", "billiard")),
+                    lambda m, n: ck.bottom_row_symbol(m, n), _billiard, ("checkers", "billiard"), cost=_layout_cost),
         Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30,
                lambda m, n: m * n * (m + n) // 8),  # each cell walks its whole path: about cubic, 1 s at 100
         Family("kernel", lambda max_m, max_n: list(itertools.product(range(2, max_m + 1), range(2, max_n + 1))),
                _kernel_check, 14, 14, lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
-        Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31),
+        Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31, _layout_cost),
         Family("tilings", lambda max_m, max_n: list(itertools.product(range(1, max_m + 1), range(1, max_n + 1))),
                _tilings_check, 6, 6),
     )

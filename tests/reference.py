@@ -6,7 +6,11 @@ geometry step by step and share no code with the packed walk in
 `quadres.checkers`.  `ref_walk` is the packed walk that one replaced: it
 works out each piece's position and directions from its time anew.
 `ref_zolotarev_perm_sign` walks the cycles of x -> m*x mod n point by
-point, where the library counts them from multiplicative orders.  The
+point, where the library counts them from multiplicative orders.
+`ref_two_color` and `ref_rows` are the walk-based two-colouring and row
+read-back that the arch layout replaced: they XOR the colour-1 stretches
+into a `ref_walk` grid and slice its rows back out, where the library lays
+whole arches down the grid at once.  The
 GF(2) elimination solves a puzzle from the light-by-dark neighbour matrix
 alone, with no chase and no path (the matrix is read off the checkers
 stencil, and the tests check it against one built square by square), and
@@ -19,7 +23,7 @@ itself calls none of them.
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from quadres.billiards import BilliardPath, Rect, _fold, base_bounces, trace_path
 from quadres.checkers import (
@@ -191,6 +195,34 @@ def ref_walk(m: int, n: int, stretches: Iterable[tuple[int, int]]) -> Iterator[i
                 grid ^= runs[stride] >> (longest - step + 1) * stride << (y + 1) * width + x + dx
             t += step
         yield grid
+
+
+def ref_rows(m: int, n: int, grid: int) -> list[int]:
+    """Board rows of a packed `ref_walk` grid: lattice point (x, y) is square (x-1, y-1)."""
+    span = n // 8 + 1  # bytes a lattice row
+    raw = grid.to_bytes(m * span, "little")
+    return [int.from_bytes(raw[y * span:(y + 1) * span], "little") >> 1 for y in range(1, m)]
+
+
+def ref_two_color(m: int, n: int, cuts: Sequence[int]) -> int:
+    """Packed `ref_walk` grid of the checkers for a coprime m-by-n path whose color flips at sorted `cuts`.
+
+    A crossing carries a checker exactly when one of its two visits has color 1, so XORing
+    the interior points of every color-1 stretch leaves the checkers.  After an odd number
+    of cuts the last such stretch runs to the end corner m*n (zip drops that stop otherwise).
+    """
+    grid = 0  # no cuts, no checkers
+    for grid in ref_walk(m, n, zip(cuts[::2], [*cuts[1::2], m * n])):
+        pass
+    return grid
+
+
+def ref_clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
+    """Checker rows that clear bottom-row pebbles `pebbled`, by walking the color-1 stretches."""
+    # the color flips at the bounce below each pebble c, at x = c+1 = 2j and time 2mk with mk = +-j (mod n)
+    inverse = pow(m, -1, n)
+    ks = ((col + 1) // 2 * inverse % n for col in _columns(pebbled))
+    return ref_rows(m, n, ref_two_color(m, n, sorted(2 * m * min(k, n - k) for k in ks)))
 
 
 def ref_zolotarev_perm_sign(m: int, n: int) -> int:

@@ -6,12 +6,14 @@ bottom-row residual cleared from the traced path's crossings.  It works on
 plain sets of (col, row) squares and shares no code with `quadres.checkers`.
 The single-pebble counts are checked against the straddling crossings of
 the traced path, found by bisecting the sorted visit times.  The packed
-walk itself is checked grid for grid against `ref_walk`, the walk it
-replaced, and its other checker sets against the dict-based constructions
-in `tests/reference.py`: `two_color_checkers` for single-pebble solutions and
-`kernel_checkers` for kernel elements.
+walk is checked grid for grid against `ref_walk`, the walk it replaced, and
+the arch layout against `ref_walk`'s stretches, against the walk-based
+two-colouring it replaced (`ref_two_color`), and against the dict-based
+constructions in `tests/reference.py`: `two_color_checkers` for
+single-pebble solutions and `kernel_checkers` for kernel elements.
 """
 
+import inspect
 import math
 import random
 import sys
@@ -27,8 +29,8 @@ from quadres.checkers import (
     CheckerSet,
     PebbleSet,
     PuzzleNotUniquelySolvable,
-    _rows,
-    _two_color,
+    _laid_rows,
+    _lay,
     _walk,
     apply_checkers,
     bottom_row_count,
@@ -50,7 +52,10 @@ from reference import (
     dark_squares,
     kernel_checkers,
     neighbor_matrix,
+    ref_clear_bottom_row,
     ref_count_tilings,
+    ref_rows,
+    ref_two_color,
     ref_walk,
     solve_single_pebble,
     two_color_checkers,
@@ -248,13 +253,70 @@ def test_solve_single_pebble_rejects_a_missing_bounce():
             solve_single_pebble(m, n, k)
 
 
-def test_kernel_element_matches_once_visited_reference():
+def _legs():
+    """Every function of billiards, symbols and oracles: the legs the checkers engine is checked against."""
+    from quadres import billiards, oracles, symbols
+
+    return {f for module in (billiards, symbols, oracles)
+            for _, f in inspect.getmembers(module, inspect.isfunction) if f.__module__ == module.__name__}
+
+
+def _refuse_the_walk_and_other_legs(monkeypatch):
+    """Refuse the piece-by-piece walk and every function of billiards, symbols and oracles."""
+    from quadres import checkers, symbols
+
+    _refuse_everywhere(monkeypatch, {checkers._walk, *_legs()})
+    assert checkers._walk is _refuse and symbols._fold is _refuse and checkers._lay is not _refuse
+
+
+def test_kernel_element_matches_once_visited_reference(monkeypatch):
     cells = [(m, n) for m in range(2, 41) for n in range(2, 41) if math.gcd(m, n) > 1]
     assert len(cells) == 621
-    for m, n in cells:
+    want = [{(x - 1, y - 1) for x, y in kernel_checkers(Rect(m=m, n=n))} for m, n in cells]
+    _refuse_the_walk_and_other_legs(monkeypatch)
+    for (m, n), squares in zip(cells, want):
         elem = kernel_element(m, n)
-        assert elem.squares == {(x - 1, y - 1) for x, y in kernel_checkers(Rect(m=m, n=n))}, (m, n)
+        assert elem.squares == squares, (m, n)
         assert elem.squares and not apply_checkers(elem).squares, (m, n)
+
+
+def test_bottom_row_count_matches_the_walked_two_coloring(monkeypatch):
+    cells = coprime_sides(60)
+    want = [ref_two_color(m, n, range(2 * m, m * n, 2 * m)).bit_count() for m, n in cells]
+    _refuse_the_walk_and_other_legs(monkeypatch)
+    assert [bottom_row_count(m, n) for m, n in cells] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 400))
+@example(399, 400)
+@example(400, 1)
+def test_bottom_row_count_matches_the_walked_two_coloring_on_large_sides(m, n):
+    assume(math.gcd(m, n) == 1)
+    want = ref_two_color(m, n, range(2 * m, m * n, 2 * m)).bit_count()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _refuse_the_walk_and_other_legs(monkeypatch)
+        assert bottom_row_count(m, n) == want
+
+
+def test_solve_matches_the_walked_two_coloring(monkeypatch):
+    """Bottom-row, left-column, both and random puzzles: the chase, then the walk-based clearing."""
+    rng = random.Random(40)
+    puzzles = []
+    for m, n in coprime_sides(40):
+        board = Board(rows=m - 1, cols=n - 1)
+        puzzles += [bottom_row_puzzle(board), left_column_puzzle(board),
+                    bottom_row_puzzle(board) ^ left_column_puzzle(board), random_puzzle(board, rng)]
+    want = []
+    for p in puzzles:
+        m, n = p.board.rows + 1, p.board.cols + 1
+        partial, residual = light_chase(p)
+        cleared = ref_clear_bottom_row(m, n, residual.row_bits[0]) if any(residual.row_bits) else [0] * (m - 1)
+        want.append(tuple(a ^ b for a, b in zip(partial.row_bits, cleared)))
+    assert sum(1 for p in puzzles if any(light_chase(p)[1].row_bits)) > 2000  # most puzzles reach the layout
+    _refuse_the_walk_and_other_legs(monkeypatch)
+    for p, rows in zip(puzzles, want):
+        assert solve(p).row_bits == rows, p.board
 
 
 def test_path_built_checker_sets_call_no_billiards_function(monkeypatch):
@@ -285,35 +347,47 @@ def test_path_built_checker_sets_call_no_billiards_function(monkeypatch):
     assert solve(bottom_row_puzzle(Board(rows=4, cols=6))).count() == 7
 
 
-def walk_stretches(m, n, kind, seed=0):
-    """A stretch list of one kind: the whole path, the stretches the library walks, or random cuts."""
-    bounces = range(2 * m, m * n, 2 * m)  # past lcm(m, n) when gcd > 1: the walk runs on, reflected
-    if kind == "path":
-        return [(0, math.lcm(m, n))]
-    if kind == "alternate":  # bottom_row_symbol's color-1 stretches
-        return list(zip(bounces[::2], [*bounces[1::2], m * n]))
-    if kind == "single":  # single_pebble_counts' stretches
-        return [(t - 2 * m, t) for t in bounces]
-    rng = random.Random(seed)  # sorted cuts at any time; the repeated cut leaves an empty stretch
-    picks = [rng.randrange(2 * m * n + 1) for _ in range(rng.randrange(1, 7))]
-    cuts = sorted([*picks, rng.choice(picks)])
-    return list(zip(cuts, cuts[1:]))
+def laid_arches(m, n, kind, seed=0):
+    """(arches, length) of one kind: the whole path, bottom_row_count's arches, or a random set of arches."""
+    length = math.lcm(m, n) if kind == "path" else m * n  # past lcm(m, n) when gcd > 1: the path runs on, reflected
+    arches = range(-(-length // (2 * m)))  # the last is cut at the top when length / m is odd
+    if kind == "alternate":  # bottom_row_count's color-1 arches
+        arches = arches[1::2]
+    elif kind == "arches":
+        rng = random.Random(seed)
+        arches = [k for k in arches if rng.random() < 0.5]
+    return arches, length
+
+
+def walked_rows(m, n, arches, length):
+    """Board rows of `ref_walk` run over the given arches, the last cut at the path's end."""
+    grid = 0
+    for grid in ref_walk(m, n, [(2 * m * k, min(2 * m * (k + 1), length)) for k in arches]):
+        pass
+    return ref_rows(m, n, grid)
 
 
 def test_walk_matches_reference_walk():
+    # the walk yields at every bottom bounce; the layout matches the reference walked over the same arches
     for m in range(1, 41):
         for n in range(1, 41):
-            for kind in ("path", "alternate", "single", "cuts"):
-                stretches = walk_stretches(m, n, kind, seed=m * 41 + n)
-                assert list(_walk(m, n, stretches)) == list(ref_walk(m, n, stretches)), (m, n, kind)
+            bounces = range(2 * m, m * n, 2 * m)
+            stretches = [(t - 2 * m, t) for t in bounces]  # single_pebble_counts' stretches
+            assert [grid for _, grid in zip(bounces, _walk(m, n))] == list(ref_walk(m, n, stretches)), (m, n)
+            for kind in ("path", "alternate", "arches"):
+                arches, length = laid_arches(m, n, kind, seed=m * 41 + n)
+                assert _laid_rows(m, n, _lay(m, n, arches, length)) == walked_rows(m, n, arches, length), (m, n, kind)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 150), st.integers(1, 150), st.sampled_from(("path", "alternate", "single", "cuts")),
+@given(st.integers(1, 150), st.integers(1, 150), st.sampled_from(("path", "alternate", "arches")),
        st.integers(0, 2**32 - 1))
 def test_walk_matches_reference_walk_on_large_sides(m, n, kind, seed):
-    stretches = walk_stretches(m, n, kind, seed)
-    assert list(_walk(m, n, stretches)) == list(ref_walk(m, n, stretches))
+    bounces = range(2 * m, m * n, 2 * m)
+    stretches = [(t - 2 * m, t) for t in bounces]
+    assert [grid for _, grid in zip(bounces, _walk(m, n))] == list(ref_walk(m, n, stretches))
+    arches, length = laid_arches(m, n, kind, seed)
+    assert _laid_rows(m, n, _lay(m, n, arches, length)) == walked_rows(m, n, arches, length)
 
 
 def test_single_pebble_counts_match_straddling_crossings():
@@ -340,22 +414,22 @@ def test_single_pebble_counts_reject_common_factor():
 
 
 def test_bottom_row_walk_matches_the_solved_puzzle():
-    # the whole checker set of the walk over alternate bounce stretches, not only its parity
+    # the whole checker set laid from the alternate arches, not only its parity
     for m, n in coprime_sides(60):
-        grid = _two_color(m, n, range(2 * m, m * n, 2 * m))
+        grid = _lay(m, n, range(1, (n + 1) // 2, 2), m * n)
         want = solve(bottom_row_puzzle(Board(rows=m - 1, cols=n - 1))).row_bits
-        assert tuple(_rows(m, n, grid)) == want, (m, n)
+        assert tuple(_laid_rows(m, n, grid)) == want, (m, n)
         assert bottom_row_symbol(m, n) == (-1) ** sum(bits.bit_count() for bits in want), (m, n)
 
 
 def test_bottom_row_symbol_is_one_walk(monkeypatch):
-    """No board, light chase, solve or row read-back: only the walk and its popcount."""
+    """No board, light chase, solve, row read-back or piece-by-piece walk: only the layout and its popcount."""
     from quadres import checkers
 
     def refuse(*args, **kwargs):
         raise AssertionError("bottom_row_symbol went through the general solver")
 
-    for name in ("Board", "PebbleSet", "CheckerSet", "light_chase", "solve", "_rows"):
+    for name in ("Board", "PebbleSet", "CheckerSet", "light_chase", "solve", "_laid_rows", "_walk"):
         monkeypatch.setattr(checkers, name, refuse)
     assert [bottom_row_symbol(m, n) for m, n in [(5, 7), (7, 11), (4, 1), (1, 6), (2, 1)]] == [-1, -1, 1, 1, 1]
 
@@ -437,14 +511,10 @@ def test_combined_solution_is_the_solved_one():
 
 
 def test_superposition_sweep_calls_no_solver_or_other_leg(monkeypatch):
-    """s, t and u come from the bottom-row walk and the explicit set alone."""
-    import inspect
+    """s, t and u come from the laid bottom-row arches and the explicit set alone."""
+    from quadres import checkers, sweeps, symbols
 
-    from quadres import billiards, checkers, oracles, sweeps, symbols
-
-    legs = {f for module in (billiards, symbols, oracles)
-            for _, f in inspect.getmembers(module, inspect.isfunction) if f.__module__ == module.__name__}
-    _refuse_everywhere(monkeypatch, {*legs, checkers.solve, checkers.light_chase})
+    _refuse_everywhere(monkeypatch, {*_legs(), checkers.solve, checkers.light_chase})
     assert sweeps.ck.solve is _refuse and sweeps.ck.light_chase is _refuse and symbols._fold is _refuse
     assert sweeps.symbols.billiard_symbol is _refuse and sweeps.oracles.jacobi_symbol is _refuse
 

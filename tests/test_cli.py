@@ -137,7 +137,7 @@ class TestSymbol:
         assert runner.invoke(main, ["symbol", "3", "10007", "--verify"], env=env).exit_code == 0  # isqrt 100
         result = runner.invoke(main, ["symbol", "3", "10201", "--verify"], env=env)
         assert result.exit_code == 2
-        assert "--verify on n=10201 (101 trial divisions) exceeds the safety limit of 100 cells" in result.output
+        assert "--verify on n=10201 (101 trial divisions) exceeds the safety limit of 100 (override" in result.output
 
     def test_verify_near_10_12(self, runner):
         result, payload = invoke_json(runner, ["symbol", "3", "1000000000039", "--verify", "--json"],
@@ -205,6 +205,11 @@ class TestSolve:
         result, payload = invoke_json(runner, ["solve", "6", "9", "--kernel", "--json"])
         assert result.exit_code == 0
         assert payload["result"]["count"] == 12
+
+    def test_size_limit_names_the_board_cells(self, runner):
+        result = runner.invoke(main, ["solve", "30", "31", "--bottom-row"], env={"QUADRES_MAX_CELLS": "100"})
+        assert result.exit_code == 2
+        assert "30x31 (930 cells) exceeds the safety limit of 100 (override with QUADRES_MAX_CELLS)" in result.output
 
     def test_kernel_on_coprime_board_fails(self, runner):
         result = runner.invoke(main, ["solve", "5", "7", "--kernel"])
@@ -305,7 +310,7 @@ class TestVerify:
         # 60x60 is 3,600 grid cells, but the kernel sweep chases 3,132,900 board squares
         result = runner.invoke(main, ["verify", "--max-n", "60", "--checks", "kernel"])
         assert result.exit_code == 2
-        assert "(3132900 cells of work) exceeds the safety limit" in result.output
+        assert "(3132900 work units) exceeds the safety limit" in result.output
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_family_defaults_pass_the_default_cap(self, name):
@@ -346,7 +351,15 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--checks", "checkers_bridge", "--max-n", str(bound)])
         assert result.exit_code == 2
         cost = bound * bound * 2 * bound // 8
-        assert f"grid {bound}x{bound} ({cost} cells of work) exceeds the safety limit" in result.output
+        assert f"grid {bound}x{bound} ({cost} work units) exceeds the safety limit" in result.output
+
+    @pytest.mark.parametrize("name", ["checkers_symbol", "superposition"])
+    def test_layout_cap_counts_one_layout_a_cell(self, runner, name):
+        # each cell lays a grid of about m*(m+n) bits, which the grid's bound*bound hides
+        assert FAMILIES[name].cost(500, 500) > DEFAULT_MAX_CELLS >= 500 * 500
+        result = runner.invoke(main, ["verify", "--checks", name, "--max-n", "500"])
+        assert result.exit_code == 2
+        assert f"{name} sweep grid 500x500 (3906250 work units) exceeds the safety limit of 250000" in result.output
 
     def test_oversized_sweep_exit_2(self, runner):
         result = runner.invoke(main, ["verify", "--max-n", "600", "--max-m", "600"])
@@ -375,7 +388,7 @@ class TestVerify:
         # the bound left out takes the family default, and the cap counts it
         result = runner.invoke(main, ["verify", bound, "100"], env={"QUADRES_MAX_CELLS": "10"})
         assert result.exit_code == 2
-        assert "safety limit of 10 cells" in result.output
+        assert "safety limit of 10 (override with QUADRES_MAX_CELLS)" in result.output
 
     def test_parallel_matches_serial(self, runner):
         serial = runner.invoke(main, ["verify", "--max-n", "14", "--checks", "kernel", "--json"])

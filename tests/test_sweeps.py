@@ -159,9 +159,10 @@ def test_kernel_cost_counts_board_squares():
     assert kernel.cost(2, 14) == 91
     n_only = {"euler": 2 * 40 * 40, "almost_reciprocity": 40 * 40, "supplements": 40}  # their grids read no m
     path_walks = {"checkers_bridge": 33 * 40 * (33 + 40) // 8}  # each cell walks its whole path
+    layouts = {name: 33 * 40 * (33 + 40) // 64 for name in ("checkers_symbol", "superposition")}  # one grid a cell
     for family in FAMILIES.values():
         if family.name != "kernel":
-            assert family.cost(33, 40) == {**n_only, **path_walks}.get(family.name, 33 * 40), family.name
+            assert family.cost(33, 40) == {**n_only, **path_walks, **layouts}.get(family.name, 33 * 40), family.name
 
 
 def test_bridge_cost_admits_100_and_refuses_150():
@@ -169,6 +170,14 @@ def test_bridge_cost_admits_100_and_refuses_150():
     assert bridge.cost(30, 30) == 6750
     assert bridge.cost(100, 100) == 500 * 500  # the CLI's default cap, about 1 s of path walks
     assert bridge.cost(150, 150) == 843750 > 500 * 500
+
+
+def test_layout_cost_admits_200_and_refuses_250():
+    for name in ("checkers_symbol", "superposition"):
+        cost = FAMILIES[name].cost
+        assert cost(50, 50) == 3906 and cost(31, 31) == 930  # the defaults, far inside the cap
+        assert cost(200, 200) == 250000 == 500 * 500  # the CLI's default cap, about 1 s of layouts
+        assert cost(250, 250) == 488281 > 500 * 500
 
 
 def test_reduced_bounds_shrink_the_sweep():
