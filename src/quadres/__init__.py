@@ -50,7 +50,7 @@ from .symbols import (
     symbol_supplement_minus_one,
     symbol_supplement_two,
 )
-from .tilings import TilingReport, count_tilings, tiling_parity_check
+from .tilings import count_tilings
 
 # every public name imported above; the submodules those imports bind are not part of the API
 __all__ = ["__version__", *sorted(name for name, value in globals().items()

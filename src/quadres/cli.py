@@ -175,7 +175,7 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
         result["base_bounces_omitted"] = True
     lines = [f"({m}|{n}) = {_signed(value)}"]
     if value and not listed:
-        lines.append(f"negative bounces: {negatives} (bounce list omitted: n={n} exceeds the limit of {limit} cells)")
+        lines.append(f"negative bounces: {negatives} (bounce list omitted: n={n} exceeds the limit of {limit} on n)")
     elif value:
         lines.append(f"base-bounce signs: {' '.join('+' if s > 0 else '-' for _, s in bounces) or '(no bounces)'}")
     lines += [f"{c['name']}: {_signed(c['witness'][c['name']])} [{c['status']}]" for c in checks]

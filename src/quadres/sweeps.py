@@ -175,12 +175,45 @@ def _superposition_check(m: int, n: int) -> tuple[int, list[Failure]]:
     return 1, failures
 
 
-# --- tilings: domino tiling-count parity vs mod-2 invertibility vs the gcd condition ---
+# --- tilings: domino tiling-count parity vs mod-2 invertibility vs the gcd condition, on the countable boards ---
+
+def _countable(rows: int, cols: int) -> bool:
+    return tilings._work(rows, cols) <= tilings.MAX_TILING_WORK
+
+
+def _countable_boards(max_m: int, max_n: int) -> list[tuple[int, int]]:
+    """Every board of the grid that count_tilings counts: a prefix of each row, as the work grows with either side."""
+    return [(rows, cols) for rows in itertools.takewhile(lambda rows: _countable(rows, 1), range(1, max_m + 1))
+            for cols in itertools.takewhile(partial(_countable, rows), range(1, max_n + 1))]
+
+
+def _tilings_cost(max_m: int, max_n: int) -> int:
+    """The work of the countable boards, 2^s * s * long each, summed by the short side s and divided by 40.
+
+    In closed form, so that refusing a huge bound lists no board.  At 70-105 ns a work unit on square
+    grids the cap is about 1 s: 220,174 at bounds 17, over it from 18 on.
+    """
+    total = 0
+    for short in itertools.takewhile(lambda short: _countable(short, short), itertools.count(1)):
+        per_long = 2**short * short
+        for along, across, first in ((max_n, max_m, short), (max_m, max_n, short + 1)):  # s x long, then long x s
+            last = min(along, tilings.MAX_TILING_WORK // per_long)
+            if short <= across and first <= last:
+                total += per_long * (last * (last + 1) - first * (first - 1)) // 2
+    return total // 40
+
+
+def _invertible(rows: int, cols: int) -> bool:
+    """The board's checker-to-pebble map is invertible mod 2: as many light as dark squares, and no kernel."""
+    short, long = sorted((rows, cols))  # chased down the long side, a line is a short row: a cheap transfer
+    return rows * cols % 2 == 0 and ck.kernel_dimension(long + 1, short + 1) == 0
+
 
 def _tilings_check(rows: int, cols: int) -> tuple[int, list[Failure]]:
-    report = tilings.tiling_parity_check(rows, cols)
-    return 1, [] if report.consistent else [{"rows": rows, "cols": cols, "count": report.count,
-                                             "gcd_flag": report.gcd_flag, "rank_full": report.rank_full}]
+    count = tilings.count_tilings(rows, cols)
+    gcd_flag, rank_full = math.gcd(rows + 1, cols + 1) == 1, _invertible(rows, cols)
+    return 1, [] if count % 2 == gcd_flag == rank_full else [{"rows": rows, "cols": cols, "count": count,
+                                                              "gcd_flag": gcd_flag, "rank_full": rank_full}]
 
 
 FAMILIES: dict[str, Family] = {
@@ -217,8 +250,7 @@ FAMILIES: dict[str, Family] = {
         Family("kernel", lambda max_m, max_n: list(itertools.product(range(2, max_m + 1), range(2, max_n + 1))),
                _kernel_check, 14, 14, lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
         Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31, _layout_cost),
-        Family("tilings", lambda max_m, max_n: list(itertools.product(range(1, max_m + 1), range(1, max_n + 1))),
-               _tilings_check, 6, 6),
+        Family("tilings", _countable_boards, _tilings_check, 6, 6, _tilings_cost),
     )
 }
 

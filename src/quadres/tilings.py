@@ -1,18 +1,14 @@
-"""Domino tilings of the checkerboard and the parity corollary.
+"""Domino tilings of the checkerboard, counted exactly.
 
 The number of perfect domino tilings of a rows-by-cols board is odd
 exactly when the board's checker-to-pebble map is invertible mod 2,
-which happens exactly when gcd(rows+1, cols+1) = 1.  The count here is an
-independent combinatorial oracle: a transfer count over row profiles,
-with no determinant, rank or gcd.
+which happens exactly when gcd(rows+1, cols+1) = 1; the `tilings` sweep
+compares the three.  The count here is an independent combinatorial
+oracle: a transfer count over row profiles, with no determinant, rank or
+gcd, and it imports no other quadres module.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-
-from .checkers import kernel_dimension
 
 MAX_TILING_WORK = 2**12 * 12 * 12  # the work of a 12x12 board, the largest square counted
 
@@ -30,15 +26,12 @@ def count_tilings(rows: int, cols: int) -> int:
     vertical domino from the line before; each profile carries its number of
     partial tilings.  Kasteleyn (1961) gives the totals in closed form.  Boards
     whose work 2^min(rows, cols) * rows * cols exceeds MAX_TILING_WORK are
-    rejected; use tiling_parity_check for the parity alone.
+    rejected.
     """
     if rows < 0 or cols < 0:
         raise ValueError("dimensions must be nonnegative")
     if _work(rows, cols) > MAX_TILING_WORK:
-        raise ValueError(
-            f"{rows}x{cols} needs {_work(rows, cols)} units of work, over the bound of "
-            f"{MAX_TILING_WORK}; use tiling_parity_check for parity only"
-        )
+        raise ValueError(f"{rows}x{cols} needs {_work(rows, cols)} units of work, over the bound of {MAX_TILING_WORK}")
     width, height = sorted((rows, cols))
     ways = {0: 1}  # the empty board has the empty tiling
     for _ in range(height):
@@ -57,34 +50,3 @@ def count_tilings(rows: int, cols: int) -> int:
             ways = after
     return ways.get(0, 0)
 
-
-@dataclass(frozen=True)
-class TilingReport:
-    """Tiling parity versus the mod-2 invertibility and gcd criteria."""
-
-    rows: int
-    cols: int
-    count: int | None
-    parity: str  # "even" or "odd"
-    gcd_flag: bool  # gcd(rows+1, cols+1) == 1
-    rank_full: bool  # checker-to-pebble map invertible mod 2: as many light as dark squares, no kernel
-
-    @property
-    def consistent(self) -> bool:
-        return (self.parity == "odd") == self.gcd_flag == self.rank_full
-
-
-def tiling_parity_check(rows: int, cols: int) -> TilingReport:
-    """Compare tiling-count parity, mod-2 invertibility, and the gcd condition.
-
-    Invertibility is read from the kernel's transfer map.  The exact count is
-    included when the board is within the work bound; beyond it the parity is
-    read from invertibility.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("dimensions must be positive")
-    gcd_flag = math.gcd(rows + 1, cols + 1) == 1
-    rank_full = rows * cols % 2 == 0 and kernel_dimension(rows + 1, cols + 1) == 0
-    count = count_tilings(rows, cols) if _work(rows, cols) <= MAX_TILING_WORK else None
-    parity = "odd" if (rank_full if count is None else count % 2) else "even"
-    return TilingReport(rows, cols, count, parity, gcd_flag, rank_full)

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,7 +162,8 @@ class TestSymbol:
         assert (-1) ** payload["result"]["negative_bounces"] == -1
         text = runner.invoke(main, ["symbol", "3", "1000003"])
         assert text.exit_code == 0
-        assert "(3|1000003) = -1" in text.output and "bounce list omitted" in text.output
+        assert "(3|1000003) = -1" in text.output
+        assert "(bounce list omitted: n=1000003 exceeds the limit of 250000 on n)" in text.output  # n bounds the list
 
     @pytest.mark.parametrize("m, n", [(5, 101), (2, 101), (7, 150), (101, 102), (6, 102), (3, 999)])
     def test_value_only_count_matches_the_bounce_walk(self, runner, m, n):
@@ -279,8 +281,20 @@ class TestVerify:
         assert "failures    0" in result.output
 
     def test_tilings_family(self, runner):
-        result = runner.invoke(main, ["verify", "--max-n", "6", "--checks", "tilings"])
-        assert result.exit_code == 0
+        for bounds in [[], ["--max-n", "6"], ["--max-n", "12"]]:  # the default, and every board of 12x12 counted
+            result = runner.invoke(main, ["verify", *bounds, "--checks", "tilings"])
+            assert result.exit_code == 0, result.output
+            assert "failures    0" in result.output
+
+    @pytest.mark.parametrize("bound, cost", [(60, 1898268), (500, 16943903), (10**9, 6028210708)])
+    def test_tilings_cap_counts_the_countable_boards_work(self, runner, bound, cost):
+        # the grid's M*N (3,600 at 60, exactly the cap at 500) hides the work: 60's 1,126 boards take about 10 s
+        start = time.perf_counter()
+        result = runner.invoke(main, ["verify", "--checks", "tilings", "--max-n", str(bound)])
+        assert time.perf_counter() - start < 0.5  # refused before any board is counted
+        assert result.exit_code == 2
+        want = f"tilings sweep grid {bound}x{bound} ({cost} work units) exceeds the safety limit of 250000"
+        assert want in result.output
 
     def test_json_schema(self, runner):
         result, payload = invoke_json(

@@ -46,17 +46,18 @@ def test_family_passes_at_default_bounds(name):
     assert result.failures == (), result.failures[:3]
 
 
-# (cells, checked) at two bound pairs that differ, so that a family reading max_m for max_n shows
+# (cells, checked) at two bound pairs that differ, so that a family reading max_m for max_n shows;
+# tilings runs only the boards it can count exactly, 254 of the 273 (the 19 past 12x12 with both sides 12 or more drop)
 ASYMMETRIC_SIZES = {
     (21, 13): {
         "euler": (5, 68), "zolotarev": (13, 180), "jacobi": (7, 147), "supplements": (6, 12),
         "almost_reciprocity": (6, 21), "mod4": (6, 56), "reciprocity": (6, 46), "checkers_symbol": (13, 180),
-        "checkers_bridge": (180, 507), "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
+        "checkers_bridge": (180, 507), "kernel": (240, 240), "superposition": (46, 46), "tilings": (254, 254),
     },
     (13, 21): {
         "euler": (7, 136), "zolotarev": (21, 180), "jacobi": (11, 143), "supplements": (10, 20),
         "almost_reciprocity": (10, 55), "mod4": (10, 61), "reciprocity": (10, 46), "checkers_symbol": (21, 180),
-        "checkers_bridge": (180, 851), "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
+        "checkers_bridge": (180, 851), "kernel": (240, 240), "superposition": (46, 46), "tilings": (254, 254),
     },
 }
 
@@ -160,9 +161,18 @@ def test_kernel_cost_counts_board_squares():
     n_only = {"euler": 2 * 40 * 40, "almost_reciprocity": 40 * 40, "supplements": 40}  # their grids read no m
     path_walks = {"checkers_bridge": 33 * 40 * (33 + 40) // 8}  # each cell walks its whole path
     layouts = {name: 33 * 40 * (33 + 40) // 64 for name in ("checkers_symbol", "superposition")}  # one grid a cell
+    tilings = {"tilings": 37544624 // 40}  # the transfer counts' work over the countable boards up to 33x40
     for family in FAMILIES.values():
         if family.name != "kernel":
-            assert family.cost(33, 40) == {**n_only, **path_walks, **layouts}.get(family.name, 33 * 40), family.name
+            want = {**n_only, **path_walks, **layouts, **tilings}.get(family.name, 33 * 40)
+            assert family.cost(33, 40) == want, family.name
+
+
+def test_tilings_cost_admits_17_and_refuses_18():
+    cost = FAMILIES["tilings"].cost
+    assert cost(6, 6) == 196 and cost(12, 12) == 66567  # the default, and every board of 12x12 counted
+    assert cost(17, 17) == 220174 < 500 * 500 < cost(18, 18) == 257040  # the CLI's default cap, about 1 s
+    assert cost(60, 60) == 1898268 and cost(500, 500) == 16943903
 
 
 def test_bridge_cost_admits_100_and_refuses_150():

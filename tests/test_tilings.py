@@ -1,16 +1,21 @@
-"""Tests for domino tiling counts and the parity corollary.
+"""Tests for domino tiling counts and the `tilings` sweep row that compares their parity.
 
 The profile count is checked against the backtracking counter it replaced,
-`ref_count_tilings` in `tests/reference.py`, and the invertibility it is
-compared with against the reference GF(2) elimination.
+`ref_count_tilings` in `tests/reference.py`.  The row compares the count's
+parity with the gcd condition and with invertibility, read from the kernel
+chase, which is checked against the reference GF(2) elimination.  The row's
+cells are the boards the count can count, so every record carries a count.
 """
 
+import itertools
 import math
 
 import pytest
 
+from quadres import sweeps
 from quadres.checkers import Board
-from quadres.tilings import MAX_TILING_WORK, count_tilings, tiling_parity_check
+from quadres.sweeps import FAMILIES, run_family
+from quadres.tilings import MAX_TILING_WORK, _work, count_tilings
 from reference import MAX_BRUTE_CELLS, neighbor_matrix, ref_count_tilings
 
 
@@ -63,56 +68,83 @@ def test_count_known_square_values():
 
 
 def test_parity_check_examples():
-    report = tiling_parity_check(2, 3)
-    assert report.count == 3 and report.parity == "odd"
-    assert report.gcd_flag and report.rank_full and report.consistent
-
-    report = tiling_parity_check(2, 2)
-    assert report.count == 2 and report.parity == "even"
-    assert not report.gcd_flag and not report.rank_full and report.consistent
-
-    report = tiling_parity_check(4, 4)
-    assert report.count == 36 and report.parity == "even" and report.consistent
+    # 2x3 has an odd count and gcd(3, 4) = 1; 2x2 and 4x4 have even counts and gcd 3 and 5
+    for rows, cols, count, invertible in [(2, 3, 3, True), (2, 2, 2, False), (4, 4, 36, False)]:
+        assert (count_tilings(rows, cols), sweeps._invertible(rows, cols)) == (count, invertible)
+        assert sweeps._tilings_check(rows, cols) == (1, []), (rows, cols)
 
 
 def test_parity_check_validation():
-    with pytest.raises(ValueError):
-        tiling_parity_check(0, 3)
+    # the row makes no board without squares, and the count refuses a negative side
+    assert FAMILIES["tilings"].make_cells(0, 5) == FAMILIES["tilings"].make_cells(5, 0) == []
+    assert min(min(board) for board in FAMILIES["tilings"].make_cells(9, 9)) == 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_tilings(0, -3)
 
 
 def test_parity_corollary_sweep():
     for rows in range(1, 7):
         for cols in range(1, 7):
-            report = tiling_parity_check(rows, cols)
-            assert report.consistent, (rows, cols)
-            assert (report.count % 2 == 1) == (math.gcd(rows + 1, cols + 1) == 1)
-
-
-def test_parity_check_beyond_brute_force_bound():
-    for rows, cols in [(13, 13), (13, 14)]:  # past the work bound: parity from invertibility
-        report = tiling_parity_check(rows, cols)
-        assert report.count is None
-        assert report.consistent
-        assert report.parity == ("odd" if report.rank_full else "even")
+            assert sweeps._tilings_check(rows, cols) == (1, []), (rows, cols)
+            assert (count_tilings(rows, cols) % 2 == 1) == (math.gcd(rows + 1, cols + 1) == 1)
 
 
 def test_parity_corollary_to_12x12():
+    result = run_family("tilings", max_m=12, max_n=12)
+    assert (result.cells, result.checked) == (144, 144) and result.ok, result.failures[:3]  # every board counted
     for rows in range(1, 13):
         for cols in range(1, 13):
-            report = tiling_parity_check(rows, cols)
-            assert report.count is not None and report.consistent, (rows, cols)
+            assert (count_tilings(rows, cols) % 2 == 1) == (math.gcd(rows + 1, cols + 1) == 1), (rows, cols)
 
 
 def test_rank_full_matches_elimination():
+    # both orientations: the chase always runs down the long side, whichever side that is
     for rows in range(1, 9):
         for cols in range(1, 9):
             want = neighbor_matrix(Board(rows=rows, cols=cols)).is_invertible()
-            assert tiling_parity_check(rows, cols).rank_full == want, (rows, cols)
+            assert sweeps._invertible(rows, cols) == want, (rows, cols)
+
+
+def test_invertibility_is_chased_down_the_long_side(monkeypatch):
+    """Each chase step is a short row: kernel_dimension(2, 20001) takes about 1,700 times (20001, 2)'s time."""
+    calls = []
+    real = sweeps.ck.kernel_dimension
+    monkeypatch.setattr(sweeps.ck, "kernel_dimension", lambda m, n: calls.append((m, n)) or real(m, n))
+    assert sweeps._invertible(2, 7) and sweeps._invertible(7, 2)  # gcd(3, 8) = 1
+    assert calls == [(8, 3), (8, 3)]
+
+
+def test_row_fails_where_invertibility_disagrees(monkeypatch):
+    """A wrong chase fails the row with the exact count, once per orientation of the board."""
+    real = sweeps.ck.kernel_dimension
+    monkeypatch.setattr(sweeps.ck, "kernel_dimension", lambda m, n: real(m, n) + ((m, n) == (4, 3)))
+    record = {"count": 3, "gcd_flag": True, "rank_full": False}  # the 2x3 board, chased as 3 rows of 2
+    assert run_family("tilings", max_m=4, max_n=4).failures == ({"rows": 2, "cols": 3, **record},
+                                                                {"rows": 3, "cols": 2, **record})
 
 
 def test_odd_cell_boards_always_even():
     for rows in range(1, 6, 2):
         for cols in range(1, 6, 2):
-            report = tiling_parity_check(rows, cols)
-            assert report.count == 0 and report.parity == "even"
-            assert not report.gcd_flag
+            assert count_tilings(rows, cols) == 0
+            assert not sweeps._invertible(rows, cols) and math.gcd(rows + 1, cols + 1) > 1
+            assert sweeps._tilings_check(rows, cols) == (1, [])
+
+
+@pytest.mark.parametrize("max_m, max_n, cells", [
+    (12, 12, 144), (21, 13, 254), (13, 21, 254), (3, 100000, 198304), (300000, 2, 368640),  # rows stop at 294,912
+])
+def test_row_cells_are_the_countable_boards(max_m, max_n, cells):
+    grid = itertools.product(range(1, max_m + 1), range(1, max_n + 1))
+    want = [(rows, cols) for rows, cols in grid if _work(rows, cols) <= MAX_TILING_WORK]
+    assert FAMILIES["tilings"].make_cells(max_m, max_n) == want and len(want) == cells
+
+
+def test_row_cost_sums_the_work_of_its_boards():
+    """The closed form equals the work summed board by board, divided by 40, on and past the countable range."""
+    bounds = [*range(0, 16), 20, 29, 60, 500, 3000]
+    for max_m, max_n in itertools.product(bounds, repeat=2):
+        boards = FAMILIES["tilings"].make_cells(max_m, max_n)
+        assert FAMILIES["tilings"].cost(max_m, max_n) == sum(_work(r, c) for r, c in boards) // 40, (max_m, max_n)
+    # every countable board has a short side of at most 12 and a long side of at most 294,912
+    assert FAMILIES["tilings"].cost(10**9, 10**9) == FAMILIES["tilings"].cost(294912, 294912) > 500 * 500
