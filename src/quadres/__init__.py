@@ -45,7 +45,6 @@ from .render import RenderSpec, render_board_ascii, render_board_svg, render_pat
 from .symbols import (
     SymbolEvidence,
     billiard_symbol,
-    bounce_evidence,
     mod4_symbol,
     symbol_supplement_minus_one,
     symbol_supplement_two,

@@ -120,6 +120,12 @@ def trace_path(rect: Rect) -> BilliardPath:
     )
 
 
-def base_bounces(path: BilliardPath) -> list[tuple[int, int, int]]:
-    """Bottom-wall bounces in time order, as (x, sign, t) triples."""
-    return [(b.x, b.sign, b.t) for b in path.bounces if b.wall is Wall.BOTTOM]
+def base_bounces(m: int, n: int) -> list[tuple[int, int, int]]:
+    """Bottom-wall bounces of the m-by-n path in time order, as (x, sign, t) triples, without tracing it.
+
+    The ball is on the bottom wall exactly at the multiples of 2m before lcm(m, n);
+    each one's abscissa and sign is the x triangle wave at that time.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
+    return [(*_fold(t, n), t) for t in range(2 * m, math.lcm(m, n), 2 * m)]

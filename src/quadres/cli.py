@@ -29,7 +29,7 @@ from .checkers import (
 from .oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from .render import RenderSpec, render_board_ascii, render_board_svg, render_path_svg
 from .sweeps import FAMILIES, run_family
-from .symbols import billiard_symbol, bounce_evidence, negative_bounce_count
+from .symbols import billiard_symbol, negative_bounce_count
 
 DEFAULT_MAX_CELLS = 500 * 500
 
@@ -125,7 +125,7 @@ def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
     path = trace_path(Rect(m=m, n=n))
     result = {
         "bounces": [{"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign} for b in path.bounces],
-        "base_bounces": [[x, s, t] for x, s, t in base_bounces(path)],
+        "base_bounces": [list(bounce) for bounce in base_bounces(m, n)],
         "end": list(path.end),
         "length": path.length,
     }
@@ -153,7 +153,7 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
     limit = _max_cells()
     listed = n <= limit  # the bounce list grows with n alone
     value, negatives = billiard_symbol(m, n).value, negative_bounce_count(m, n)
-    bounces = bounce_evidence(m, n).base_bounces if listed else ()
+    bounces = [[x, s] for x, s, _ in base_bounces(m, n)] if listed and value else []  # none listed at gcd > 1
     oracle_values: dict[str, int] = {}
     if do_verify:
         try:
@@ -170,7 +170,7 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
                "witness": {"billiard": value, name: oracle}} for name, oracle in oracle_values.items()]
     failed = any(c["status"] == "fail" for c in checks)
 
-    result = {"value": value, "negative_bounces": negatives, "base_bounces": [[x, s] for x, s in bounces]}
+    result = {"value": value, "negative_bounces": negatives, "base_bounces": bounces}
     if not listed:
         result["base_bounces_omitted"] = True
     lines = [f"({m}|{n}) = {_signed(value)}"]

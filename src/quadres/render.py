@@ -62,7 +62,7 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
         return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
 
     vertices = list(path.vertices)
-    bottom = base_bounces(path)
+    bottom = base_bounces(m, n)
     if split_k is None:
         parts.append(polyline(vertices, spec.color_before))
     else:

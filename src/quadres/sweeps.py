@@ -22,7 +22,7 @@ from functools import partial
 from typing import Callable, Iterable
 
 from . import checkers as ck
-from . import oracles, symbols, tilings
+from . import billiards, oracles, symbols, tilings
 
 Failure = dict
 
@@ -116,15 +116,21 @@ def _supplements_check(n: int) -> tuple[int, list[Failure]]:
 # --- checkers_bridge: the single-pebble solution above a bottom bounce is even iff the bounce is positive ---
 
 def _bridge_check(m: int, n: int) -> tuple[int, list[Failure]]:
-    # signs from the bounce walk, checker counts from the lattice walk
-    signs = symbols.bounce_evidence(m, n).base_bounces
-    return len(signs), [{"m": m, "n": n, "k": x // 2, "sign": sign, "checkers": count}
-                        for (x, sign), (at, count) in zip(signs, ck.single_pebble_counts(m, n), strict=True)
-                        if x != at or (sign > 0) != (count % 2 == 0)]
+    # signs from the bounce fold, checker counts from the lattice walk
+    bounces = billiards.base_bounces(m, n)
+    return len(bounces), [{"m": m, "n": n, "k": x // 2, "sign": sign, "checkers": count}
+                          for (x, sign, _), (at, count) in zip(bounces, ck.single_pebble_counts(m, n), strict=True)
+                          if x != at or (sign > 0) != (count % 2 == 0)]
 
 
 # --- kernel: unique solvability iff g = gcd(m, n) = 1; kernel dimension floor(g/2) and cokernel
 # --- floor((g-1)/2); explicit kernel element otherwise ---
+
+def _kernel_cost(max_m: int, max_n: int) -> int:
+    """The squares of all its boards over 20, about 1 s at the default cap (64x64 in 0.87 s), plus the two
+    side ranges the grid enumerates, so that a bound below 2, which makes no board, still counts the other."""
+    return math.comb(max_m, 2) * math.comb(max_n, 2) // 20 + max_m + max_n
+
 
 def _kernel_check(m: int, n: int) -> tuple[int, list[Failure]]:
     failures = []
@@ -188,18 +194,20 @@ def _countable_boards(max_m: int, max_n: int) -> list[tuple[int, int]]:
 
 
 def _tilings_cost(max_m: int, max_n: int) -> int:
-    """The work of the countable boards, 2^s * s * long each, summed by the short side s and divided by 40.
+    """The work of the countable boards, (2^s + 8s) * s * long each, summed by the short side s and divided by 40.
 
-    In closed form, so that refusing a huge bound lists no board.  At 70-105 ns a work unit on square
-    grids the cap is about 1 s: 220,174 at bounds 17, over it from 18 on.
+    A cell of an s-wide board takes about 0.1 us for each of its 2^s profiles and 0.8 us * s for its dict
+    and the chase, so the cap is about 1 s (0.7-1.2 s measured on 1-, 2-, 4-, 6-, 8- and 12-wide and square
+    grids): 243,492 at bounds 17, over it from 18 on.  In closed form, so that refusing a huge bound lists
+    no board.
     """
     total = 0
     for short in itertools.takewhile(lambda short: _countable(short, short), itertools.count(1)):
-        per_long = 2**short * short
+        longest = tilings.MAX_TILING_WORK // (2**short * short)  # the longest countable board this wide
         for along, across, first in ((max_n, max_m, short), (max_m, max_n, short + 1)):  # s x long, then long x s
-            last = min(along, tilings.MAX_TILING_WORK // per_long)
+            last = min(along, longest)
             if short <= across and first <= last:
-                total += per_long * (last * (last + 1) - first * (first - 1)) // 2
+                total += (2**short + 8 * short) * short * (last * (last + 1) - first * (first - 1)) // 2
     return total // 40
 
 
@@ -248,7 +256,7 @@ FAMILIES: dict[str, Family] = {
         Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30,
                lambda m, n: m * n * (m + n) // 8),  # each cell walks its whole path: about cubic, 1 s at 100
         Family("kernel", lambda max_m, max_n: list(itertools.product(range(2, max_m + 1), range(2, max_n + 1))),
-               _kernel_check, 14, 14, lambda m, n: math.comb(m, 2) * math.comb(n, 2)),  # squares of all its boards
+               _kernel_check, 14, 14, _kernel_cost),
         Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31, _layout_cost),
         Family("tilings", _countable_boards, _tilings_check, 6, 6, _tilings_cost),
     )

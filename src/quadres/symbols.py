@@ -14,17 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .billiards import _fold
 from .oracles import SymbolValue
 
 
 @dataclass(frozen=True)
 class SymbolEvidence:
-    """A symbol value together with the bounces behind it.
+    """A symbol value, with room for the bounces behind it.
 
     The value is (-1) to the number of negative bottom bounces, or 0 when gcd(m, n) > 1.
-    bounce_evidence lists the bounces as (x, sign) and counts the negative ones; billiard_symbol
-    reads only the count's parity and returns a shared record with no bounces and count None.
+    billiard_symbol reads only that count's parity and returns a shared record with no
+    bounces and count None; billiards.base_bounces lists the bounces themselves.
     """
 
     value: SymbolValue
@@ -73,23 +72,6 @@ def negative_bounce_count(m: int, n: int) -> int:
         return 0
     half = (n + 1) // 2
     return _floor_sum(half, n, 2 * m) - 2 * _floor_sum(half, n, m)
-
-
-def bounce_evidence(m: int, n: int) -> SymbolEvidence:
-    """(m|n) from the bottom-bounce signs of m-by-n billiards, listed in base_bounces.
-
-    Bottom contacts happen at the multiples of 2m before lcm(m, n); each one's
-    abscissa and sign is the x triangle wave at that time, without tracing the
-    path.  0 when gcd(m, n) > 1; +1 for a path with no bottom bounces, such as
-    n = 1 (the empty product).  m > n makes a tall rectangle.
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"sides must be positive, got {m}x{n}")
-    if math.gcd(m, n) != 1:
-        return SymbolEvidence(value=0, negative_bounce_count=0, base_bounces=())
-    bounces = [_fold(t, n) for t in range(2 * m, m * n, 2 * m)]
-    negatives = sum(1 for _, s in bounces if s < 0)
-    return SymbolEvidence(-1 if negatives % 2 else 1, negatives, tuple(bounces))
 
 
 def symbol_supplement_minus_one(n: int) -> SymbolValue:

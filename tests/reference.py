@@ -15,8 +15,9 @@ GF(2) elimination solves a puzzle from the light-by-dark neighbour matrix
 alone, with no chase and no path (the matrix is read off the checkers
 stencil, and the tests check it against one built square by square), and
 the backtracking counter enumerates domino tilings one by one.
-`position_at` reads the ball's state off one time, `solve_single_pebble`
-clears one bottom-row pebble, and `combined_puzzle_count` solves the
+`ref_base_bounces` reads the bottom-wall events off a traced path, where
+the library folds their times alone.  `position_at` reads the ball's
+state off one time, `solve_single_pebble` clears one bottom-row pebble, and `combined_puzzle_count` solves the
 bottom-row plus left-column puzzle with the general `solve`.  `quadres`
 itself calls none of them.
 """
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from quadres.billiards import BilliardPath, Rect, _fold, base_bounces, trace_path
+from quadres.billiards import BilliardPath, Rect, Wall, _fold, trace_path
 from quadres.checkers import (
     Board,
     CheckerSet,
@@ -99,6 +100,11 @@ def _interior_visits(path: BilliardPath) -> tuple[dict[int, int], dict[int, int]
     return first, second
 
 
+def ref_base_bounces(path: BilliardPath) -> list[tuple[int, int, int]]:
+    """Bottom-wall bounces in time order, as (x, sign, t) triples."""
+    return [(b.x, b.sign, b.t) for b in path.bounces if b.wall is Wall.BOTTOM]
+
+
 def two_color_checkers(rect: Rect, k: int) -> set[tuple[int, int]]:
     """Self-crossings whose two transits straddle the bottom bounce at (2k, 0).
 
@@ -111,7 +117,7 @@ def two_color_checkers(rect: Rect, k: int) -> set[tuple[int, int]]:
     if not 0 < 2 * k < rect.n:
         raise ValueError(f"need 0 < 2k < n, got k={k}, n={rect.n}")
     path = trace_path(rect)
-    tk = next(t for x, _, t in base_bounces(path) if x == 2 * k)
+    tk = next(t for x, _, t in ref_base_bounces(path) if x == 2 * k)
     return {(c.x, c.y) for c in crossings(path) if c.t1 < tk < c.t2}
 
 

@@ -46,7 +46,7 @@ def test_criterion_01_figure_one_trace():
     path = trace_path(Rect(m=5, n=7))
     elapsed = time.perf_counter() - start
     ok = (
-        base_bounces(path) == [(4, -1, 10), (6, 1, 20), (2, 1, 30)]
+        base_bounces(5, 7) == [(4, -1, 10), (6, 1, 20), (2, 1, 30)]
         and path.end == (7, 5)
         and path.length == 35
         and elapsed < 0.001

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from quadres.billiards import Rect, Wall, base_bounces, trace_path
-from reference import crossings, kernel_checkers, position_at, two_color_checkers
+from reference import crossings, kernel_checkers, position_at, ref_base_bounces, two_color_checkers
 
 
 def step_simulate(m, n):
@@ -69,7 +69,7 @@ def test_position_at_rejects_out_of_range():
 
 def test_trace_5x7_base_bounces():
     path = trace_path(Rect(m=5, n=7))
-    assert base_bounces(path) == [(4, -1, 10), (6, 1, 20), (2, 1, 30)]
+    assert ref_base_bounces(path) == base_bounces(5, 7) == [(4, -1, 10), (6, 1, 20), (2, 1, 30)]
     assert path.end == (7, 5)
     assert path.length == 35
     assert len(path.bounces) == 10
@@ -149,21 +149,37 @@ def test_base_abscissae_cover_even_points_when_coprime():
         for n in range(2, 30):
             if math.gcd(m, n) != 1:
                 continue
-            xs = [x for x, _, _ in base_bounces(trace_path(Rect(m=m, n=n)))]
+            xs = [x for x, _, _ in ref_base_bounces(trace_path(Rect(m=m, n=n)))]
             assert sorted(xs) == list(range(2, n, 2)), (m, n)
             assert len(xs) == len(set(xs))
 
 
 def test_base_bounces_all_negative_for_height_n_minus_1():
     for n in (5, 7, 9, 13):
-        signs = [s for _, s, _ in base_bounces(trace_path(Rect(m=n - 1, n=n)))]
-        assert signs and all(s == -1 for s in signs), n
+        for bounces in (ref_base_bounces(trace_path(Rect(m=n - 1, n=n))), base_bounces(n - 1, n)):
+            signs = [s for _, s, _ in bounces]
+            assert signs and all(s == -1 for s in signs), n
 
 
 def test_base_bounces_height_2_alternate():
     # signs at x = 2k are negative exactly for odd k
-    bb = base_bounces(trace_path(Rect(m=2, n=7)))
-    assert sorted((x, s) for x, s, _ in bb) == [(2, -1), (4, 1), (6, -1)]
+    for bb in (ref_base_bounces(trace_path(Rect(m=2, n=7))), base_bounces(2, 7)):
+        assert sorted((x, s) for x, s, _ in bb) == [(2, -1), (4, 1), (6, -1)]
+
+
+def test_base_bounces_match_the_traced_path(monkeypatch):
+    # the fold at the times 2m, 4m, ... against the traced path's bottom-wall events, on every
+    # shape (gcd > 1, m = 1, n = 1 and m > n included), with the tracer refused while the lister runs
+    from quadres import billiards
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("base_bounces traced the path it is checked against")
+
+    sides = [(m, n) for m in range(1, 61) for n in range(1, 61)]
+    want = [ref_base_bounces(trace_path(Rect(m=m, n=n))) for m, n in sides]
+    monkeypatch.setattr(billiards, "trace_path", refuse)
+    for (m, n), bounces in zip(sides, want):
+        assert base_bounces(m, n) == bounces, (m, n)
 
 
 def test_endpoint_corners():
@@ -209,7 +225,7 @@ def test_reflection_symmetry_even_width():
     # odd m, even n: base-bounce (x, sign) pairs are fixed by x -> n-x
     for m in range(1, 40, 2):
         for n in range(2, 40, 2):
-            pairs = {(x, s) for x, s, _ in base_bounces(trace_path(Rect(m=m, n=n)))}
+            pairs = {(x, s) for x, s, _ in ref_base_bounces(trace_path(Rect(m=m, n=n)))}
             assert pairs == {(n - x, s) for x, s in pairs}, (m, n)
 
 
@@ -220,9 +236,9 @@ def test_corridor_reduction():
         for n in range(m + 2, 62, 2):
             if math.gcd(m, n) != 1:
                 continue
-            wide = [(x, s) for x, s, _ in base_bounces(trace_path(Rect(m=m, n=n))) if x < n - m]
-            narrow = [(x, s) for x, s, _ in base_bounces(trace_path(Rect(m=m, n=n - m)))]
-            assert sorted(wide) == sorted(narrow), (m, n)
+            traced = [ref_base_bounces(trace_path(Rect(m=m, n=width))) for width in (n, n - m)]
+            for wide, narrow in (traced, (base_bounces(m, n), base_bounces(m, n - m))):
+                assert sorted((x, s) for x, s, _ in wide if x < n - m) == sorted((x, s) for x, s, _ in narrow), (m, n)
 
 
 def test_crossing_counts():

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadres.billiards import Rect, base_bounces, trace_path
+from quadres.billiards import Rect, trace_path
 from quadres.checkers import (
     Board,
     CheckerSet,
@@ -52,6 +52,7 @@ from reference import (
     dark_squares,
     kernel_checkers,
     neighbor_matrix,
+    ref_base_bounces,
     ref_clear_bottom_row,
     ref_count_tilings,
     ref_rows,
@@ -88,7 +89,7 @@ def ref_solve(rows, cols, pebbled):
     placed, residual = ref_light_chase(rows, cols, pebbled)
     if residual:
         path = trace_path(Rect(m=rows + 1, n=cols + 1))
-        times = {x: t for x, _, t in base_bounces(path)}
+        times = {x: t for x, _, t in ref_base_bounces(path)}
         cuts = sorted(times[col + 1] for col, _ in residual)
         for c in crossings(path):
             if (bisect_left(cuts, c.t2) - bisect_right(cuts, c.t1)) % 2:
@@ -103,7 +104,7 @@ def ref_single_pebble_counts(m, n):
     firsts = sorted(c.t1 for c in cross)
     seconds = sorted(c.t2 for c in cross)
     # crossings with t1 < t, less those with t2 < t too; a bounce is never a crossing time
-    return [(x, bisect_left(firsts, t) - bisect_left(seconds, t)) for x, _, t in base_bounces(path)]
+    return [(x, bisect_left(firsts, t) - bisect_left(seconds, t)) for x, _, t in ref_base_bounces(path)]
 
 
 def coprime_sides(limit):
@@ -218,11 +219,11 @@ def test_solver_calls_no_oracle(monkeypatch):
     from quadres import billiards, oracles, symbols
 
     _refuse_everywhere(monkeypatch, {
-        symbols.billiard_symbol, billiards._fold, oracles.jacobi_symbol,
+        symbols.billiard_symbol, billiards.base_bounces, billiards._fold, oracles.jacobi_symbol,
         oracles.euler_symbol, oracles.zolotarev_perm_sign, reference.solve_elimination,
     })
     assert quadres.billiard_symbol is _refuse and reference.solve_elimination is _refuse
-    assert symbols._fold is _refuse
+    assert quadres.base_bounces is _refuse and billiards._fold is _refuse
 
     p = random_puzzle(Board(rows=6, cols=10), random.Random(3))
     assert apply_checkers(solve(p)) == p
@@ -263,10 +264,11 @@ def _legs():
 
 def _refuse_the_walk_and_other_legs(monkeypatch):
     """Refuse the piece-by-piece walk and every function of billiards, symbols and oracles."""
-    from quadres import checkers, symbols
+    import quadres
+    from quadres import checkers
 
     _refuse_everywhere(monkeypatch, {checkers._walk, *_legs()})
-    assert checkers._walk is _refuse and symbols._fold is _refuse and checkers._lay is not _refuse
+    assert checkers._walk is _refuse and quadres.base_bounces is _refuse and checkers._lay is not _refuse
 
 
 def test_kernel_element_matches_once_visited_reference(monkeypatch):
@@ -442,17 +444,17 @@ def test_bottom_row_symbol_matches_billiards_on_large_sides(m, n):
 
 
 def test_single_pebble_counts_call_no_path_tracer_or_oracle(monkeypatch):
-    """The lattice walk runs with the path tracer, the bounce walk and every oracle disabled."""
+    """The lattice walk runs with the path tracer, the bounce lister and every oracle disabled."""
     import quadres
     from quadres import billiards, oracles, symbols
 
     cells = coprime_sides(20)
     want = [ref_single_pebble_counts(m, n) for m, n in cells]
     _refuse_everywhere(monkeypatch, {
-        billiards.trace_path, billiards._fold, symbols.billiard_symbol, symbols.bounce_evidence,
+        billiards.trace_path, billiards._fold, symbols.billiard_symbol, billiards.base_bounces,
         oracles.jacobi_symbol, oracles.euler_symbol, oracles.zolotarev_perm_sign,
     })
-    assert quadres.trace_path is _refuse and symbols._fold is _refuse
+    assert quadres.trace_path is _refuse and quadres.base_bounces is _refuse and billiards._fold is _refuse
     assert [single_pebble_counts(m, n) for m, n in cells] == want
 
 
@@ -512,10 +514,10 @@ def test_combined_solution_is_the_solved_one():
 
 def test_superposition_sweep_calls_no_solver_or_other_leg(monkeypatch):
     """s, t and u come from the laid bottom-row arches and the explicit set alone."""
-    from quadres import checkers, sweeps, symbols
+    from quadres import billiards, checkers, sweeps
 
     _refuse_everywhere(monkeypatch, {*_legs(), checkers.solve, checkers.light_chase})
-    assert sweeps.ck.solve is _refuse and sweeps.ck.light_chase is _refuse and symbols._fold is _refuse
+    assert sweeps.ck.solve is _refuse and sweeps.ck.light_chase is _refuse and billiards._fold is _refuse
     assert sweeps.symbols.billiard_symbol is _refuse and sweeps.oracles.jacobi_symbol is _refuse
 
     result = sweeps.run_family("superposition")

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output, JSON schema, exit codes."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,10 +12,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from quadres.billiards import Rect, trace_path
 from quadres.cli import DEFAULT_MAX_CELLS, main
 from quadres.oracles import jacobi_symbol
 from quadres.sweeps import FAMILIES
-from quadres.symbols import bounce_evidence
+from reference import ref_base_bounces
 
 
 @pytest.fixture()
@@ -167,17 +169,19 @@ class TestSymbol:
 
     @pytest.mark.parametrize("m, n", [(5, 101), (2, 101), (7, 150), (101, 102), (6, 102), (3, 999)])
     def test_value_only_count_matches_the_bounce_walk(self, runner, m, n):
-        # both branches take the value and count from floor sums; the walked record must agree
-        ev = bounce_evidence(m, n)
+        # both branches take the value and count from floor sums; the traced path's bounces must agree
+        coprime = math.gcd(m, n) == 1
+        bounces = [[x, s] for x, s, _ in ref_base_bounces(trace_path(Rect(m=m, n=n)))] if coprime else []
+        negatives = sum(s < 0 for _, s in bounces)
+        value = (-1) ** negatives if coprime else 0
         result, payload = invoke_json(runner, ["symbol", str(m), str(n), "--json"],
                                       env={"QUADRES_MAX_CELLS": "100"})
         assert result.exit_code == 0
-        assert payload["result"] == {"value": ev.value, "negative_bounces": ev.negative_bounce_count,
+        assert payload["result"] == {"value": value, "negative_bounces": negatives,
                                      "base_bounces": [], "base_bounces_omitted": True}
         result, payload = invoke_json(runner, ["symbol", str(m), str(n), "--json"])
         assert result.exit_code == 0
-        assert payload["result"] == {"value": ev.value, "negative_bounces": ev.negative_bounce_count,
-                                     "base_bounces": [list(b) for b in ev.base_bounces]}
+        assert payload["result"] == {"value": value, "negative_bounces": negatives, "base_bounces": bounces}
 
 
 class TestSolve:
@@ -286,7 +290,7 @@ class TestVerify:
             assert result.exit_code == 0, result.output
             assert "failures    0" in result.output
 
-    @pytest.mark.parametrize("bound, cost", [(60, 1898268), (500, 16943903), (10**9, 6028210708)])
+    @pytest.mark.parametrize("bound, cost", [(60, 2182347), (500, 25366226), (10**9, 29221236052)])
     def test_tilings_cap_counts_the_countable_boards_work(self, runner, bound, cost):
         # the grid's M*N (3,600 at 60, exactly the cap at 500) hides the work: 60's 1,126 boards take about 10 s
         start = time.perf_counter()
@@ -295,6 +299,14 @@ class TestVerify:
         assert result.exit_code == 2
         want = f"tilings sweep grid {bound}x{bound} ({cost} work units) exceeds the safety limit of 250000"
         assert want in result.output
+
+    @pytest.mark.parametrize("max_m, max_n, cost", [(1, 3161, 1249385), (2, 1413, 1248738)])
+    def test_tilings_cap_counts_the_work_of_narrow_boards(self, runner, max_m, max_n, cost):
+        # the profiles alone cost these about 250,000 units, yet each grid takes 4-5 s: a cell's dict and
+        # the chase cost 8 units a cell at any width
+        result = runner.invoke(main, ["verify", "--checks", "tilings", "--max-m", str(max_m), "--max-n", str(max_n)])
+        assert result.exit_code == 2
+        assert f"tilings sweep grid {max_m}x{max_n} ({cost} work units) exceeds" in result.output
 
     def test_json_schema(self, runner):
         result, payload = invoke_json(
@@ -321,15 +333,34 @@ class TestVerify:
         assert "cells      5  checked      10" in result.output
 
     def test_kernel_cap_counts_board_squares(self, runner):
-        # 60x60 is 3,600 grid cells, but the kernel sweep chases 3,132,900 board squares
-        result = runner.invoke(main, ["verify", "--max-n", "60", "--checks", "kernel"])
+        # 80x80 is 6,400 grid cells, but the kernel sweep chases 9,985,600 board squares, about 2 s
+        result = runner.invoke(main, ["verify", "--max-n", "80", "--checks", "kernel"])
         assert result.exit_code == 2
-        assert "(3132900 work units) exceeds the safety limit" in result.output
+        assert "(499440 work units) exceeds the safety limit" in result.output
+
+    @pytest.mark.parametrize("max_m, max_n", [("1", "1000000000"), ("1000000000", "1")])
+    def test_kernel_cap_counts_a_side_that_makes_no_board(self, runner, max_m, max_n):
+        # a side below 2 makes no board, but the grid still enumerates the other side's range
+        start = time.perf_counter()
+        result = runner.invoke(main, ["verify", "--checks", "kernel", "--max-m", max_m, "--max-n", max_n])
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert "(1000000001 work units) exceeds the safety limit" in result.output
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_family_defaults_pass_the_default_cap(self, name):
         family = FAMILIES[name]
         assert family.cost(family.default_max_m, family.default_max_n) <= DEFAULT_MAX_CELLS
+
+    @pytest.mark.parametrize("max_m, max_n", [(1, 10**9), (10**9, 1), (2, 10**9), (10**9, 2)])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_refuses_or_builds_a_huge_bound_at_once(self, name, max_m, max_n):
+        # a bound that leaves the grid empty or thin must not hide the other one from the cap
+        family = FAMILIES[name]
+        if family.cost(max_m, max_n) <= DEFAULT_MAX_CELLS:
+            start = time.perf_counter()
+            family.make_cells(max_m, max_n)
+            assert time.perf_counter() - start < 0.5
 
     def test_repeated_family_runs_once(self, runner):
         result, payload = invoke_json(

@@ -1,8 +1,8 @@
 """The three legs stay independent in the source: each module imports only the quadres names allowed.
 
 The billiards, checkers and oracle legs and the tiling count import no
-other quadres module; `symbols` takes only the triangle wave and the value
-alias.  The CLI imports only public names.  The refusal tests catch a call
+other quadres module; `symbols` takes only the value alias, and no
+billiards name: its symbol comes from floor sums, not from the bounces.  The CLI imports only public names.  The refusal tests catch a call
 at run time; this catches a new import before anything runs.
 """
 
@@ -15,7 +15,7 @@ ALLOWED = {
     "billiards": set(),
     "checkers": set(),
     "oracles": set(),
-    "symbols": {"billiards._fold", "oracles.SymbolValue"},
+    "symbols": {"oracles.SymbolValue"},
     "tilings": set(),
 }
 

@@ -153,15 +153,17 @@ def test_failure_records_carry_each_familys_keys(monkeypatch, name, module, attr
 
 
 def test_kernel_cost_counts_board_squares():
+    # the squares of all its boards over 20, plus the two side ranges the grid enumerates
     kernel = FAMILIES["kernel"]
-    assert kernel.cost(14, 14) == 8281
-    assert kernel.cost(32, 32) == 246016
-    assert kernel.cost(33, 33) == 278784
-    assert kernel.cost(2, 14) == 91
+    assert kernel.cost(14, 14) == 8281 // 20 + 28 == 442
+    assert kernel.cost(64, 64) == 4064256 // 20 + 128 == 203340  # 64x64 takes about 0.9 s
+    assert kernel.cost(67, 67) == 244560 < 500 * 500 < kernel.cost(68, 68) == 259600  # the CLI's default cap
+    assert kernel.cost(2, 14) == 91 // 20 + 16 == 20
+    assert kernel.cost(1, 10**9) == kernel.cost(10**9, 1) == 10**9 + 1  # no board, but a range of 10^9 sides
     n_only = {"euler": 2 * 40 * 40, "almost_reciprocity": 40 * 40, "supplements": 40}  # their grids read no m
     path_walks = {"checkers_bridge": 33 * 40 * (33 + 40) // 8}  # each cell walks its whole path
     layouts = {name: 33 * 40 * (33 + 40) // 64 for name in ("checkers_symbol", "superposition")}  # one grid a cell
-    tilings = {"tilings": 37544624 // 40}  # the transfer counts' work over the countable boards up to 33x40
+    tilings = {"tilings": 42171672 // 40}  # the tiling checks' work over the countable boards up to 33x40
     for family in FAMILIES.values():
         if family.name != "kernel":
             want = {**n_only, **path_walks, **layouts, **tilings}.get(family.name, 33 * 40)
@@ -170,9 +172,9 @@ def test_kernel_cost_counts_board_squares():
 
 def test_tilings_cost_admits_17_and_refuses_18():
     cost = FAMILIES["tilings"].cost
-    assert cost(6, 6) == 196 and cost(12, 12) == 66567  # the default, and every board of 12x12 counted
-    assert cost(17, 17) == 220174 < 500 * 500 < cost(18, 18) == 257040  # the CLI's default cap, about 1 s
-    assert cost(60, 60) == 1898268 and cost(500, 500) == 16943903
+    assert cost(6, 6) == 506 and cost(12, 12) == 74705  # the default, and every board of 12x12 counted
+    assert cost(17, 17) == 243492 < 500 * 500 < cost(18, 18) == 284001  # the CLI's default cap, about 1 s
+    assert cost(60, 60) == 2182347 and cost(500, 500) == 25366226
 
 
 def test_bridge_cost_admits_100_and_refuses_150():

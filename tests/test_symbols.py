@@ -12,12 +12,12 @@ from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev
 from quadres.symbols import (
     _floor_sum,
     billiard_symbol,
-    bounce_evidence,
     mod4_symbol,
     negative_bounce_count,
     symbol_supplement_minus_one,
     symbol_supplement_two,
 )
+from reference import ref_base_bounces
 
 
 def test_billiard_symbol_5x7():
@@ -25,9 +25,7 @@ def test_billiard_symbol_5x7():
     assert ev.value == -1
     assert ev.negative_bounce_count is None
     assert ev.base_bounces == ()
-    walked = bounce_evidence(5, 7)
-    assert walked.negative_bounce_count == 1
-    assert walked.base_bounces == ((4, -1), (6, 1), (2, 1))
+    assert negative_bounce_count(5, 7) == 1
 
 
 def test_billiard_symbol_shared_factor_is_zero():
@@ -47,35 +45,34 @@ def test_billiard_symbol_empty_products():
 
 
 def test_billiard_symbol_rejects_nonpositive():
-    for symbol in (billiard_symbol, bounce_evidence, negative_bounce_count):
+    for symbol in (billiard_symbol, base_bounces, negative_bounce_count):
         for m, n in [(0, 5), (5, 0), (1, 0), (-3, 5)]:
             with pytest.raises(ValueError, match="sides must be positive"):
                 symbol(m, n)
 
 
 def test_billiard_symbol_matches_traced_path():
-    # the symbol's direct bounce computation against the event-driven trace
+    # the floor sums against the product of the traced path's bottom-bounce signs, on every shape
     for m in range(1, 41):
         for n in range(1, 41):
-            if math.gcd(m, n) != 1:
-                continue
-            ev = bounce_evidence(m, n)
-            traced = [(x, s) for x, s, _ in base_bounces(trace_path(Rect(m=m, n=n)))]
-            assert list(ev.base_bounces) == traced, (m, n)
+            signs = [s for _, s, _ in ref_base_bounces(trace_path(Rect(m=m, n=n)))]
+            assert billiard_symbol(m, n).value == (math.prod(signs) if math.gcd(m, n) == 1 else 0), (m, n)
 
 
 def test_floor_sums_match_bounce_walk():
-    # the O(log n) value against the bounce walk it replaces, on every grid
+    # the O(log n) value against the signs base_bounces lists, on every grid
     # shape: even n, m > n and gcd > 1 included; each descent is checked to
     # the integer against its plain sum, and negative_bounce_count against the walked count
     for m in range(1, 399):
         for n in range(1, 202):
-            walked = bounce_evidence(m, n)
-            assert billiard_symbol(m, n).value == walked.value, (m, n)
+            coprime = math.gcd(m, n) == 1
+            negatives = sum(s < 0 for _, s, _ in base_bounces(m, n)) if coprime else 0
+            walked = (-1 if negatives % 2 else 1) if coprime else 0
+            assert billiard_symbol(m, n).value == walked, (m, n)
             count = (n + 1) // 2
             sums = [_floor_sum(count, n, a) for a in (m, 2 * m)]
             assert sums == [sum(a * k // n for k in range(count)) for a in (m, 2 * m)], (m, n)
-            assert negative_bounce_count(m, n) == walked.negative_bounce_count, (m, n)
+            assert negative_bounce_count(m, n) == negatives, (m, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,23 +95,18 @@ def _refuse_everywhere(monkeypatch, targets):
 
 
 def test_billiard_symbol_calls_no_oracle(monkeypatch):
-    """The bounce walk runs without the path tracer, and the floor-sum path
-    without the bounce fold either; both with every oracle disabled."""
+    """The floor sums run without the bounce lister, its fold or the path tracer, and with every oracle disabled."""
     import quadres
-    from quadres import billiards, oracles, symbols
+    from quadres import billiards, oracles
 
     cells = [(m, n) for m in range(1, 30) for n in range(1, 30)]
-    want = [(m, n, [(x, s) for x, s, _ in base_bounces(trace_path(Rect(m=m, n=n)))]) for m, n in cells
-            if math.gcd(m, n) == 1]
-    _refuse_everywhere(monkeypatch, {billiards.trace_path, oracles.jacobi_symbol, oracles.euler_symbol,
-                                     oracles.zolotarev_perm_sign})
-    assert quadres.trace_path is _refuse and quadres.jacobi_symbol is _refuse
-    for m, n, bounces in want:
-        assert list(bounce_evidence(m, n).base_bounces) == bounces, (m, n)
-
-    _refuse_everywhere(monkeypatch, {billiards._fold})
-    assert symbols._fold is _refuse
+    want = [sum(s < 0 for _, s, _ in base_bounces(m, n)) if math.gcd(m, n) == 1 else 0 for m, n in cells]
+    _refuse_everywhere(monkeypatch, {billiards.base_bounces, billiards._fold, billiards.trace_path,
+                                     oracles.jacobi_symbol, oracles.euler_symbol, oracles.zolotarev_perm_sign})
+    assert quadres.base_bounces is _refuse and billiards._fold is _refuse and quadres.jacobi_symbol is _refuse
+    assert [negative_bounce_count(m, n) for m, n in cells] == want
     values = [billiard_symbol(m, n).value for m, n in cells]
+    assert values == [(-1) ** count if math.gcd(m, n) == 1 else 0 for (m, n), count in zip(cells, want)]
     assert values.count(-1) > 0 and values.count(0) > 0
     assert billiard_symbol(5, 7).value == -1
     assert billiard_symbol(5, 8).value == 1
