@@ -57,6 +57,11 @@ def _check_size(estimate: int, what: str) -> None:
         raise click.UsageError(f"{what} exceeds the safety limit of {limit} (override with QUADRES_MAX_CELLS)")
 
 
+def _check_path(m: int, n: int) -> None:
+    """Refuse a path whose bounces, at most m + n - 2, cost more than the limit: 4 work units per side unit."""
+    _check_size(4 * (m + n), f"{m}x{n} ({4 * (m + n)} work units for at most {m + n - 2} bounces)")
+
+
 def _positive(_ctx, param, value):
     if value is not None and value < 1:
         raise click.BadParameter(f"{param.name} must be >= 1")
@@ -121,7 +126,7 @@ def main() -> None:
 @_output()
 def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
     """Trace the M x N billiard path and list its bounces."""
-    _check_size(m * n, f"{m}x{n} ({m * n} cells)")
+    _check_path(m, n)
     path = trace_path(Rect(m=m, n=n))
     result = {
         "bounces": [{"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign} for b in path.bounces],
@@ -279,8 +284,8 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
     for name in names:
         family = FAMILIES[name]
         grid_m, grid_n = family.bounds(max_m, max_n)
-        cost = family.cost(grid_m, grid_n)
-        _check_size(cost, f"{name} sweep grid {grid_m}x{grid_n} ({cost} work units)")
+        work = family.work(grid_m, grid_n, _max_cells())  # stops counting once past the limit: a lower bound then
+        _check_size(work, f"{name} sweep grid {grid_m}x{grid_n} (at least {work} work units)")
         reproduce[name] = f"quadres verify --checks {name} --max-m {grid_m} --max-n {grid_n}"
     if out:
         _write(out, "", "a")  # fail on an unwritable target before any family runs
@@ -321,7 +326,7 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
 def render_cmd(m: int, n: int, split_k: int | None, cell_px: int, grid: bool, signs: bool,
                color_before: str, color_after: str, as_json: bool, out: str | None) -> None:
     """Render the M x N billiard path as SVG."""
-    _check_size(m * n, f"{m}x{n} ({m * n} cells)")
+    _check_path(m, n)
     try:
         spec = RenderSpec(cell_px=cell_px, show_grid=grid, color_before=color_before,
                           color_after=color_after, annotate_signs=signs)

@@ -3,7 +3,9 @@
 Each check family enumerates a grid of inputs, evaluates one identity on
 each cell, and reports the cells that fail.  Every family is one row of
 one registry, FAMILIES; a cell is the tuple of its check's arguments, and
-a row's cost counts only the bounds its grid reads.  `verify` runs them all.
+a row's cell_cost prices one cell from those arguments alone.  A sweep's
+work is the sum over the cells its grid makes, which `Family.work` counts
+before anything runs.  `verify` runs them all.
 
 Cells are coarse units of work (one denominator, or one (m, n) pair), so a
 sweep can be partitioned across processes; results are merged in cell
@@ -14,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import checkers as ck
 from . import billiards, oracles, symbols, tilings
@@ -47,21 +48,34 @@ class FamilyResult:
 @dataclass(frozen=True)
 class Family:
     name: str
-    make_cells: Callable[[int, int], list[tuple]]  # the argument tuples of `check`, in order
+    make_cells: Callable[[int, int], Iterable[tuple]]  # the argument tuples of `check`, in order, made lazily
     check: Callable[..., tuple[int, list[Failure]]]
     default_max_m: int
     default_max_n: int
-    cost: Callable[[int, int], int] = operator.mul  # work in cells at bounds (max_m, max_n), for the size cap
+    cell_cost: Callable[..., int]  # one cell's work from its arguments alone: at least 1 unit of about 4 us
 
     def bounds(self, max_m: int | None, max_n: int | None) -> tuple[int, int]:
         """The grid bounds a run uses: a bound left as None takes the family default."""
         return (self.default_max_m if max_m is None else max_m,
                 self.default_max_n if max_n is None else max_n)
 
+    def work(self, max_m: int, max_n: int, limit: int) -> int:
+        """The cells' summed cell_cost at these bounds, counted only until it passes `limit`."""
+        total = 0
+        for cell in self.make_cells(max_m, max_n):
+            total += self.cell_cost(*cell)
+            if total > limit:
+                break
+        return total
 
-def _coprime_pairs(max_m: int, max_n: int, start: int = 1, step: int = 1) -> list[tuple[int, int]]:
-    return [(m, n) for m in range(start, max_m + 1, step) for n in range(start, max_n + 1, step)
-            if math.gcd(m, n) == 1]
+
+def _grid(ms: range, ns: range) -> Iterator[tuple[int, int]]:
+    """Every (m, n) of ms x ns, m-major; an empty ns makes no row, so a huge ms is not walked for nothing."""
+    return ((m, n) for m in (ms if ns else ()) for n in ns)
+
+
+def _coprime_pairs(max_m: int, max_n: int, start: int = 1, step: int = 1) -> Iterator[tuple[int, int]]:
+    return (c for c in _grid(range(start, max_m + 1, step), range(start, max_n + 1, step)) if math.gcd(*c) == 1)
 
 
 def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> Iterable[int]:
@@ -87,21 +101,16 @@ def _swapped(m: int, n: int) -> int:
 
 def _comparison(name: str, default_max_m: int, default_max_n: int, denominators: Callable[[int], Iterable[int]],
                 numerators: Callable[[int, int], Iterable[int]], lhs: Callable[[int, int], int],
-                rhs: Callable[[int, int], int], keys: tuple[str, str], n_key: str = "n",
-                cost: Callable[[int, int], int] = operator.mul) -> Family:
+                rhs: Callable[[int, int], int], keys: tuple[str, str], cell_cost: Callable[[int, int], int],
+                n_key: str = "n") -> Family:
     """A symbol family: for each denominator n up to max_n, lhs(m, n) against rhs(m, n) over the numerators m of n.
 
     A cell is (n, max_m).  A side looks its callee up in its module when the cell runs, so a function
     patched after import is the one checked.
     """
-    return Family(name, lambda max_m, max_n: [(n, max_m) for n in denominators(max_n)],
+    return Family(name, lambda max_m, max_n: ((n, max_m) for n in denominators(max_n)),
                   lambda n, max_m: _agreement(n, numerators(n, max_m), lhs, rhs, keys, n_key),
-                  default_max_m, default_max_n, cost)
-
-
-def _layout_cost(max_m: int, max_n: int) -> int:
-    """One laid grid of about m*(m+n) bits a cell, summed over the grid: about 1 s at bounds 200, the default cap."""
-    return max_m * max_n * (max_m + max_n) // 64
+                  default_max_m, default_max_n, cell_cost)
 
 
 # --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
@@ -125,12 +134,6 @@ def _bridge_check(m: int, n: int) -> tuple[int, list[Failure]]:
 
 # --- kernel: unique solvability iff g = gcd(m, n) = 1; kernel dimension floor(g/2) and cokernel
 # --- floor((g-1)/2); explicit kernel element otherwise ---
-
-def _kernel_cost(max_m: int, max_n: int) -> int:
-    """The squares of all its boards over 20, about 1 s at the default cap (64x64 in 0.87 s), plus the two
-    side ranges the grid enumerates, so that a bound below 2, which makes no board, still counts the other."""
-    return math.comb(max_m, 2) * math.comb(max_n, 2) // 20 + max_m + max_n
-
 
 def _kernel_check(m: int, n: int) -> tuple[int, list[Failure]]:
     failures = []
@@ -187,28 +190,10 @@ def _countable(rows: int, cols: int) -> bool:
     return tilings._work(rows, cols) <= tilings.MAX_TILING_WORK
 
 
-def _countable_boards(max_m: int, max_n: int) -> list[tuple[int, int]]:
+def _countable_boards(max_m: int, max_n: int) -> Iterator[tuple[int, int]]:
     """Every board of the grid that count_tilings counts: a prefix of each row, as the work grows with either side."""
-    return [(rows, cols) for rows in itertools.takewhile(lambda rows: _countable(rows, 1), range(1, max_m + 1))
-            for cols in itertools.takewhile(partial(_countable, rows), range(1, max_n + 1))]
-
-
-def _tilings_cost(max_m: int, max_n: int) -> int:
-    """The work of the countable boards, (2^s + 8s) * s * long each, summed by the short side s and divided by 40.
-
-    A cell of an s-wide board takes about 0.1 us for each of its 2^s profiles and 0.8 us * s for its dict
-    and the chase, so the cap is about 1 s (0.7-1.2 s measured on 1-, 2-, 4-, 6-, 8- and 12-wide and square
-    grids): 243,492 at bounds 17, over it from 18 on.  In closed form, so that refusing a huge bound lists
-    no board.
-    """
-    total = 0
-    for short in itertools.takewhile(lambda short: _countable(short, short), itertools.count(1)):
-        longest = tilings.MAX_TILING_WORK // (2**short * short)  # the longest countable board this wide
-        for along, across, first in ((max_n, max_m, short), (max_m, max_n, short + 1)):  # s x long, then long x s
-            last = min(along, longest)
-            if short <= across and first <= last:
-                total += (2**short + 8 * short) * short * (last * (last + 1) - first * (first - 1)) // 2
-    return total // 40
+    rows = itertools.takewhile(lambda rows: _countable(rows, 1), range(1, max_m + 1) if max_n > 0 else ())
+    return ((r, c) for r in rows for c in itertools.takewhile(partial(_countable, r), range(1, max_n + 1)))
 
 
 def _invertible(rows: int, cols: int) -> bool:
@@ -230,35 +215,42 @@ FAMILIES: dict[str, Family] = {
         # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
         _comparison("euler", 398, 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
                     lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n), _billiard,
-                    lambda m, n: oracles.euler_symbol(m, n), ("billiard", "euler"), cost=lambda m, n: 2 * n * n),
-        # billiard symbol vs permutation sign, coprime m, n, even denominators included
+                    lambda m, n: oracles.euler_symbol(m, n), ("billiard", "euler"), lambda n, max_m: 1 + 2 * n),
+        # billiard symbol vs permutation sign, coprime m, n, even denominators included; n is factored once
         _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1), _coprime_numerators,
-                    _billiard, lambda m, n: oracles.zolotarev_perm_sign(m, n), ("billiard", "zolotarev")),
+                    _billiard, lambda m, n: oracles.zolotarev_perm_sign(m, n), ("billiard", "zolotarev"),
+                    lambda n, max_m: 1 + max_m + math.isqrt(n) // 16),
         # billiard symbol vs Jacobi symbol, odd denominators
         _comparison("jacobi", 151, 151, lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
-                    _billiard, lambda m, n: oracles.jacobi_symbol(m, n), ("billiard", "jacobi")),
-        Family("supplements", lambda max_m, max_n: [(n,) for n in range(3, max_n + 1, 2)],
-               _supplements_check, 199, 199, lambda m, n: n),
+                    _billiard, lambda m, n: oracles.jacobi_symbol(m, n), ("billiard", "jacobi"),
+                    lambda n, max_m: 1 + max_m),
+        Family("supplements", lambda max_m, max_n: ((n,) for n in range(3, max_n + 1, 2)),
+               _supplements_check, 199, 199, lambda n: 2),
         # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
         _comparison("almost_reciprocity", 201, 201, lambda max_n: range(3, max_n + 1, 2),
                     lambda n, max_m: range(1, n, 2), _swapped,
-                    lambda m, n: symbols.billiard_symbol(m, n - m).value, ("lhs", "rhs"), cost=lambda m, n: n * n),
+                    lambda m, n: symbols.billiard_symbol(m, n - m).value, ("lhs", "rhs"), lambda n, max_m: 1 + n),
         # closed form for (m|d), odd numerator m over even denominator d, coprime
         _comparison("mod4", 201, 200, lambda max_n: range(2, max_n + 1, 2), partial(_coprime_numerators, step=2),
-                    _billiard, lambda m, d: symbols.mod4_symbol(m, d), ("billiard", "closed"), n_key="d"),
+                    _billiard, lambda m, d: symbols.mod4_symbol(m, d), ("billiard", "closed"),
+                    lambda d, max_m: 1 + (max_m + 1) // 2, n_key="d"),
         # reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3
         _comparison("reciprocity", 199, 199, lambda max_n: range(3, max_n + 1, 2),
                     partial(_coprime_numerators, start=3, step=2),
-                    _swapped, lambda m, n: -1 if (m - 1) * (n - 1) // 4 % 2 else 1, ("lhs", "rhs")),
+                    _swapped, lambda m, n: -1 if (m - 1) * (n - 1) // 4 % 2 else 1, ("lhs", "rhs"),
+                    lambda n, max_m: 1 + max_m),
         # bottom-row puzzle parity vs billiard symbol, coprime m, n
         _comparison("checkers_symbol", 50, 50, lambda max_n: range(1, max_n + 1), _coprime_numerators,
-                    lambda m, n: ck.bottom_row_symbol(m, n), _billiard, ("checkers", "billiard"), cost=_layout_cost),
+                    lambda m, n: ck.bottom_row_symbol(m, n), _billiard, ("checkers", "billiard"),
+                    lambda n, max_m: 1 + max_m * (max_m + n) // 16),
         Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30,
-               lambda m, n: m * n * (m + n) // 8),  # each cell walks its whole path: about cubic, 1 s at 100
-        Family("kernel", lambda max_m, max_n: list(itertools.product(range(2, max_m + 1), range(2, max_n + 1))),
-               _kernel_check, 14, 14, _kernel_cost),
-        Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31, _layout_cost),
-        Family("tilings", _countable_boards, _tilings_check, 6, 6, _tilings_cost),
+               lambda m, n: 1 + (m + n) * (8000 + m * n) // 32000),
+        Family("kernel", lambda max_m, max_n: _grid(range(2, max_m + 1), range(2, max_n + 1)), _kernel_check, 14, 14,
+               lambda m, n: 1 + m * n // 20 + n // 4 + m * (m + n) // 2000),
+        Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31,
+               lambda m, n: 1 + (m + n) // 3 + (m + n) ** 2 // 2400),
+        Family("tilings", _countable_boards, _tilings_check, 6, 6,
+               lambda r, c: 1 + (2 ** min(r, c) + 8 * min(r, c)) * r * c // 40),
     )
 }
 
@@ -277,7 +269,7 @@ def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
     """
     start = time.perf_counter()
     family = FAMILIES[name]
-    cells = family.make_cells(*family.bounds(max_m, max_n))
+    cells = list(family.make_cells(*family.bounds(max_m, max_n)))
     run = partial(_run_cell, name)
     workers = min(parallelism, os.cpu_count() or 1, len(cells))
     if workers > 1:

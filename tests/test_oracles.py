@@ -139,6 +139,12 @@ def test_zolotarev_rejects_shared_factor():
         zolotarev_perm_sign(6, 9)
 
 
+@pytest.mark.parametrize("m, n", [(0, 5), (5, 0)])
+def test_zolotarev_rejects_a_nonpositive_argument(m, n):
+    with pytest.raises(ValueError, match="positive"):
+        zolotarev_perm_sign(m, n)
+
+
 def test_zolotarev_matches_jacobi_for_odd_denominators():
     for n in range(1, 302, 2):
         for a in range(1, n + 1):

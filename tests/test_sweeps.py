@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,15 @@ def _extra_pebble_at(m, n):
     return breaker
 
 
+def _two_more_on(m, n):
+    """Breaks CheckerSet.count: on the (m-1)x(n-1) board it counts two checkers too many, which keeps its parity."""
+    board = Board(rows=m - 1, cols=n - 1)
+
+    def breaker(count):
+        return lambda c: count(c) + 2 if c.board == board else count(c)
+    return breaker
+
+
 # (family, module, function broken by the breaker, breaker, every failure record at bounds 9)
 FAILURE_CASES = [
     ("euler", sweeps.oracles, "euler_symbol", _wrong_at((2, 7)), [{"m": 2, "n": 7, "billiard": 1, "euler": -1}]),
@@ -133,9 +143,14 @@ FAILURE_CASES = [
      [{"m": 3, "n": 5, "u": 2, "s": 4, "t": 3}, {"m": 5, "n": 3, "u": 2, "s": 3, "t": 4}]),
     ("superposition", sweeps.ck, "apply_checkers", _extra_pebble_at(5, 7),
      [{"m": 5, "n": 7, "combined": "not a solution"}]),
+    ("superposition", sweeps.ck.CheckerSet, "count", _two_more_on(5, 7), [{"m": 5, "n": 7, "u": 8, "formula": 6}]),
     ("tilings", sweeps.tilings, "count_tilings", _wrong_at((2, 2), lambda count: count + 1),
      [{"rows": 2, "cols": 2, "count": 3, "gcd_flag": False, "rank_full": False}]),
     ("kernel", sweeps.ck, "kernel_element", _wrong_at((6, 9), lambda e: e ^ e), [{"m": 6, "n": 9, "kernel": "empty"}]),
+    # a coprime board given a kernel: no longer invertible, and its nullity and cokernel both 1
+    ("kernel", sweeps.ck, "kernel_dimension", _wrong_at((4, 7), lambda nullity: nullity + 1),
+     [{"m": 4, "n": 7, "invertible": False, "coprime": True}, {"m": 4, "n": 7, "nullity": 1, "cokernel": 1, "gcd": 1}]),
+    ("kernel", sweeps.ck, "apply_checkers", _extra_pebble_at(6, 9), [{"m": 6, "n": 9, "kernel": "nonzero image"}]),
 ]
 
 
@@ -152,44 +167,99 @@ def test_failure_records_carry_each_familys_keys(monkeypatch, name, module, attr
     assert [list(f.items()) for f in result.failures] == [list(f.items()) for f in want]
 
 
+CAP = 500 * 500  # the CLI's default cap, about 1 s of work
+UNREACHABLE = 10**18  # a limit no grid here passes: work() sums every cell
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_work_sums_the_cell_cost_of_every_cell(name):
+    family = FAMILIES[name]
+    for max_m, max_n in itertools.product(range(13), repeat=2):
+        costs = [family.cell_cost(*cell) for cell in list(family.make_cells(max_m, max_n))]
+        assert all(type(cost) is int and cost >= 1 for cost in costs), (max_m, max_n)
+        assert family.work(max_m, max_n, UNREACHABLE) == sum(costs), (max_m, max_n)
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_work_stops_at_the_first_cell_past_the_limit(name):
+    """The count runs until the running sum passes the limit, and not a cell further; a sum equal to it passes."""
+    family = FAMILIES[name]
+    sums = list(itertools.accumulate(family.cell_cost(*cell) for cell in family.make_cells(13, 21)))
+    for limit in (0, sums[0], sums[len(sums) // 2], sums[-2], sums[-1] - 1, sums[-1]):
+        want = next((total for total in sums if total > limit), sums[-1])
+        assert family.work(13, 21, limit) == want, limit  # at sums[-2], reaching the limit is not passing it
+
+
+# the largest square bound each family's work admits under the CLI's default cap; each takes 0.4-1.3 s
+LARGEST_SQUARE = {
+    "euler": 1296, "zolotarev": 499, "jacobi": 706, "supplements": 250002, "almost_reciprocity": 998, "mod4": 999,
+    "reciprocity": 707, "checkers_symbol": 138, "checkers_bridge": 102, "kernel": 63, "superposition": 144,
+    "tilings": 17,
+}
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_cap_admits_each_familys_largest_square_and_no_more(name):
+    family, bound = FAMILIES[name], LARGEST_SQUARE[name]
+    assert family.work(bound, bound, CAP) <= CAP < family.work(bound + 1, bound + 1, CAP)
+
+
+# the longest 1xN and Nx1 grids the cap admits, None where no bound is refused; each takes at most 1.4 s
+LONGEST_THIN = {
+    "euler": (1296, None), "zolotarev": (29045, 249999), "jacobi": (250000, 249999), "supplements": (250002, None),
+    "almost_reciprocity": (998, None), "mod4": (250001, None), "reciprocity": (250002, None),
+    "checkers_symbol": (2818, 1999), "checkers_bridge": (1338, 1338), "kernel": (None, None),
+    "superposition": (None, None), "tilings": (1411, 1411),
+}
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_cap_admits_each_familys_longest_row_and_column_and_no_more(name):
+    family = FAMILIES[name]
+    for longest, bounds in zip(LONGEST_THIN[name], (lambda k: (1, k), lambda k: (k, 1))):
+        if longest is None:
+            assert family.work(*bounds(10**9), CAP) <= CAP
+        else:
+            assert family.work(*bounds(longest), CAP) <= CAP < family.work(*bounds(longest + 1), CAP)
+
+
 def test_kernel_cost_counts_board_squares():
-    # the squares of all its boards over 20, plus the two side ranges the grid enumerates
+    # each board's squares over 20, a quarter unit a column and its laid grid: 1 unit at 2x2, 225 at 64x64 (0.8 ms)
     kernel = FAMILIES["kernel"]
-    assert kernel.cost(14, 14) == 8281 // 20 + 28 == 442
-    assert kernel.cost(64, 64) == 4064256 // 20 + 128 == 203340  # 64x64 takes about 0.9 s
-    assert kernel.cost(67, 67) == 244560 < 500 * 500 < kernel.cost(68, 68) == 259600  # the CLI's default cap
-    assert kernel.cost(2, 14) == 91 // 20 + 16 == 20
-    assert kernel.cost(1, 10**9) == kernel.cost(10**9, 1) == 10**9 + 1  # no board, but a range of 10^9 sides
-    n_only = {"euler": 2 * 40 * 40, "almost_reciprocity": 40 * 40, "supplements": 40}  # their grids read no m
-    path_walks = {"checkers_bridge": 33 * 40 * (33 + 40) // 8}  # each cell walks its whole path
-    layouts = {name: 33 * 40 * (33 + 40) // 64 for name in ("checkers_symbol", "superposition")}  # one grid a cell
-    tilings = {"tilings": 42171672 // 40}  # the tiling checks' work over the countable boards up to 33x40
-    for family in FAMILIES.values():
-        if family.name != "kernel":
-            want = {**n_only, **path_walks, **layouts, **tilings}.get(family.name, 33 * 40)
-            assert family.cost(33, 40) == want, family.name
+    assert kernel.cell_cost(2, 2) == 1 and kernel.cell_cost(64, 64) == 1 + 204 + 16 + 4 == 225
+    assert kernel.work(14, 14, UNREACHABLE) == 908 and kernel.work(2, 14, UNREACHABLE) == 39
+    assert kernel.work(63, 63, UNREACHABLE) == 238033 <= CAP < kernel.work(64, 64, UNREACHABLE) == 252940
+    assert kernel.work(1, 10**9, CAP) == kernel.work(10**9, 1, CAP) == 0  # a side below 2 makes no board
+    # the work at 33x40 for every family: it reads each bound its grid reads, and only those
+    at_33_40 = {"euler": 401, "zolotarev": 1360, "jacobi": 680, "supplements": 38, "almost_reciprocity": 418,
+                "mod4": 360, "reciprocity": 646, "checkers_symbol": 4436, "checkers_bridge": 8416, "kernel": 29777,
+                "superposition": 3287, "tilings": 1054790}
+    assert {name: family.work(33, 40, UNREACHABLE) for name, family in FAMILIES.items()} == at_33_40
 
 
 def test_tilings_cost_admits_17_and_refuses_18():
-    cost = FAMILIES["tilings"].cost
-    assert cost(6, 6) == 506 and cost(12, 12) == 74705  # the default, and every board of 12x12 counted
-    assert cost(17, 17) == 243492 < 500 * 500 < cost(18, 18) == 284001  # the CLI's default cap, about 1 s
-    assert cost(60, 60) == 2182347 and cost(500, 500) == 25366226
+    work = partial(FAMILIES["tilings"].work, limit=UNREACHABLE)
+    assert work(6, 6) == 533 and work(12, 12) == 74810  # the default, and every board of 12x12 counted
+    assert work(17, 17) == 243680 <= CAP < work(18, 18) == 284206  # the CLI's default cap, about 1 s
+    assert work(60, 60) == 2183200
+    # past the cap the count stops at the first board over it, whatever the rest of the grid
+    assert FAMILIES["tilings"].work(60, 60, CAP) == 251499 and FAMILIES["tilings"].work(10**9, 10**9, CAP) == 250277
 
 
 def test_bridge_cost_admits_100_and_refuses_150():
     bridge = FAMILIES["checkers_bridge"]
-    assert bridge.cost(30, 30) == 6750
-    assert bridge.cost(100, 100) == 500 * 500  # the CLI's default cap, about 1 s of path walks
-    assert bridge.cost(150, 150) == 843750 > 500 * 500
+    assert bridge.work(30, 30, UNREACHABLE) == 4641
+    assert bridge.work(100, 100, UNREACHABLE) == 218979 <= CAP  # about 1 s of path walks
+    assert bridge.work(150, 150, UNREACHABLE) == 1006213 > CAP
 
 
-def test_layout_cost_admits_200_and_refuses_250():
-    for name in ("checkers_symbol", "superposition"):
-        cost = FAMILIES[name].cost
-        assert cost(50, 50) == 3906 and cost(31, 31) == 930  # the defaults, far inside the cap
-        assert cost(200, 200) == 250000 == 500 * 500  # the CLI's default cap, about 1 s of layouts
-        assert cost(250, 250) == 488281 > 500 * 500
+def test_layout_cost_admits_138_and_144_and_refuses_200():
+    symbol, superposition = (partial(FAMILIES[name].work, limit=UNREACHABLE)
+                             for name in ("checkers_symbol", "superposition"))
+    assert symbol(50, 50) == 11825 and superposition(31, 31) == 2240  # the defaults, far inside the cap
+    assert symbol(138, 138) == 247054 <= CAP < symbol(139, 139) == 252455  # the CLI's default cap, about 0.4 s
+    assert superposition(144, 144) == 241126 <= CAP < superposition(145, 145) == 251470  # about 0.6 s
+    assert symbol(200, 200) == 751400 and superposition(200, 200) == 697436
 
 
 def test_reduced_bounds_shrink_the_sweep():

@@ -76,7 +76,7 @@ def test_parity_check_examples():
 
 def test_parity_check_validation():
     # the row makes no board without squares, and the count refuses a negative side
-    assert FAMILIES["tilings"].make_cells(0, 5) == FAMILIES["tilings"].make_cells(5, 0) == []
+    assert list(FAMILIES["tilings"].make_cells(0, 5)) == list(FAMILIES["tilings"].make_cells(5, 0)) == []
     assert min(min(board) for board in FAMILIES["tilings"].make_cells(9, 9)) == 1
     with pytest.raises(ValueError, match="nonnegative"):
         count_tilings(0, -3)
@@ -137,19 +137,29 @@ def test_odd_cell_boards_always_even():
 def test_row_cells_are_the_countable_boards(max_m, max_n, cells):
     grid = itertools.product(range(1, max_m + 1), range(1, max_n + 1))
     want = [(rows, cols) for rows, cols in grid if _work(rows, cols) <= MAX_TILING_WORK]
-    assert FAMILIES["tilings"].make_cells(max_m, max_n) == want and len(want) == cells
+    assert list(FAMILIES["tilings"].make_cells(max_m, max_n)) == want and len(want) == cells
+
+
+def test_row_walks_no_rows_when_the_grid_has_no_columns(monkeypatch):
+    # the rows stop only at 294,912, where a 1-wide board stops being countable: without columns none is walked
+    walked = []
+    countable = sweeps._countable
+    monkeypatch.setattr(sweeps, "_countable", lambda rows, cols: walked.append(rows) or countable(rows, cols))
+    assert list(FAMILIES["tilings"].make_cells(10**9, 0)) == [] and walked == []
+    assert list(itertools.islice(FAMILIES["tilings"].make_cells(10**9, 1), 2)) == [(1, 1), (2, 1)] and walked
 
 
 def test_row_cost_sums_the_work_of_its_boards():
-    """The closed form equals the work summed board by board, divided by 40, on and past the countable range.
+    """The row's work is the work of its boards, each over 40 and at least 1, on and past the countable range.
 
     A board's work is its transfer count's, 2^s * s * long for short side s, plus 8 units a cell for the
     count's per-cell dict and the chase.
     """
+    tilings_row = FAMILIES["tilings"]
     bounds = [*range(0, 16), 20, 29, 60, 500, 3000]
     for max_m, max_n in itertools.product(bounds, repeat=2):
-        boards = FAMILIES["tilings"].make_cells(max_m, max_n)
-        work = sum(_work(r, c) + 8 * min(r, c) * r * c for r, c in boards)
-        assert FAMILIES["tilings"].cost(max_m, max_n) == work // 40, (max_m, max_n)
+        boards = tilings_row.make_cells(max_m, max_n)
+        work = sum(1 + (_work(r, c) + 8 * min(r, c) * r * c) // 40 for r, c in boards)
+        assert tilings_row.work(max_m, max_n, 10**18) == work, (max_m, max_n)
     # every countable board has a short side of at most 12 and a long side of at most 294,912
-    assert FAMILIES["tilings"].cost(10**9, 10**9) == FAMILIES["tilings"].cost(294912, 294912) > 500 * 500
+    assert tilings_row.work(10**9, 10**9, 10**18) == tilings_row.work(294912, 294912, 10**18) > 500 * 500
