@@ -77,9 +77,7 @@ class BilliardPath:
 def _fold(t: int, side: int) -> tuple[int, int]:
     """Triangle wave: coordinate and outgoing direction at time t (period 2*side)."""
     r = t % (2 * side)
-    if r < side:
-        return r, 1
-    return 2 * side - r, -1
+    return (r, 1) if r < side else (2 * side - r, -1)
 
 
 def trace_path(rect: Rect) -> BilliardPath:
@@ -94,8 +92,7 @@ def trace_path(rect: Rect) -> BilliardPath:
     total = rect.length
     times = sorted(set(range(m, total, m)) | set(range(n, total, n)))
 
-    bounces = []
-    vertices = [(0, 0)]
+    bounces, vertices = [], [(0, 0)]
     for t in times:
         (x, dx), (y, dy) = _fold(t, n), _fold(t, m)
         if y == 0:
@@ -111,13 +108,7 @@ def trace_path(rect: Rect) -> BilliardPath:
 
     (ex, _), (ey, _) = _fold(total, n), _fold(total, m)
     vertices.append((ex, ey))
-    return BilliardPath(
-        rect=rect,
-        vertices=tuple(vertices),
-        bounces=tuple(bounces),
-        end=(ex, ey),
-        length=total,
-    )
+    return BilliardPath(rect=rect, vertices=tuple(vertices), bounces=tuple(bounces), end=(ex, ey), length=total)
 
 
 def base_bounces(m: int, n: int) -> list[tuple[int, int, int]]:

@@ -211,9 +211,7 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
     if pebble_args and puzzle_kind:
         raise click.UsageError("--pebble cannot be combined with another puzzle kind")
     if not pebble_args and not puzzle_kind:
-        raise click.UsageError(
-            "choose a puzzle: --bottom-row, --left-column, --both, --pebble COL ROW, or --kernel"
-        )
+        raise click.UsageError("choose a puzzle: --bottom-row, --left-column, --both, --pebble COL ROW, or --kernel")
     board = Board(rows=m - 1, cols=n - 1)
     kind = puzzle_kind or "pebble"
     flags = {"puzzle": kind, "json": as_json}
@@ -270,13 +268,11 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
 def verify(max_n: int | None, max_m: int | None, check_names: str | None,
            parallelism: int, as_json: bool, out: str | None) -> None:
     """Run identity-check sweeps across all modules."""
-    if max_m is None:
-        max_m = max_n
+    max_m = max_n if max_m is None else max_m
     names = list(FAMILIES)
     if check_names is not None:
         names = list(dict.fromkeys(c.strip() for c in check_names.split(",") if c.strip()))  # repeats run once
-        unknown = [c for c in names if c not in FAMILIES]
-        if unknown:
+        if unknown := [c for c in names if c not in FAMILIES]:
             raise click.UsageError(f"unknown check families: {', '.join(unknown)}")
         if not names:
             raise click.UsageError(f"--checks {check_names!r} names no family; known: {', '.join(FAMILIES)}")

@@ -47,10 +47,8 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
     def sy(y: int) -> int:
         return margin + (m - y) * px
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
-        f'<rect x="{sx(0)}" y="{sy(m)}" width="{n * px}" height="{m * px}" fill="white" stroke="black"/>',
-    ]
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
+             f'<rect x="{sx(0)}" y="{sy(m)}" width="{n * px}" height="{m * px}" fill="white" stroke="black"/>']
     if spec.show_grid:
         parts += [f'<line x1="{sx(gx)}" y1="{sy(0)}" x2="{sx(gx)}" y2="{sy(m)}" stroke="lightgray"/>'
                   for gx in range(1, n)]
@@ -112,12 +110,10 @@ def render_board_svg(board: Board, pebbles: PebbleSet | None = None, checkers: C
             x, y = corner(col, row)
             fill = "lightgray" if board.is_dark(col, row) else "white"
             parts.append(f'<rect x="{x}" y="{y}" width="{px}" height="{px}" fill="{fill}" stroke="gray"/>')
-    pebble_squares = pebbles.squares if pebbles else frozenset()
-    checker_squares = checkers.squares if checkers else frozenset()
-    for col, row in sorted(pebble_squares):
+    for col, row in sorted(pebbles.squares if pebbles else ()):
         x, y = corner(col, row)
         parts.append(f'<circle cx="{x + px // 2}" cy="{y + px // 2}" r="{px // 5}" fill="black"/>')
-    for col, row in sorted(checker_squares):
+    for col, row in sorted(checkers.squares if checkers else ()):
         x, y = corner(col, row)
         parts.append(f'<circle cx="{x + px // 2}" cy="{y + px // 2}" r="{px // 3}" fill="firebrick" stroke="black"/>')
     parts.append("</svg>")

@@ -26,6 +26,7 @@ from . import checkers as ck
 from . import billiards, oracles, symbols, tilings
 
 Failure = dict
+Row = Callable[[int, list[int]], list[int]]  # a side of a comparison: (n, ms) to a value per m of ms
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,7 @@ class Family:
 
     def bounds(self, max_m: int | None, max_n: int | None) -> tuple[int, int]:
         """The grid bounds a run uses: a bound left as None takes the family default."""
-        return (self.default_max_m if max_m is None else max_m,
-                self.default_max_n if max_n is None else max_n)
+        return self.default_max_m if max_m is None else max_m, self.default_max_n if max_n is None else max_n
 
     def work(self, max_m: int, max_n: int, limit: int) -> int:
         """The cells' summed cell_cost at these bounds, counted only until it passes `limit`."""
@@ -82,31 +82,34 @@ def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> It
     return (m for m in range(start, max_m + 1, step) if math.gcd(m, n) == 1)
 
 
-def _agreement(n: int, ms, lhs: Callable[[int, int], int], rhs: Callable[[int, int], int],
-               keys: tuple[str, str], n_key: str = "n") -> tuple[int, list[Failure]]:
-    """lhs(m, n) against rhs(m, n) for every m in ms; a failure records both under `keys`."""
-    values = [(m, lhs(m, n), rhs(m, n)) for m in ms]
-    left, right = keys
-    return len(values), [{"m": m, n_key: n, left: got, right: want} for m, got, want in values if got != want]
+def _agreement(n: int, ms, lhs: Row, rhs: Row, keys: tuple[str, str], n_key: str = "n") -> tuple[int, list[Failure]]:
+    """The row lhs(n, ms) against the row rhs(n, ms); a failure records both values under `keys`."""
+    ms, (left, right) = list(ms), keys
+    return len(ms), [{"m": m, n_key: n, left: got, right: want}
+                     for m, got, want in zip(ms, lhs(n, ms), rhs(n, ms), strict=True) if got != want]
 
 
-def _billiard(m: int, n: int) -> int:
-    return symbols.billiard_symbol(m, n).value
+def _billiard(n: int, ms: list[int]) -> list[int]:
+    """(m|n) for each m of ms, from one billiard_symbol call per class m mod n, kept for this row only.
+
+    (m+n|n) = (m|n), as floor(2(m+n)k/n) = floor(2mk/n) + 2k and gcd(m+n, n) = gcd(m, n).
+    """
+    row: dict[int, int] = {}
+    return [row[r] if (r := m % n) in row else row.setdefault(r, symbols.billiard_symbol(m, n).value) for m in ms]
 
 
-def _swapped(m: int, n: int) -> int:
-    """(m|n)(n|m), the left side of both reciprocity identities."""
-    return symbols.billiard_symbol(m, n).value * symbols.billiard_symbol(n, m).value
+def _swapped(n: int, ms: list[int]) -> list[int]:
+    """(m|n)(n|m) for each m of ms, the left side of both reciprocity identities: (m|n) from the row."""
+    return [mn * symbols.billiard_symbol(n, m).value for m, mn in zip(ms, _billiard(n, ms))]
 
 
 def _comparison(name: str, default_max_m: int, default_max_n: int, denominators: Callable[[int], Iterable[int]],
-                numerators: Callable[[int, int], Iterable[int]], lhs: Callable[[int, int], int],
-                rhs: Callable[[int, int], int], keys: tuple[str, str], cell_cost: Callable[[int, int], int],
-                n_key: str = "n") -> Family:
-    """A symbol family: for each denominator n up to max_n, lhs(m, n) against rhs(m, n) over the numerators m of n.
+                numerators: Callable[[int, int], Iterable[int]], lhs: Row, rhs: Row, keys: tuple[str, str],
+                cell_cost: Callable[[int, int], int], n_key: str = "n") -> Family:
+    """A symbol family: for each denominator n up to max_n, the rows lhs(n, ms) and rhs(n, ms) over its numerators.
 
     A cell is (n, max_m).  A side looks its callee up in its module when the cell runs, so a function
-    patched after import is the one checked.
+    patched after import is the one checked; an oracle or closed-form side evaluates every numerator.
     """
     return Family(name, lambda max_m, max_n: ((n, max_m) for n in denominators(max_n)),
                   lambda n, max_m: _agreement(n, numerators(n, max_m), lhs, rhs, keys, n_key),
@@ -186,14 +189,23 @@ def _superposition_check(m: int, n: int) -> tuple[int, list[Failure]]:
 
 # --- tilings: domino tiling-count parity vs mod-2 invertibility vs the gcd condition, on the countable boards ---
 
-def _countable(rows: int, cols: int) -> bool:
-    return tilings._work(rows, cols) <= tilings.MAX_TILING_WORK
+def _countable_width(rows: int) -> int:
+    """The widest board of `rows` rows that count_tilings counts: its work grows with the columns.
+
+    Past its square the work grows by 2^rows * rows a column, so a row whose square counts ends at
+    MAX // (2^rows * rows); any other ends before its square, at the largest c with 2^c * c <= MAX // rows.
+    """
+    quota = tilings.MAX_TILING_WORK // rows
+    cols = quota >> rows if quota >> rows >= rows else quota.bit_length()  # else 2^cols > quota: step down
+    while cols << min(cols, rows) > quota:
+        cols -= 1
+    return cols
 
 
 def _countable_boards(max_m: int, max_n: int) -> Iterator[tuple[int, int]]:
-    """Every board of the grid that count_tilings counts: a prefix of each row, as the work grows with either side."""
-    rows = itertools.takewhile(lambda rows: _countable(rows, 1), range(1, max_m + 1) if max_n > 0 else ())
-    return ((r, c) for r in rows for c in itertools.takewhile(partial(_countable, r), range(1, max_n + 1)))
+    """Every board of the grid that count_tilings counts: a prefix of each row, until a row counts none."""
+    widths = itertools.takewhile(bool, (min(_countable_width(rows), max_n) for rows in range(1, max_m + 1)))
+    return ((rows, cols) for rows, width in enumerate(widths, 1) for cols in range(1, width + 1))
 
 
 def _invertible(rows: int, cols: int) -> bool:
@@ -215,33 +227,35 @@ FAMILIES: dict[str, Family] = {
         # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
         _comparison("euler", 398, 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
                     lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n), _billiard,
-                    lambda m, n: oracles.euler_symbol(m, n), ("billiard", "euler"), lambda n, max_m: 1 + 2 * n),
+                    lambda n, ms: [oracles.euler_symbol(m, n) for m in ms], ("billiard", "euler"),
+                    lambda n, max_m: 1 + (2 if n < 43 * 43 else 10) * n),  # from 43^2, 13 Miller-Rabin rounds a call
         # billiard symbol vs permutation sign, coprime m, n, even denominators included; n is factored once
         _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1), _coprime_numerators,
-                    _billiard, lambda m, n: oracles.zolotarev_perm_sign(m, n), ("billiard", "zolotarev"),
+                    _billiard, lambda n, ms: [oracles.zolotarev_perm_sign(m, n) for m in ms], ("billiard", "zolotarev"),
                     lambda n, max_m: 1 + max_m + math.isqrt(n) // 16),
         # billiard symbol vs Jacobi symbol, odd denominators
         _comparison("jacobi", 151, 151, lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
-                    _billiard, lambda m, n: oracles.jacobi_symbol(m, n), ("billiard", "jacobi"),
+                    _billiard, lambda n, ms: [oracles.jacobi_symbol(m, n) for m in ms], ("billiard", "jacobi"),
                     lambda n, max_m: 1 + max_m),
         Family("supplements", lambda max_m, max_n: ((n,) for n in range(3, max_n + 1, 2)),
                _supplements_check, 199, 199, lambda n: 2),
         # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
         _comparison("almost_reciprocity", 201, 201, lambda max_n: range(3, max_n + 1, 2),
                     lambda n, max_m: range(1, n, 2), _swapped,
-                    lambda m, n: symbols.billiard_symbol(m, n - m).value, ("lhs", "rhs"), lambda n, max_m: 1 + n),
+                    lambda n, ms: [symbols.billiard_symbol(m, n - m).value for m in ms], ("lhs", "rhs"),
+                    lambda n, max_m: 1 + n),
         # closed form for (m|d), odd numerator m over even denominator d, coprime
         _comparison("mod4", 201, 200, lambda max_n: range(2, max_n + 1, 2), partial(_coprime_numerators, step=2),
-                    _billiard, lambda m, d: symbols.mod4_symbol(m, d), ("billiard", "closed"),
+                    _billiard, lambda d, ms: [symbols.mod4_symbol(m, d) for m in ms], ("billiard", "closed"),
                     lambda d, max_m: 1 + (max_m + 1) // 2, n_key="d"),
         # reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3
         _comparison("reciprocity", 199, 199, lambda max_n: range(3, max_n + 1, 2),
                     partial(_coprime_numerators, start=3, step=2),
-                    _swapped, lambda m, n: -1 if (m - 1) * (n - 1) // 4 % 2 else 1, ("lhs", "rhs"),
+                    _swapped, lambda n, ms: [-1 if (m - 1) * (n - 1) // 4 % 2 else 1 for m in ms], ("lhs", "rhs"),
                     lambda n, max_m: 1 + max_m),
         # bottom-row puzzle parity vs billiard symbol, coprime m, n
         _comparison("checkers_symbol", 50, 50, lambda max_n: range(1, max_n + 1), _coprime_numerators,
-                    lambda m, n: ck.bottom_row_symbol(m, n), _billiard, ("checkers", "billiard"),
+                    lambda n, ms: [ck.bottom_row_symbol(m, n) for m in ms], _billiard, ("checkers", "billiard"),
                     lambda n, max_m: 1 + max_m * (max_m + n) // 16),
         Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30,
                lambda m, n: 1 + (m + n) * (8000 + m * n) // 32000),

@@ -574,3 +574,15 @@ def test_cli_import_leaves_out_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_the_cli(runner):
+    """`python -m quadres.cli` reaches main(): the same output and exit code as the CliRunner."""
+    import quadres
+
+    env = {**os.environ, "PYTHONPATH": str(Path(quadres.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "quadres.cli", "symbol", "3", "7", "--json"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    result = runner.invoke(main, ["symbol", "3", "7", "--json"])
+    assert proc.returncode == result.exit_code == 0, proc.stderr
+    assert proc.stdout == result.output and json.loads(proc.stdout)["result"]["value"] == -1

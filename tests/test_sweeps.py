@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from quadres import sweeps
+from quadres.symbols import billiard_symbol
 from quadres.checkers import Board
 from quadres.sweeps import FAMILIES, run_family
 from reference import pebbles
@@ -127,6 +128,9 @@ FAILURE_CASES = [
     ("zolotarev", sweeps.oracles, "zolotarev_perm_sign", _wrong_at((3, 8)),
      [{"m": 3, "n": 8, "billiard": -1, "zolotarev": 1}]),
     ("jacobi", sweeps.oracles, "jacobi_symbol", _wrong_at((2, 9)), [{"m": 2, "n": 9, "billiard": 1, "jacobi": -1}]),
+    # the row calls billiard_symbol once per class m mod n, at its first m: (2|3) serves (5|3) and (8|3) too
+    ("jacobi", sweeps.symbols, "billiard_symbol", _wrong_at((2, 3)),
+     [{"m": m, "n": 3, "billiard": 1, "jacobi": -1} for m in (2, 5, 8)]),
     ("mod4", sweeps.symbols, "mod4_symbol", _wrong_at((3, 8)), [{"m": 3, "d": 8, "billiard": -1, "closed": 1}]),
     ("supplements", sweeps.symbols, "billiard_symbol", _wrong_at((2, 7)),
      [{"n": 7, "identity": "two", "closed": 1, "billiard": -1}]),
@@ -165,6 +169,62 @@ def test_failure_records_carry_each_familys_keys(monkeypatch, name, module, attr
     monkeypatch.setattr(module, attr, breaker(getattr(module, attr)))
     result = run_family(name, max_m=9, max_n=9)
     assert [list(f.items()) for f in result.failures] == [list(f.items()) for f in want]
+
+
+def test_billiard_row_matches_each_symbol():
+    """Every class of m mod n, n = 1, even n and gcd > 1 among them; in order, out of order and repeated."""
+    for n in range(1, 61):
+        ms = list(range(1, 3 * n + 1))
+        want = [billiard_symbol(m, n).value for m in ms]
+        assert sweeps._billiard(n, ms) == want, n
+        assert sweeps._billiard(n, ms[::-1] + ms) == want[::-1] + want, n
+        assert sweeps._swapped(n, ms) == [w * billiard_symbol(n, m).value for m, w in zip(ms, want)], n
+    assert sweeps._billiard(7, []) == [] and sweeps._billiard(1, [5, 1]) == [1, 1]
+
+
+# billiard_symbol calls in one default sweep: the row's one per distinct (m mod n, n), and reciprocity's
+# 6,060 classes plus a swapped (n|m) for each of its 7,952 numerators
+BILLIARD_CALLS = {"euler": 4180, "zolotarev": 3044, "jacobi": 5776, "mod4": 4081, "checkers_symbol": 774,
+                  "reciprocity": 6060 + 7952}
+
+
+@pytest.mark.parametrize("name", sorted(BILLIARD_CALLS))
+def test_billiard_row_calls_the_symbol_once_per_class(monkeypatch, name):
+    calls = []
+    real = sweeps.symbols.billiard_symbol
+    monkeypatch.setattr(sweeps.symbols, "billiard_symbol", lambda m, n: calls.append((m, n)) or real(m, n))
+    result = run_family(name)
+    assert result.ok and (result.cells, result.checked) == DEFAULT_SIZES[name]
+    assert len(calls) == BILLIARD_CALLS[name]
+    if name != "reciprocity":
+        assert len({(m % n, n) for m, n in calls}) == len(calls)
+
+
+def test_billiard_row_asks_the_first_numerator_of_each_class(monkeypatch):
+    """The symbol asked is one the row checks: (5|3) and (7|3) serve (8|3) and (4|3), never (2|3) or (1|3)."""
+    calls = []
+    real = sweeps.symbols.billiard_symbol
+    monkeypatch.setattr(sweeps.symbols, "billiard_symbol", lambda m, n: calls.append((m, n)) or real(m, n))
+    assert sweeps._billiard(3, [5, 7, 8, 4, 6]) == [-1, 1, -1, 1, 0] and calls == [(5, 3), (7, 3), (6, 3)]
+
+
+def test_no_row_table_outlives_its_cell(monkeypatch):
+    """A second sweep calls billiard_symbol as often as the first: nothing is kept between cells or runs."""
+    calls = []
+    real = sweeps.symbols.billiard_symbol
+    monkeypatch.setattr(sweeps.symbols, "billiard_symbol", lambda m, n: calls.append((m, n)) or real(m, n))
+    first = run_family("jacobi", max_m=40, max_n=40)
+    counted = len(calls)
+    assert run_family("jacobi", max_m=40, max_n=40) == first and len(calls) == 2 * counted
+
+
+def test_oracle_sides_evaluate_every_numerator(monkeypatch):
+    """Past n the billiard row reuses values, so the oracle must not: each (m, n) of the row is asked once."""
+    calls = []
+    real = sweeps.oracles.jacobi_symbol
+    monkeypatch.setattr(sweeps.oracles, "jacobi_symbol", lambda m, n: calls.append((m, n)) or real(m, n))
+    result = run_family("jacobi", max_m=30, max_n=9)
+    assert sorted(calls) == sorted((m, n) for n in range(1, 10, 2) for m in range(1, 31)) and result.checked == 150
 
 
 CAP = 500 * 500  # the CLI's default cap, about 1 s of work
@@ -235,6 +295,18 @@ def test_kernel_cost_counts_board_squares():
                 "mod4": 360, "reciprocity": 646, "checkers_symbol": 4436, "checkers_bridge": 8416, "kernel": 29777,
                 "superposition": 3287, "tilings": 1054790}
     assert {name: family.work(33, 40, UNREACHABLE) for name, family in FAMILIES.items()} == at_33_40
+
+
+def test_euler_cost_prices_the_primality_test_of_large_primes():
+    """From 43^2 each euler_symbol call runs 13 Miller-Rabin rounds, about 5 units a numerator instead of 1.
+
+    Measured per cell (median of 7, Python 3.11.7, 2 shared cores): (1847, ·) 10.1 ms, 2,527 units;
+    (1861, ·) 41.7 ms, 10,416 units; (10007, ·) 353 ms, 88,301 units.
+    """
+    euler = FAMILIES["euler"]
+    for n, measured in [(1847, 2527), (1861, 10416), (10007, 88301)]:
+        assert measured / 2 <= euler.cell_cost(n, 0) <= 2 * measured, n
+    assert euler.cell_cost(1847, 0) == 1 + 2 * 1847 and euler.cell_cost(10007, 0) == 1 + 10 * 10007
 
 
 def test_tilings_cost_admits_17_and_refuses_18():

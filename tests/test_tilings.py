@@ -140,13 +140,27 @@ def test_row_cells_are_the_countable_boards(max_m, max_n, cells):
     assert list(FAMILIES["tilings"].make_cells(max_m, max_n)) == want and len(want) == cells
 
 
+def _countable_width_walk(rows):
+    """The reference for the row's closed form: its boards counted one by one while count_tilings counts them."""
+    return sum(1 for _ in itertools.takewhile(lambda cols: _work(rows, cols) <= MAX_TILING_WORK, itertools.count(1)))
+
+
+def test_row_width_closed_form_matches_the_walk():
+    # every row that counts a board, and the first that counts none
+    widths = [sweeps._countable_width(rows) for rows in range(1, 294914)]
+    assert widths == [_countable_width_walk(rows) for rows in range(1, 294914)]
+    assert widths[:13] == [294912, 73728, 24576, 9216, 3686, 1536, 658, 288, 128, 57, 26, 12, 11]
+    assert widths[-1] == 0 < widths[-2] == 1 and sum(widths) == 817502
+
+
 def test_row_walks_no_rows_when_the_grid_has_no_columns(monkeypatch):
-    # the rows stop only at 294,912, where a 1-wide board stops being countable: without columns none is walked
+    # the rows stop only at 294,913, the first that counts no board: without columns the first row stops them
     walked = []
-    countable = sweeps._countable
-    monkeypatch.setattr(sweeps, "_countable", lambda rows, cols: walked.append(rows) or countable(rows, cols))
-    assert list(FAMILIES["tilings"].make_cells(10**9, 0)) == [] and walked == []
-    assert list(itertools.islice(FAMILIES["tilings"].make_cells(10**9, 1), 2)) == [(1, 1), (2, 1)] and walked
+    width = sweeps._countable_width
+    monkeypatch.setattr(sweeps, "_countable_width", lambda rows: walked.append(rows) or width(rows))
+    assert list(FAMILIES["tilings"].make_cells(10**9, 0)) == [] and walked == [1]
+    walked.clear()
+    assert list(itertools.islice(FAMILIES["tilings"].make_cells(10**9, 1), 2)) == [(1, 1), (2, 1)] and walked == [1, 2]
 
 
 def test_row_cost_sums_the_work_of_its_boards():
