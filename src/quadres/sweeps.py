@@ -14,7 +14,6 @@ order, which keeps output deterministic regardless of scheduling.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
@@ -187,26 +186,7 @@ def _superposition_check(m: int, n: int) -> tuple[int, list[Failure]]:
     return 1, failures
 
 
-# --- tilings: domino tiling-count parity vs mod-2 invertibility vs the gcd condition, on the countable boards ---
-
-def _countable_width(rows: int) -> int:
-    """The widest board of `rows` rows that count_tilings counts: its work grows with the columns.
-
-    Past its square the work grows by 2^rows * rows a column, so a row whose square counts ends at
-    MAX // (2^rows * rows); any other ends before its square, at the largest c with 2^c * c <= MAX // rows.
-    """
-    quota = tilings.MAX_TILING_WORK // rows
-    cols = quota >> rows if quota >> rows >= rows else quota.bit_length()  # else 2^cols > quota: step down
-    while cols << min(cols, rows) > quota:
-        cols -= 1
-    return cols
-
-
-def _countable_boards(max_m: int, max_n: int) -> Iterator[tuple[int, int]]:
-    """Every board of the grid that count_tilings counts: a prefix of each row, until a row counts none."""
-    widths = itertools.takewhile(bool, (min(_countable_width(rows), max_n) for rows in range(1, max_m + 1)))
-    return ((rows, cols) for rows, width in enumerate(widths, 1) for cols in range(1, width + 1))
-
+# --- tilings: domino tiling-count parity vs mod-2 invertibility vs the gcd condition, on every board ---
 
 def _invertible(rows: int, cols: int) -> bool:
     """The board's checker-to-pebble map is invertible mod 2: as many light as dark squares, and no kernel."""
@@ -229,10 +209,11 @@ FAMILIES: dict[str, Family] = {
                     lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n), _billiard,
                     lambda n, ms: [oracles.euler_symbol(m, n) for m in ms], ("billiard", "euler"),
                     lambda n, max_m: 1 + (2 if n < 43 * 43 else 10) * n),  # from 43^2, 13 Miller-Rabin rounds a call
-        # billiard symbol vs permutation sign, coprime m, n, even denominators included; n is factored once
+        # billiard symbol vs permutation sign, coprime m, n, even denominators included; n is factored once,
+        # and each numerator's cycle count walks n's divisors, so its units grow with the bits of n
         _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1), _coprime_numerators,
                     _billiard, lambda n, ms: [oracles.zolotarev_perm_sign(m, n) for m in ms], ("billiard", "zolotarev"),
-                    lambda n, max_m: 1 + max_m + math.isqrt(n) // 16),
+                    lambda n, max_m: 1 + (max_m + 1) * (32 + n.bit_length() ** 2) // 72 + math.isqrt(n) // 16),
         # billiard symbol vs Jacobi symbol, odd denominators
         _comparison("jacobi", 151, 151, lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
                     _billiard, lambda n, ms: [oracles.jacobi_symbol(m, n) for m in ms], ("billiard", "jacobi"),
@@ -263,8 +244,8 @@ FAMILIES: dict[str, Family] = {
                lambda m, n: 1 + m * n // 20 + n // 4 + m * (m + n) // 2000),
         Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31,
                lambda m, n: 1 + (m + n) // 3 + (m + n) ** 2 // 2400),
-        Family("tilings", _countable_boards, _tilings_check, 6, 6,
-               lambda r, c: 1 + (2 ** min(r, c) + 8 * min(r, c)) * r * c // 40),
+        Family("tilings", lambda max_m, max_n: _grid(range(1, max_m + 1), range(1, max_n + 1)), _tilings_check,
+               6, 6, lambda r, c: 1 + (2 ** min(r, c) + 8 * min(r, c)) * r * c // 40),
     )
 }
 

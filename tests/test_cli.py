@@ -299,15 +299,21 @@ class TestVerify:
         assert "failures    0" in result.output
 
     def test_tilings_family(self, runner):
-        for bounds in [[], ["--max-n", "6"], ["--max-n", "12"]]:  # the default, and every board of 12x12 counted
+        for bounds in [[], ["--max-n", "6"]]:  # the default
             result = runner.invoke(main, ["verify", *bounds, "--checks", "tilings"])
             assert result.exit_code == 0, result.output
             assert "failures    0" in result.output
+        # the largest admitted square runs every board of its grid, none dropped
+        result, payload = invoke_json(runner, ["verify", "--checks", "tilings", "--max-n", "13", "--json"])
+        witness = payload["checks"][0]["witness"]
+        assert result.exit_code == 0
+        assert (witness["cells"], witness["checked"], witness["failure_count"]) == (169, 169, 0)
 
-    @pytest.mark.parametrize("bound, work", [(60, 251499), (500, 250612), (10**9, 250277)])
-    def test_tilings_cap_counts_the_countable_boards_work(self, runner, bound, work):
-        # the grid's M*N (3,600 at 60, exactly the cap at 500) hides the work: 60's 1,126 boards take about 10 s;
-        # the count stops at the first board past the cap, so the figure is a lower bound
+    @pytest.mark.parametrize("bound, work", [(14, 250485), (17, 253568), (60, 251499), (500, 250612),
+                                             (10**9, 250277)])
+    def test_tilings_cap_counts_the_work_of_every_board(self, runner, bound, work):
+        # the grid's M*N (196 at 14, exactly the cap at 500) hides the work: 14x14's last board alone is 2^14
+        # profiles a cell; the count stops at the first board past the cap, so the figure is a lower bound
         start = time.perf_counter()
         result = runner.invoke(main, ["verify", "--checks", "tilings", "--max-n", str(bound)])
         assert time.perf_counter() - start < 0.5  # refused before any board is counted

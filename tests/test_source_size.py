@@ -1,10 +1,10 @@
-"""The library stays within its size budget: src/quadres holds at most 1,571 lines."""
+"""The library stays within its size budget: src/quadres holds at most 1,539 lines."""
 
 from pathlib import Path
 
 import quadres
 
-MAX_SOURCE_LINES = 1571
+MAX_SOURCE_LINES = 1539
 
 
 def test_source_lines_within_budget():

@@ -48,18 +48,17 @@ def test_family_passes_at_default_bounds(name):
     assert result.failures == (), result.failures[:3]
 
 
-# (cells, checked) at two bound pairs that differ, so that a family reading max_m for max_n shows;
-# tilings runs only the boards it can count exactly, 254 of the 273 (the 19 past 12x12 with both sides 12 or more drop)
+# (cells, checked) at two bound pairs that differ, so that a family reading max_m for max_n shows
 ASYMMETRIC_SIZES = {
     (21, 13): {
         "euler": (5, 68), "zolotarev": (13, 180), "jacobi": (7, 147), "supplements": (6, 12),
         "almost_reciprocity": (6, 21), "mod4": (6, 56), "reciprocity": (6, 46), "checkers_symbol": (13, 180),
-        "checkers_bridge": (180, 507), "kernel": (240, 240), "superposition": (46, 46), "tilings": (254, 254),
+        "checkers_bridge": (180, 507), "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
     },
     (13, 21): {
         "euler": (7, 136), "zolotarev": (21, 180), "jacobi": (11, 143), "supplements": (10, 20),
         "almost_reciprocity": (10, 55), "mod4": (10, 61), "reciprocity": (10, 46), "checkers_symbol": (21, 180),
-        "checkers_bridge": (180, 851), "kernel": (240, 240), "superposition": (46, 46), "tilings": (254, 254),
+        "checkers_bridge": (180, 851), "kernel": (240, 240), "superposition": (46, 46), "tilings": (273, 273),
     },
 }
 
@@ -252,9 +251,9 @@ def test_work_stops_at_the_first_cell_past_the_limit(name):
 
 # the largest square bound each family's work admits under the CLI's default cap; each takes 0.4-1.3 s
 LARGEST_SQUARE = {
-    "euler": 1296, "zolotarev": 499, "jacobi": 706, "supplements": 250002, "almost_reciprocity": 998, "mod4": 999,
+    "euler": 1296, "zolotarev": 433, "jacobi": 706, "supplements": 250002, "almost_reciprocity": 998, "mod4": 999,
     "reciprocity": 707, "checkers_symbol": 138, "checkers_bridge": 102, "kernel": 63, "superposition": 144,
-    "tilings": 17,
+    "tilings": 13,
 }
 
 
@@ -266,7 +265,7 @@ def test_cap_admits_each_familys_largest_square_and_no_more(name):
 
 # the longest 1xN and Nx1 grids the cap admits, None where no bound is refused; each takes at most 1.4 s
 LONGEST_THIN = {
-    "euler": (1296, None), "zolotarev": (29045, 249999), "jacobi": (250000, 249999), "supplements": (250002, None),
+    "euler": (1296, None), "zolotarev": (20762, 545453), "jacobi": (250000, 249999), "supplements": (250002, None),
     "almost_reciprocity": (998, None), "mod4": (250001, None), "reciprocity": (250002, None),
     "checkers_symbol": (2818, 1999), "checkers_bridge": (1338, 1338), "kernel": (None, None),
     "superposition": (None, None), "tilings": (1411, 1411),
@@ -291,9 +290,9 @@ def test_kernel_cost_counts_board_squares():
     assert kernel.work(63, 63, UNREACHABLE) == 238033 <= CAP < kernel.work(64, 64, UNREACHABLE) == 252940
     assert kernel.work(1, 10**9, CAP) == kernel.work(10**9, 1, CAP) == 0  # a side below 2 makes no board
     # the work at 33x40 for every family: it reads each bound its grid reads, and only those
-    at_33_40 = {"euler": 401, "zolotarev": 1360, "jacobi": 680, "supplements": 38, "almost_reciprocity": 418,
+    at_33_40 = {"euler": 401, "zolotarev": 1045, "jacobi": 680, "supplements": 38, "almost_reciprocity": 418,
                 "mod4": 360, "reciprocity": 646, "checkers_symbol": 4436, "checkers_bridge": 8416, "kernel": 29777,
-                "superposition": 3287, "tilings": 1054790}
+                "superposition": 3287, "tilings": 4826686022405}
     assert {name: family.work(33, 40, UNREACHABLE) for name, family in FAMILIES.items()} == at_33_40
 
 
@@ -309,11 +308,26 @@ def test_euler_cost_prices_the_primality_test_of_large_primes():
     assert euler.cell_cost(1847, 0) == 1 + 2 * 1847 and euler.cell_cost(10007, 0) == 1 + 10 * 10007
 
 
-def test_tilings_cost_admits_17_and_refuses_18():
+def test_zolotarev_cost_grows_with_the_bits_of_n():
+    """A numerator's cycle count walks the divisors of n, so its units grow with n's bits b: (32 + b^2)/72 each.
+
+    Measured per cell (median of 7, Python 3.11.7, 2 shared cores): (7, 1000) 0.82 ms, 571 units; (1000, 1000)
+    8.4 ms, 1,837 units; (100003, 1000) 10.7 ms, 4,482 units.  A flat unit a numerator priced the widest grids
+    the cap admitted (30x7000 took 2.4 s) up to 2x too low; each grid below takes 1.0-1.3 s of process wall.
+    """
+    zolotarev = FAMILIES["zolotarev"]
+    assert zolotarev.cell_cost(7, 1000) == 1 + 1001 * 41 // 72 == 571
+    assert zolotarev.cell_cost(100003, 1000) == 1 + 1001 * 321 // 72 + 316 // 16 == 4482
+    for max_m, widest, refused in [(433, 433, 499), (499, 385, 499), (240, 695, 1000), (100, 1407, 2400),
+                                   (30, 3678, 7000), (1, 20762, 29045)]:
+        assert zolotarev.work(max_m, widest, CAP) <= CAP < zolotarev.work(max_m, widest + 1, CAP), max_m
+        assert zolotarev.work(max_m, refused, CAP) > CAP, max_m
+
+
+def test_tilings_cost_admits_13_and_refuses_14():
     work = partial(FAMILIES["tilings"].work, limit=UNREACHABLE)
-    assert work(6, 6) == 533 and work(12, 12) == 74810  # the default, and every board of 12x12 counted
-    assert work(17, 17) == 243680 <= CAP < work(18, 18) == 284206  # the CLI's default cap, about 1 s
-    assert work(60, 60) == 2183200
+    assert work(6, 6) == 533 and work(12, 12) == 74810  # the default, and every board of 12x12
+    assert work(13, 13) == 171833 <= CAP < work(14, 14) == 394894  # the CLI's default cap, about 1 s
     # past the cap the count stops at the first board over it, whatever the rest of the grid
     assert FAMILIES["tilings"].work(60, 60, CAP) == 251499 and FAMILIES["tilings"].work(10**9, 10**9, CAP) == 250277
 
