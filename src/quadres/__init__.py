@@ -13,7 +13,6 @@ from types import ModuleType as _ModuleType
 from .billiards import (
     BilliardPath,
     BounceEvent,
-    Rect,
     Wall,
     base_bounces,
     trace_path,
@@ -35,13 +34,12 @@ from .checkers import (
     solve,
 )
 from .oracles import (
-    SymbolValue,
     euler_symbol,
     is_odd_prime,
     jacobi_symbol,
     zolotarev_perm_sign,
 )
-from .render import RenderSpec, render_board_ascii, render_board_svg, render_path_svg
+from .render import render_board_ascii, render_board_svg, render_path_svg
 from .symbols import (
     SymbolEvidence,
     billiard_symbol,

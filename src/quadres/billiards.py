@@ -32,23 +32,6 @@ class Wall(Enum):
 
 
 @dataclass(frozen=True)
-class Rect:
-    """Rectangle of height m (vertical side) and width n (horizontal side)."""
-
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"rectangle sides must be positive, got {self.m}x{self.n}")
-
-    @property
-    def length(self) -> int:
-        """Travel time from the start corner to the end corner."""
-        return math.lcm(self.m, self.n)
-
-
-@dataclass(frozen=True)
 class BounceEvent:
     """One wall contact: time, position, wall, and direction sign."""
 
@@ -61,13 +44,14 @@ class BounceEvent:
 
 @dataclass(frozen=True)
 class BilliardPath:
-    """Complete corner-to-corner trajectory.
+    """Complete corner-to-corner trajectory on the rectangle of height m and width n.
 
     vertices lists the start corner, every reflection point in time order,
     and the end corner; consecutive vertices differ by a 45-degree segment.
     """
 
-    rect: Rect
+    m: int
+    n: int
     vertices: tuple[tuple[int, int], ...]
     bounces: tuple[BounceEvent, ...]
     end: tuple[int, int]
@@ -80,16 +64,17 @@ def _fold(t: int, side: int) -> tuple[int, int]:
     return (r, 1) if r < side else (2 * side - r, -1)
 
 
-def trace_path(rect: Rect) -> BilliardPath:
-    """Trace the full path event by event.
+def trace_path(m: int, n: int) -> BilliardPath:
+    """Trace the full path on the m-by-n rectangle event by event.
 
     Bounce times are exactly the multiples of m (top/bottom contacts) and
     of n (left/right contacts) in the open interval (0, lcm(m, n)); a time
     divisible by both would be a corner and those occur only at the end.
     Neither the start nor the end corner is a bounce.
     """
-    m, n = rect.m, rect.n
-    total = rect.length
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
+    total = math.lcm(m, n)  # travel time from the start corner to the end corner
     times = sorted(set(range(m, total, m)) | set(range(n, total, n)))
 
     bounces, vertices = [], [(0, 0)]
@@ -108,7 +93,7 @@ def trace_path(rect: Rect) -> BilliardPath:
 
     (ex, _), (ey, _) = _fold(total, n), _fold(total, m)
     vertices.append((ex, ey))
-    return BilliardPath(rect=rect, vertices=tuple(vertices), bounces=tuple(bounces), end=(ex, ey), length=total)
+    return BilliardPath(m=m, n=n, vertices=tuple(vertices), bounces=tuple(bounces), end=(ex, ey), length=total)
 
 
 def base_bounces(m: int, n: int) -> list[tuple[int, int, int]]:

@@ -181,11 +181,12 @@ def kernel_dimension(m: int, n: int) -> int:
     With no pebbles, light chasing fixes each row from the two above it, so a kernel
     element is fixed by its top row.  Each dark top-row square, placed alone and chased
     down, leaves a bottom-row residual; the kernel is the top rows whose residuals
-    cancel, of dimension the top-row darks less the rank of their residuals.
+    cancel, of dimension the top-row darks less the rank of their residuals.  A board and
+    its transpose have the same kernel, so the chase runs down the long side: a line is a short row.
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
-    rows, cols = m - 1, n - 1
+    rows, cols = max(m, n) - 1, min(m, n) - 1
     full = (1 << cols) - 1
     tops = range((rows - 1) % 2, cols, 2) if rows else range(0)
     leading: dict[int, int] = {}  # XOR basis of the residuals, keyed by highest bit

@@ -16,7 +16,7 @@ import os
 import click
 
 from . import __version__
-from .billiards import Rect, base_bounces, trace_path
+from .billiards import base_bounces, trace_path
 from .checkers import (
     Board,
     PebbleSet,
@@ -27,7 +27,7 @@ from .checkers import (
     solve,
 )
 from .oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
-from .render import RenderSpec, render_board_ascii, render_board_svg, render_path_svg
+from .render import render_board_ascii, render_board_svg, render_path_svg
 from .sweeps import FAMILIES, run_family
 from .symbols import billiard_symbol, negative_bounce_count
 
@@ -127,7 +127,7 @@ def main() -> None:
 def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
     """Trace the M x N billiard path and list its bounces."""
     _check_path(m, n)
-    path = trace_path(Rect(m=m, n=n))
+    path = trace_path(m, n)
     result = {
         "bounces": [{"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign} for b in path.bounces],
         "base_bounces": [list(bounce) for bounce in base_bounces(m, n)],
@@ -151,10 +151,10 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
 
     For N over the size limit the bounce list is omitted and the value and
     negative-bounce count come from floor sums.  --verify counts the oracles'
-    work against the limit: factoring N takes up to about sqrt(N) trial divisions.
+    work against the limit: factoring N takes up to about sqrt(N) trial divisions, 32 to a work unit.
     """
     if do_verify:
-        _check_size(math.isqrt(n), f"--verify on n={n} ({math.isqrt(n)} trial divisions)")
+        _check_size(units := 1 + math.isqrt(n) // 32, f"--verify on n={n} ({units} work units)")
     limit = _max_cells()
     listed = n <= limit  # the bounce list grows with n alone
     value, negatives = billiard_symbol(m, n).value, negative_bounce_count(m, n)
@@ -324,9 +324,8 @@ def render_cmd(m: int, n: int, split_k: int | None, cell_px: int, grid: bool, si
     """Render the M x N billiard path as SVG."""
     _check_path(m, n)
     try:
-        spec = RenderSpec(cell_px=cell_px, show_grid=grid, color_before=color_before,
-                          color_after=color_after, annotate_signs=signs)
-        svg = render_path_svg(trace_path(Rect(m=m, n=n)), spec, split_k=split_k)
+        svg = render_path_svg(trace_path(m, n), split_k, cell_px=cell_px, show_grid=grid,
+                              color_before=color_before, color_after=color_after, annotate_signs=signs)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if out and not as_json and not out.endswith(".svg"):

@@ -10,9 +10,6 @@ from __future__ import annotations
 import functools
 import math
 
-SymbolValue = int  # always one of -1, 0, +1
-
-
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIMORIAL = math.prod(_BASES)
 _EXACT_BELOW = 33 * 10**23  # these bases are proven exact below 3.317e24 (Sorenson and Webster, 2017)
@@ -40,7 +37,7 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-def euler_symbol(a: int, p: int) -> SymbolValue:
+def euler_symbol(a: int, p: int) -> int:
     """Legendre symbol (a|p) via a^((p-1)/2) mod p.
 
     p must be an odd prime.  Returns 0 when p divides a.
@@ -53,7 +50,7 @@ def euler_symbol(a: int, p: int) -> SymbolValue:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1  # else p - 1, p being prime
 
 
-def jacobi_symbol(a: int, n: int) -> SymbolValue:
+def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd positive n, with (a|1) = +1.
 
     Standard recursion: factor out 2s using the (2|n) rule, flip per
@@ -119,7 +116,7 @@ def _cycle_count(m: int, n: int) -> int:
     return cycles
 
 
-def zolotarev_perm_sign(m: int, n: int) -> SymbolValue:
+def zolotarev_perm_sign(m: int, n: int) -> int:
     """Sign of the permutation x -> m*x mod n on {0, ..., n-1}: (-1)^(n - #cycles).  Requires gcd(m, n) = 1."""
     if m < 1 or n < 1:
         raise ValueError("arguments must be positive")

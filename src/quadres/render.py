@@ -7,38 +7,26 @@ inputs always produce byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .billiards import BilliardPath, base_bounces
 from .checkers import Board, CheckerSet, PebbleSet
 
 BOARD_CELL_PX = 24
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    cell_px: int = 24
-    show_grid: bool = True
-    color_before: str = "steelblue"
-    color_after: str = "darkorange"
-    annotate_signs: bool = True
-
-    def __post_init__(self) -> None:
-        if self.cell_px < 4:
-            raise ValueError(f"cell_px must be >= 4, got {self.cell_px}")
-
-
-def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k: int | None = None) -> str:
-    """Standalone SVG of a billiard path.
+def render_path_svg(path: BilliardPath, split_k: int | None = None, *, cell_px: int = BOARD_CELL_PX,
+                    show_grid: bool = True, color_before: str = "steelblue", color_after: str = "darkorange",
+                    annotate_signs: bool = True) -> str:
+    """Standalone SVG of a billiard path, cell_px (at least 4) a unit square.
 
     With split_k the polyline is cut at the bottom bounce at (2k, 0) and the
     two halves get distinct stroke colors; without it the whole path uses
     color_before.  Bottom bounces are labeled +/- below the base when
     annotate_signs is set.
     """
-    spec = spec or RenderSpec()
-    m, n = path.rect.m, path.rect.n
-    px = margin = spec.cell_px
+    if cell_px < 4:
+        raise ValueError(f"cell_px must be >= 4, got {cell_px}")
+    m, n = path.m, path.n
+    px = margin = cell_px
     width, height = n * px + 2 * margin, m * px + 2 * margin
 
     def sx(x: int) -> int:
@@ -49,7 +37,7 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
              f'<rect x="{sx(0)}" y="{sy(m)}" width="{n * px}" height="{m * px}" fill="white" stroke="black"/>']
-    if spec.show_grid:
+    if show_grid:
         parts += [f'<line x1="{sx(gx)}" y1="{sy(0)}" x2="{sx(gx)}" y2="{sy(m)}" stroke="lightgray"/>'
                   for gx in range(1, n)]
         parts += [f'<line x1="{sx(0)}" y1="{sy(gy)}" x2="{sx(n)}" y2="{sy(gy)}" stroke="lightgray"/>'
@@ -62,16 +50,16 @@ def render_path_svg(path: BilliardPath, spec: RenderSpec | None = None, split_k:
     vertices = list(path.vertices)
     bottom = base_bounces(m, n)
     if split_k is None:
-        parts.append(polyline(vertices, spec.color_before))
+        parts.append(polyline(vertices, color_before))
     else:
         tk = next((t for x, _, t in bottom if x == 2 * split_k), None)
         if tk is None:
             raise ValueError(f"no bottom bounce at ({2 * split_k}, 0) to split at")
         cut = 1 + [b.t for b in path.bounces].index(tk)  # vertex 0 is the start corner
-        parts.append(polyline(vertices[: cut + 1], spec.color_before))
-        parts.append(polyline(vertices[cut:], spec.color_after))
+        parts.append(polyline(vertices[: cut + 1], color_before))
+        parts.append(polyline(vertices[cut:], color_after))
 
-    if spec.annotate_signs:
+    if annotate_signs:
         parts += [f'<text x="{sx(x)}" y="{sy(0) + px // 2 + 4}" text-anchor="middle" font-size="{px // 2 + 4}">'
                   f'{"+" if sign > 0 else "-"}</text>' for x, sign, _ in bottom]
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .oracles import SymbolValue
-
 
 @dataclass(frozen=True)
 class SymbolEvidence:
@@ -26,7 +24,7 @@ class SymbolEvidence:
     bounces and count None; billiards.base_bounces lists the bounces themselves.
     """
 
-    value: SymbolValue
+    value: int
     negative_bounce_count: int | None
     base_bounces: tuple[tuple[int, int], ...]
 
@@ -74,13 +72,13 @@ def negative_bounce_count(m: int, n: int) -> int:
     return _floor_sum(half, n, 2 * m) - 2 * _floor_sum(half, n, m)
 
 
-def symbol_supplement_minus_one(n: int) -> SymbolValue:
+def symbol_supplement_minus_one(n: int) -> int:
     """Closed form for (n-1|n): +1 iff n = 1 mod 4.  n odd, >= 3."""
     _require_odd(n)
     return 1 if n % 4 == 1 else -1
 
 
-def symbol_supplement_two(n: int) -> SymbolValue:
+def symbol_supplement_two(n: int) -> int:
     """Closed form for (2|n): +1 iff n = +-1 mod 8.  n odd, >= 3."""
     _require_odd(n)
     return 1 if n % 8 in (1, 7) else -1
@@ -91,7 +89,7 @@ def _require_odd(n: int) -> None:
         raise ValueError(f"n must be odd and >= 3, got {n}")
 
 
-def mod4_symbol(m: int, d: int) -> SymbolValue:
+def mod4_symbol(m: int, d: int) -> int:
     """Closed form for (m|d) with m odd, d even, coprime.
 
     +1 when d = 2 mod 4; (-1)^((m-1)/2) when d = 0 mod 4.  Agrees with

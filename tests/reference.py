@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from quadres.billiards import BilliardPath, Rect, Wall, _fold, trace_path
+from quadres.billiards import BilliardPath, Wall, _fold, trace_path
 from quadres.checkers import (
     Board,
     CheckerSet,
@@ -58,7 +58,7 @@ def crossings(path: BilliardPath) -> list[Crossing]:
     recording interior lattice-point visits.  When gcd(m, n) = 1 there are
     exactly (m-1)(n-1)/2 crossings.  Sorted by (x, y).
     """
-    side = path.rect.m + 1
+    side = path.m + 1
     first, second = _interior_visits(path)
     out = []
     for key in sorted(second):
@@ -78,7 +78,7 @@ def _interior_visits(path: BilliardPath) -> tuple[dict[int, int], dict[int, int]
     the lattice points at times strictly between consecutive events are all
     interior.  No point is visited three times.
     """
-    side = path.rect.m + 1
+    side = path.m + 1
     times = (0, *(b.t for b in path.bounces), path.length)  # the time at each vertex
     first: dict[int, int] = {}
     second: dict[int, int] = {}
@@ -105,46 +105,47 @@ def ref_base_bounces(path: BilliardPath) -> list[tuple[int, int, int]]:
     return [(b.x, b.sign, b.t) for b in path.bounces if b.wall is Wall.BOTTOM]
 
 
-def two_color_checkers(rect: Rect, k: int) -> set[tuple[int, int]]:
+def two_color_checkers(m: int, n: int, k: int) -> set[tuple[int, int]]:
     """Self-crossings whose two transits straddle the bottom bounce at (2k, 0).
 
     Coloring the path with one color before that bounce and another after
     it, these are the crossings where the two colors meet.  Requires
     gcd(m, n) = 1 and 0 < 2k < n, so the bounce at (2k, 0) exists.
     """
-    if math.gcd(rect.m, rect.n) != 1:
-        raise ValueError(f"sides must be coprime, got {rect.m}x{rect.n}")
-    if not 0 < 2 * k < rect.n:
-        raise ValueError(f"need 0 < 2k < n, got k={k}, n={rect.n}")
-    path = trace_path(rect)
+    if math.gcd(m, n) != 1:
+        raise ValueError(f"sides must be coprime, got {m}x{n}")
+    if not 0 < 2 * k < n:
+        raise ValueError(f"need 0 < 2k < n, got k={k}, n={n}")
+    path = trace_path(m, n)
     tk = next(t for x, _, t in ref_base_bounces(path) if x == 2 * k)
     return {(c.x, c.y) for c in crossings(path) if c.t1 < tk < c.t2}
 
 
-def kernel_checkers(rect: Rect) -> set[tuple[int, int]]:
+def kernel_checkers(m: int, n: int) -> set[tuple[int, int]]:
     """Interior lattice points the corner-to-corner path visits exactly once.
 
     These exist exactly when gcd(m, n) > 1 (the path exits early and covers
     only part of the diagonal grid); the set is then nonempty.
     """
-    if math.gcd(rect.m, rect.n) == 1:
-        raise ValueError(f"sides {rect.m}x{rect.n} are coprime: every interior point is covered twice")
-    first, second = _interior_visits(trace_path(rect))
-    return {divmod(key, rect.m + 1) for key in first.keys() - second.keys()}
+    if math.gcd(m, n) == 1:
+        raise ValueError(f"sides {m}x{n} are coprime: every interior point is covered twice")
+    first, second = _interior_visits(trace_path(m, n))
+    return {divmod(key, m + 1) for key in first.keys() - second.keys()}
 
 
-def position_at(rect: Rect, t: int) -> tuple[int, int, int, int]:
+def position_at(m: int, n: int, t: int) -> tuple[int, int, int, int]:
     """Ball state (x, y, dx, dy) at integer time t in [0, lcm(m, n)].
 
     dx, dy give the outgoing direction (the post-reflection direction when
     the ball is on a wall).  At the final corner the direction is undefined
     and reported as (0, 0).
     """
-    if t < 0 or t > rect.length:
-        raise ValueError(f"t={t} outside [0, {rect.length}]")
-    x, dx = _fold(t, rect.n)
-    y, dy = _fold(t, rect.m)
-    if t == rect.length:
+    length = math.lcm(m, n)
+    if t < 0 or t > length:
+        raise ValueError(f"t={t} outside [0, {length}]")
+    x, dx = _fold(t, n)
+    y, dy = _fold(t, m)
+    if t == length:
         return x, y, 0, 0
     return x, y, dx, dy
 

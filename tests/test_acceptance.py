@@ -12,7 +12,7 @@ import time
 
 from click.testing import CliRunner
 
-from quadres.billiards import Rect, base_bounces, trace_path
+from quadres.billiards import base_bounces, trace_path
 from quadres.checkers import (
     Board,
     PebbleSet,
@@ -41,9 +41,9 @@ def timed_family(name: str, **bounds):
 
 
 def test_criterion_01_figure_one_trace():
-    trace_path(Rect(m=5, n=7))  # warm up
+    trace_path(5, 7)  # warm up
     start = time.perf_counter()
-    path = trace_path(Rect(m=5, n=7))
+    path = trace_path(5, 7)
     elapsed = time.perf_counter() - start
     ok = (
         base_bounces(5, 7) == [(4, -1, 10), (6, 1, 20), (2, 1, 30)]

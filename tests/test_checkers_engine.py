@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadres.billiards import Rect, trace_path
+from quadres.billiards import trace_path
 from quadres.checkers import (
     Board,
     CheckerSet,
@@ -88,7 +88,7 @@ def ref_light_chase(rows, cols, pebbled):
 def ref_solve(rows, cols, pebbled):
     placed, residual = ref_light_chase(rows, cols, pebbled)
     if residual:
-        path = trace_path(Rect(m=rows + 1, n=cols + 1))
+        path = trace_path(rows + 1, cols + 1)
         times = {x: t for x, _, t in ref_base_bounces(path)}
         cuts = sorted(times[col + 1] for col, _ in residual)
         for c in crossings(path):
@@ -99,7 +99,7 @@ def ref_solve(rows, cols, pebbled):
 
 def ref_single_pebble_counts(m, n):
     """(x, crossings straddling the bounce) for every bottom bounce of the traced path."""
-    path = trace_path(Rect(m=m, n=n))
+    path = trace_path(m, n)
     cross = crossings(path)
     firsts = sorted(c.t1 for c in cross)
     seconds = sorted(c.t2 for c in cross)
@@ -244,7 +244,7 @@ def test_checkers_binds_nothing_from_another_quadres_module():
 def test_solve_single_pebble_matches_two_color_reference():
     for m, n in coprime_sides(20):
         for k in range(1, (n + 1) // 2):  # every 0 < 2k < n
-            want = {(x - 1, y - 1) for x, y in two_color_checkers(Rect(m=m, n=n), k)}
+            want = {(x - 1, y - 1) for x, y in two_color_checkers(m, n, k)}
             assert solve_single_pebble(m, n, k).squares == want, (m, n, k)
 
 
@@ -274,7 +274,7 @@ def _refuse_the_walk_and_other_legs(monkeypatch):
 def test_kernel_element_matches_once_visited_reference(monkeypatch):
     cells = [(m, n) for m in range(2, 41) for n in range(2, 41) if math.gcd(m, n) > 1]
     assert len(cells) == 621
-    want = [{(x - 1, y - 1) for x, y in kernel_checkers(Rect(m=m, n=n))} for m, n in cells]
+    want = [{(x - 1, y - 1) for x, y in kernel_checkers(m, n)} for m, n in cells]
     _refuse_the_walk_and_other_legs(monkeypatch)
     for (m, n), squares in zip(cells, want):
         elem = kernel_element(m, n)
@@ -333,8 +333,8 @@ def test_path_built_checker_sets_call_no_billiards_function(monkeypatch):
     singles = [(m, n, k) for m, n in coprime_sides(12) for k in range(1, (n + 1) // 2)]
     kernels = [(m, n) for m in range(2, 13) for n in range(2, 13) if math.gcd(m, n) > 1]
     want_solve = [ref_solve(p.board.rows, p.board.cols, p.squares) for p in puzzles]
-    want_singles = [{(x - 1, y - 1) for x, y in two_color_checkers(Rect(m=m, n=n), k)} for m, n, k in singles]
-    want_kernels = [{(x - 1, y - 1) for x, y in kernel_checkers(Rect(m=m, n=n))} for m, n in kernels]
+    want_singles = [{(x - 1, y - 1) for x, y in two_color_checkers(m, n, k)} for m, n, k in singles]
+    want_kernels = [{(x - 1, y - 1) for x, y in kernel_checkers(m, n)} for m, n in kernels]
     want_counts = [ref_single_pebble_counts(m, n) for m, n in coprime_sides(12)]
     _refuse_everywhere(monkeypatch, {
         f for _, f in inspect.getmembers(billiards, inspect.isfunction) if f.__module__ == billiards.__name__
@@ -529,6 +529,13 @@ def test_kernel_dimension_matches_elimination_rank():
         for n in range(2, 30):
             matrix = neighbor_matrix(Board(rows=m - 1, cols=n - 1))
             assert kernel_dimension(m, n) == matrix.cols - matrix.rank(), (m, n)
+
+
+def test_kernel_dimension_is_transpose_symmetric():
+    """A board and its transpose have the same kernel, which lets the chase pick its orientation."""
+    for m in range(1, 41):
+        for n in range(1, 41):
+            assert kernel_dimension(m, n) == kernel_dimension(n, m), (m, n)
 
 
 def test_kernel_dimension_of_empty_and_invalid_boards():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from quadres.billiards import Rect, trace_path
+from quadres.billiards import trace_path
 from quadres.cli import DEFAULT_MAX_CELLS, main
 from quadres.oracles import jacobi_symbol
 from quadres.sweeps import FAMILIES
@@ -143,18 +143,24 @@ class TestSymbol:
         }
 
     def test_size_limit_counts_n_alone(self, runner):
-        # the --verify oracles factor n by up to isqrt(n) trial divisions, whatever m is
+        # the --verify oracles factor n by up to isqrt(n) trial divisions, whatever m is: 32 to a work unit
         env = {"QUADRES_MAX_CELLS": "100"}
         assert runner.invoke(main, ["symbol", "1000", "7", "--verify"], env=env).exit_code == 0
-        assert runner.invoke(main, ["symbol", "3", "10007", "--verify"], env=env).exit_code == 0  # isqrt 100
-        result = runner.invoke(main, ["symbol", "3", "10201", "--verify"], env=env)
+        assert runner.invoke(main, ["symbol", "3", "10239999", "--verify"], env=env).exit_code == 0  # isqrt 3199
+        result = runner.invoke(main, ["symbol", "3", "10240000", "--verify"], env=env)
         assert result.exit_code == 2
-        assert "--verify on n=10201 (101 trial divisions) exceeds the safety limit of 100 (override" in result.output
+        assert "--verify on n=10240000 (101 work units) exceeds the safety limit of 100 (override" in result.output
+
+    def test_verify_one_unit_past_the_cap_exits_2_fast(self, runner):
+        n = (32 * DEFAULT_MAX_CELLS) ** 2  # 1 + isqrt(n) // 32 is the cap plus one
+        start = time.perf_counter()
+        result = runner.invoke(main, ["symbol", "3", str(n), "--verify"])
+        assert result.exit_code == 2 and time.perf_counter() - start < 0.5
+        assert f"({DEFAULT_MAX_CELLS + 1} work units) exceeds the safety limit of {DEFAULT_MAX_CELLS}" in result.output
 
     def test_verify_near_10_12(self, runner):
-        result, payload = invoke_json(runner, ["symbol", "3", "1000000000039", "--verify", "--json"],
-                                      env={"QUADRES_MAX_CELLS": "1000000"})  # isqrt(n) = 10^6 trial divisions
-        assert result.exit_code == 0
+        result, payload = invoke_json(runner, ["symbol", "3", "1000000000039", "--verify", "--json"])
+        assert result.exit_code == 0  # 31,251 work units, within the default cap
         assert [(c["name"], c["status"]) for c in payload["checks"]] == [
             ("euler", "pass"), ("jacobi", "pass"), ("zolotarev", "pass")]
         assert payload["result"]["value"] == -1 and payload["result"]["base_bounces_omitted"] is True
@@ -180,7 +186,7 @@ class TestSymbol:
     def test_value_only_count_matches_the_bounce_walk(self, runner, m, n):
         # both branches take the value and count from floor sums; the traced path's bounces must agree
         coprime = math.gcd(m, n) == 1
-        bounces = [[x, s] for x, s, _ in ref_base_bounces(trace_path(Rect(m=m, n=n)))] if coprime else []
+        bounces = [[x, s] for x, s, _ in ref_base_bounces(trace_path(m, n))] if coprime else []
         negatives = sum(s < 0 for _, s in bounces)
         value = (-1) ** negatives if coprime else 0
         result, payload = invoke_json(runner, ["symbol", str(m), str(n), "--json"],

@@ -1,9 +1,10 @@
 """The three legs stay independent in the source: each module imports only the quadres names allowed.
 
-The billiards, checkers and oracle legs and the tiling count import no
-other quadres module; `symbols` takes only the value alias, and no
-billiards name: its symbol comes from floor sums, not from the bounces.  The CLI imports only public names.  The refusal tests catch a call
-at run time; this catches a new import before anything runs.
+The billiards, checkers and oracle legs, `symbols` and the tiling count
+import no other quadres module: `symbols` takes no billiards name, as its
+symbol comes from floor sums, not from the bounces.  The CLI imports only
+public names.  The refusal tests catch a call at run time; this catches a
+new import before anything runs.
 """
 
 import ast
@@ -15,7 +16,7 @@ ALLOWED = {
     "billiards": set(),
     "checkers": set(),
     "oracles": set(),
-    "symbols": {"oracles.SymbolValue"},
+    "symbols": set(),
     "tilings": set(),
 }
 

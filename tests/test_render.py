@@ -4,9 +4,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from quadres.billiards import Rect, trace_path
+from quadres.billiards import trace_path
 from quadres.checkers import Board, CheckerSet, PebbleSet, bottom_row_puzzle, kernel_element, solve
-from quadres.render import BOARD_CELL_PX, RenderSpec, render_board_ascii, render_board_svg, render_path_svg
+from quadres.render import BOARD_CELL_PX, render_board_ascii, render_board_svg, render_path_svg
 
 ALLOWED_TAGS = {"svg", "rect", "line", "polyline", "circle", "text"}
 
@@ -29,7 +29,7 @@ def polyline_points(doc):
 
 
 def test_path_svg_well_formed():
-    doc = render_path_svg(trace_path(Rect(m=5, n=7)))
+    doc = render_path_svg(trace_path(5, 7))
     root, tags = svg_tags(doc)
     assert tags[0] == "svg"
     assert set(tags) <= ALLOWED_TAGS
@@ -37,20 +37,20 @@ def test_path_svg_well_formed():
 
 def test_path_svg_vertex_count():
     # the 5x7 path has 10 reflection points, so start + bounces + end = 12
-    doc = render_path_svg(trace_path(Rect(m=5, n=7)))
+    doc = render_path_svg(trace_path(5, 7))
     lines = polyline_points(doc)
     assert len(lines) == 1
     assert len(lines[0]) == 12
 
 
 def test_path_svg_single_segment():
-    doc = render_path_svg(trace_path(Rect(m=1, n=1)))
+    doc = render_path_svg(trace_path(1, 1))
     lines = polyline_points(doc)
     assert len(lines) == 1 and len(lines[0]) == 2
 
 
 def test_path_svg_split():
-    doc = render_path_svg(trace_path(Rect(m=7, n=11)), split_k=3)
+    doc = render_path_svg(trace_path(7, 11), split_k=3)
     lines = polyline_points(doc)
     assert len(lines) == 2
     # the halves meet at the (6, 0) bounce vertex, which appears in both;
@@ -60,21 +60,21 @@ def test_path_svg_split():
 
 def test_path_svg_split_rejects_missing_bounce():
     with pytest.raises(ValueError):
-        render_path_svg(trace_path(Rect(m=5, n=7)), split_k=5)
+        render_path_svg(trace_path(5, 7), split_k=5)
 
 
 def test_path_svg_sign_annotations():
-    doc = render_path_svg(trace_path(Rect(m=5, n=7)), RenderSpec(annotate_signs=True))
+    doc = render_path_svg(trace_path(5, 7), annotate_signs=True)
     root = ET.fromstring(doc)
     labels = [el.text for el in root.iter() if el.tag.split("}")[-1] == "text"]
     assert sorted(labels) == ["+", "+", "-"]
-    doc = render_path_svg(trace_path(Rect(m=5, n=7)), RenderSpec(annotate_signs=False))
+    doc = render_path_svg(trace_path(5, 7), annotate_signs=False)
     root = ET.fromstring(doc)
     assert not [el for el in root.iter() if el.tag.split("}")[-1] == "text"]
 
 
 def test_render_deterministic():
-    path = trace_path(Rect(m=5, n=7))
+    path = trace_path(5, 7)
     assert render_path_svg(path) == render_path_svg(path)
     board = Board(rows=4, cols=6)
     sol = solve(bottom_row_puzzle(board))
@@ -82,9 +82,9 @@ def test_render_deterministic():
     assert a == render_board_ascii(board, bottom_row_puzzle(board), sol)
 
 
-def test_render_spec_validation():
-    with pytest.raises(ValueError):
-        RenderSpec(cell_px=3)
+def test_path_svg_cell_px_validation():
+    with pytest.raises(ValueError, match="cell_px must be >= 4"):
+        render_path_svg(trace_path(5, 7), cell_px=3)
 
 
 def test_board_ascii_first_figure_golden():

@@ -1,10 +1,10 @@
-"""The library stays within its size budget: src/quadres holds at most 1,539 lines."""
+"""The library stays within its size budget: src/quadres holds at most 1,501 lines."""
 
 from pathlib import Path
 
 import quadres
 
-MAX_SOURCE_LINES = 1539
+MAX_SOURCE_LINES = 1501
 
 
 def test_source_lines_within_budget():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadres.billiards import Rect, base_bounces, trace_path
+from quadres.billiards import base_bounces, trace_path
 from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from quadres.symbols import (
     _floor_sum,
@@ -55,7 +55,7 @@ def test_billiard_symbol_matches_traced_path():
     # the floor sums against the product of the traced path's bottom-bounce signs, on every shape
     for m in range(1, 41):
         for n in range(1, 41):
-            signs = [s for _, s, _ in ref_base_bounces(trace_path(Rect(m=m, n=n)))]
+            signs = [s for _, s, _ in ref_base_bounces(trace_path(m, n))]
             assert billiard_symbol(m, n).value == (math.prod(signs) if math.gcd(m, n) == 1 else 0), (m, n)
 
 

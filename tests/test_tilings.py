@@ -9,11 +9,12 @@ cells are every board of its grid, so every record carries a count.
 
 import itertools
 import math
+import timeit
 
 import pytest
 
 from quadres import sweeps
-from quadres.checkers import Board
+from quadres.checkers import Board, kernel_dimension
 from quadres.sweeps import FAMILIES, run_family
 from quadres.tilings import count_tilings
 from reference import MAX_BRUTE_CELLS, neighbor_matrix, ref_count_tilings
@@ -63,7 +64,8 @@ def test_count_known_square_values():
 def test_parity_check_examples():
     # 2x3 has an odd count and gcd(3, 4) = 1; 2x2 and 4x4 have even counts and gcd 3 and 5
     for rows, cols, count, invertible in [(2, 3, 3, True), (2, 2, 2, False), (4, 4, 36, False)]:
-        assert (count_tilings(rows, cols), sweeps._invertible(rows, cols)) == (count, invertible)
+        assert count_tilings(rows, cols) == count
+        assert neighbor_matrix(Board(rows=rows, cols=cols)).is_invertible() == invertible
         assert sweeps._tilings_check(rows, cols) == (1, []), (rows, cols)
 
 
@@ -90,28 +92,30 @@ def test_parity_corollary_to_12x12():
             assert (count_tilings(rows, cols) % 2 == 1) == (math.gcd(rows + 1, cols + 1) == 1), (rows, cols)
 
 
-def test_rank_full_matches_elimination():
-    # both orientations: the chase always runs down the long side, whichever side that is
+def test_rank_full_matches_elimination(monkeypatch):
+    # a count of the wrong parity fails every board, so each record shows the row's rank_full; both orientations
+    monkeypatch.setattr(sweeps.tilings, "count_tilings", lambda rows, cols: 1 + (math.gcd(rows + 1, cols + 1) == 1))
     for rows in range(1, 9):
         for cols in range(1, 9):
-            want = neighbor_matrix(Board(rows=rows, cols=cols)).is_invertible()
-            assert sweeps._invertible(rows, cols) == want, (rows, cols)
+            _, [record] = sweeps._tilings_check(rows, cols)
+            assert record["rank_full"] == neighbor_matrix(Board(rows=rows, cols=cols)).is_invertible(), (rows, cols)
 
 
-def test_invertibility_is_chased_down_the_long_side(monkeypatch):
-    """Each chase step is a short row: kernel_dimension(2, 20001) takes about 1,700 times (20001, 2)'s time."""
-    calls = []
-    real = sweeps.ck.kernel_dimension
-    monkeypatch.setattr(sweeps.ck, "kernel_dimension", lambda m, n: calls.append((m, n)) or real(m, n))
-    assert sweeps._invertible(2, 7) and sweeps._invertible(7, 2)  # gcd(3, 8) = 1
-    assert calls == [(8, 3), (8, 3)]
+def test_kernel_dimension_is_chased_down_the_long_side():
+    """Each chase step is a short row, so a long thin board is cheap in either orientation.
+
+    Chased along its 20000-square side, the 1x20000 board takes about 30 ms; down it, microseconds.
+    """
+    for m, n in [(2, 20001), (20001, 2)]:
+        best = min(timeit.repeat(lambda: kernel_dimension(m, n), number=1, repeat=3))
+        assert best < 0.002, (m, n, best)
 
 
 def test_row_fails_where_invertibility_disagrees(monkeypatch):
     """A wrong chase fails the row with the exact count, once per orientation of the board."""
     real = sweeps.ck.kernel_dimension
-    monkeypatch.setattr(sweeps.ck, "kernel_dimension", lambda m, n: real(m, n) + ((m, n) == (4, 3)))
-    record = {"count": 3, "gcd_flag": True, "rank_full": False}  # the 2x3 board, chased as 3 rows of 2
+    monkeypatch.setattr(sweeps.ck, "kernel_dimension", lambda m, n: real(m, n) + ({m, n} == {3, 4}))
+    record = {"count": 3, "gcd_flag": True, "rank_full": False}  # the 2x3 board, passed as (3, 4) or (4, 3)
     assert run_family("tilings", max_m=4, max_n=4).failures == ({"rows": 2, "cols": 3, **record},
                                                                 {"rows": 3, "cols": 2, **record})
 
@@ -120,7 +124,8 @@ def test_odd_cell_boards_always_even():
     for rows in range(1, 6, 2):
         for cols in range(1, 6, 2):
             assert count_tilings(rows, cols) == 0
-            assert not sweeps._invertible(rows, cols) and math.gcd(rows + 1, cols + 1) > 1
+            assert not neighbor_matrix(Board(rows=rows, cols=cols)).is_invertible()
+            assert math.gcd(rows + 1, cols + 1) > 1
             assert sweeps._tilings_check(rows, cols) == (1, [])
 
 
