@@ -46,13 +46,12 @@ class BounceEvent:
 class BilliardPath:
     """Complete corner-to-corner trajectory on the rectangle of height m and width n.
 
-    vertices lists the start corner, every reflection point in time order,
-    and the end corner; consecutive vertices differ by a 45-degree segment.
+    The start corner (0, 0), the bounce points in time order and the end
+    corner are its vertices; consecutive ones differ by a 45-degree segment.
     """
 
     m: int
     n: int
-    vertices: tuple[tuple[int, int], ...]
     bounces: tuple[BounceEvent, ...]
     end: tuple[int, int]
     length: int
@@ -77,7 +76,7 @@ def trace_path(m: int, n: int) -> BilliardPath:
     total = math.lcm(m, n)  # travel time from the start corner to the end corner
     times = sorted(set(range(m, total, m)) | set(range(n, total, n)))
 
-    bounces, vertices = [], [(0, 0)]
+    bounces = []
     for t in times:
         (x, dx), (y, dy) = _fold(t, n), _fold(t, m)
         if y == 0:
@@ -89,11 +88,9 @@ def trace_path(m: int, n: int) -> BilliardPath:
         else:
             wall, sign = Wall.RIGHT, dy
         bounces.append(BounceEvent(t=t, x=x, y=y, wall=wall, sign=sign))
-        vertices.append((x, y))
 
     (ex, _), (ey, _) = _fold(total, n), _fold(total, m)
-    vertices.append((ex, ey))
-    return BilliardPath(m=m, n=n, vertices=tuple(vertices), bounces=tuple(bounces), end=(ex, ey), length=total)
+    return BilliardPath(m=m, n=n, bounces=tuple(bounces), end=(ex, ey), length=total)
 
 
 def base_bounces(m: int, n: int) -> list[tuple[int, int, int]]:

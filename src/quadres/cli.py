@@ -16,7 +16,7 @@ import os
 import click
 
 from . import __version__
-from .billiards import base_bounces, trace_path
+from .billiards import Wall, base_bounces, trace_path
 from .checkers import (
     Board,
     PebbleSet,
@@ -91,7 +91,7 @@ def _write(out: str, text: str, mode: str = "w") -> None:
 
 
 def _finish(command: str, m: int | None, n: int | None, flags: dict, result: dict, checks: list[dict],
-            lines: list[str], as_json: bool, out: str | None, failed: bool = False) -> None:
+            lines: list[str], as_json: bool, out: str | None) -> None:
     """Write the JSON envelope or the text lines to stdout or --out, then exit 1 if a check failed."""
     if as_json:
         envelope = {"command": command, "inputs": {"m": m, "n": n, "flags": flags},
@@ -103,7 +103,7 @@ def _finish(command: str, m: int | None, n: int | None, flags: dict, result: dic
         _write(out, text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text)
-    if failed:
+    if any(c["status"] == "fail" for c in checks):
         click.get_current_context().exit(1)
 
 
@@ -130,7 +130,7 @@ def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
     path = trace_path(m, n)
     result = {
         "bounces": [{"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign} for b in path.bounces],
-        "base_bounces": [list(bounce) for bounce in base_bounces(m, n)],
+        "base_bounces": [[b.x, b.sign, b.t] for b in path.bounces if b.wall is Wall.BOTTOM],
         "end": list(path.end),
         "length": path.length,
     }
@@ -173,7 +173,6 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
             oracle_values["zolotarev"] = zolotarev_perm_sign(m, n)
     checks = [{"name": name, "status": "pass" if oracle == value else "fail",
                "witness": {"billiard": value, name: oracle}} for name, oracle in oracle_values.items()]
-    failed = any(c["status"] == "fail" for c in checks)
 
     result = {"value": value, "negative_bounces": negatives, "base_bounces": bounces}
     if not listed:
@@ -185,8 +184,8 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
         lines.append(f"base-bounce signs: {' '.join('+' if s > 0 else '-' for _, s in bounces) or '(no bounces)'}")
     lines += [f"{c['name']}: {_signed(c['witness'][c['name']])} [{c['status']}]" for c in checks]
     if do_verify:
-        lines.append("verdict: DISAGREEMENT" if failed else "verdict: OK")
-    _finish("symbol", m, n, {"verify": do_verify, "json": True}, result, checks, lines, as_json, out, failed=failed)
+        lines.append("verdict: DISAGREEMENT" if any(c["status"] == "fail" for c in checks) else "verdict: OK")
+    _finish("symbol", m, n, {"verify": do_verify, "json": True}, result, checks, lines, as_json, out)
 
 
 @main.command(name="solve")
@@ -252,7 +251,7 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
             renderer = render_board_ascii if render_mode == "ascii" else render_board_svg
             result["render"] = renderer(board, pebble_set, result_set)
             lines.append(result["render"])
-    _finish("solve", m, n, flags, result, checks, lines, as_json, out, failed=bool(error))
+    _finish("solve", m, n, flags, result, checks, lines, as_json, out)
 
 
 @main.command()
@@ -268,7 +267,6 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
 def verify(max_n: int | None, max_m: int | None, check_names: str | None,
            parallelism: int, as_json: bool, out: str | None) -> None:
     """Run identity-check sweeps across all modules."""
-    max_m = max_n if max_m is None else max_m
     names = list(FAMILIES)
     if check_names is not None:
         names = list(dict.fromkeys(c.strip() for c in check_names.split(",") if c.strip()))  # repeats run once
@@ -304,7 +302,7 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
     lines.append("all checks passed" if all_ok else "CHECKS FAILED")
     flags = {"checks": names, "parallelism": parallelism, "json": True}
     _finish("verify", max_m, max_n, flags, {"families": len(checks), "all_ok": all_ok}, checks, lines,
-            as_json, out, failed=not all_ok)
+            as_json, out)
 
 
 @main.command(name="render")

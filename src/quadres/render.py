@@ -7,7 +7,7 @@ inputs always produce byte-identical output.
 
 from __future__ import annotations
 
-from .billiards import BilliardPath, base_bounces
+from .billiards import BilliardPath, Wall
 from .checkers import Board, CheckerSet, PebbleSet
 
 BOARD_CELL_PX = 24
@@ -47,21 +47,20 @@ def render_path_svg(path: BilliardPath, split_k: int | None = None, *, cell_px: 
         coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in points)
         return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
 
-    vertices = list(path.vertices)
-    bottom = base_bounces(m, n)
+    vertices = [(0, 0), *((b.x, b.y) for b in path.bounces), path.end]
+    bottom = [(i, b) for i, b in enumerate(path.bounces, 1) if b.wall is Wall.BOTTOM]  # vertex 0 is the start corner
     if split_k is None:
         parts.append(polyline(vertices, color_before))
     else:
-        tk = next((t for x, _, t in bottom if x == 2 * split_k), None)
-        if tk is None:
+        cut = next((i for i, b in bottom if b.x == 2 * split_k), None)
+        if cut is None:
             raise ValueError(f"no bottom bounce at ({2 * split_k}, 0) to split at")
-        cut = 1 + [b.t for b in path.bounces].index(tk)  # vertex 0 is the start corner
         parts.append(polyline(vertices[: cut + 1], color_before))
         parts.append(polyline(vertices[cut:], color_after))
 
     if annotate_signs:
-        parts += [f'<text x="{sx(x)}" y="{sy(0) + px // 2 + 4}" text-anchor="middle" font-size="{px // 2 + 4}">'
-                  f'{"+" if sign > 0 else "-"}</text>' for x, sign, _ in bottom]
+        parts += [f'<text x="{sx(b.x)}" y="{sy(0) + px // 2 + 4}" text-anchor="middle" font-size="{px // 2 + 4}">'
+                  f'{"+" if b.sign > 0 else "-"}</text>' for _, b in bottom]
 
     parts.append("</svg>")
     return "\n".join(parts)

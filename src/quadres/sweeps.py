@@ -55,7 +55,8 @@ class Family:
     cell_cost: Callable[..., int]  # one cell's work from its arguments alone: at least 1 unit of about 4 us
 
     def bounds(self, max_m: int | None, max_n: int | None) -> tuple[int, int]:
-        """The grid bounds a run uses: a bound left as None takes the family default."""
+        """The grid bounds a run uses: max_m left as None takes max_n, then a bound still None the family default."""
+        max_m = max_n if max_m is None else max_m
         return self.default_max_m if max_m is None else max_m, self.default_max_n if max_n is None else max_n
 
     def work(self, max_m: int, max_n: int, limit: int) -> int:
@@ -134,19 +135,14 @@ def _bridge_check(m: int, n: int) -> tuple[int, list[Failure]]:
                           if x != at or (sign > 0) != (count % 2 == 0)]
 
 
-# --- kernel: unique solvability iff g = gcd(m, n) = 1; kernel dimension floor(g/2) and cokernel
-# --- floor((g-1)/2); explicit kernel element otherwise ---
+# --- kernel: kernel dimension floor(g/2), g = gcd(m, n); as (m-1)(n-1) is odd exactly when g is even, unique
+# --- solvability iff g = 1 and cokernel floor((g-1)/2) follow from it; explicit kernel element otherwise ---
 
 def _kernel_check(m: int, n: int) -> tuple[int, list[Failure]]:
     failures = []
-    odd = (m - 1) * (n - 1) % 2  # an odd board has one more dark square than light ones
-    nullity = ck.kernel_dimension(m, n)
-    cokernel = nullity - odd  # #light - (#dark - nullity): the unsolvable part of the pebble space
-    invertible = nullity == 0 and not odd
-    g = math.gcd(m, n)
-    if invertible != (g == 1):
-        failures.append({"m": m, "n": n, "invertible": invertible, "coprime": g == 1})
-    if (nullity, cokernel) != (g // 2, (g - 1) // 2):
+    nullity, g = ck.kernel_dimension(m, n), math.gcd(m, n)
+    if nullity != g // 2:
+        cokernel = nullity - (m - 1) * (n - 1) % 2  # #light - (#dark - nullity): the unsolvable part of pebble space
         failures.append({"m": m, "n": n, "nullity": nullity, "cokernel": cokernel, "gcd": g})
     if g > 1:
         elem = ck.kernel_element(m, n)
@@ -255,7 +251,7 @@ def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
                parallelism: int = 1) -> FamilyResult:
     """Run one check family and merge per-cell results in cell order.
 
-    A bound left as None takes the family default.  At most one worker
+    Bounds left as None resolve as `Family.bounds` says.  At most one worker
     process runs per core and per cell, whatever `parallelism` asks for.
     """
     start = time.perf_counter()

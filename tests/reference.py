@@ -16,7 +16,8 @@ alone, with no chase and no path (the matrix is read off the checkers
 stencil, and the tests check it against one built square by square), and
 the backtracking counter enumerates domino tilings one by one.
 `ref_base_bounces` reads the bottom-wall events off a traced path, where
-the library folds their times alone.  `position_at` reads the ball's
+the library folds their times alone, and `vertices` lists the path's
+corners and bounce points in time order.  `position_at` reads the ball's
 state off one time, `solve_single_pebble` clears one bottom-row pebble, and `combined_puzzle_count` solves the
 bottom-row plus left-column puzzle with the general `solve`.  `quadres`
 itself calls none of them.
@@ -69,6 +70,11 @@ def crossings(path: BilliardPath) -> list[Crossing]:
     return out
 
 
+def vertices(path: BilliardPath) -> list[tuple[int, int]]:
+    """The start corner, every bounce point in time order, and the end corner."""
+    return [(0, 0), *((b.x, b.y) for b in path.bounces), path.end]
+
+
 def _interior_visits(path: BilliardPath) -> tuple[dict[int, int], dict[int, int]]:
     """First and second visits to each interior lattice point of the path.
 
@@ -80,12 +86,13 @@ def _interior_visits(path: BilliardPath) -> tuple[dict[int, int], dict[int, int]
     """
     side = path.m + 1
     times = (0, *(b.t for b in path.bounces), path.length)  # the time at each vertex
+    points = vertices(path)
     first: dict[int, int] = {}
     second: dict[int, int] = {}
     for i in range(len(times) - 1):
         t0, t1 = times[i], times[i + 1]
-        x0, y0 = path.vertices[i]
-        x1, y1 = path.vertices[i + 1]
+        x0, y0 = points[i]
+        x1, y1 = points[i + 1]
         span = t1 - t0
         dx, dy = (x1 - x0) // span, (y1 - y0) // span
         start, step = x0 * side + y0, dx * side + dy

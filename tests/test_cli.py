@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from quadres.billiards import trace_path
+from quadres.billiards import base_bounces, trace_path
 from quadres.cli import DEFAULT_MAX_CELLS, main
 from quadres.oracles import jacobi_symbol
 from quadres.sweeps import FAMILIES
@@ -65,6 +65,13 @@ class TestTrace:
         assert payload["result"]["base_bounces"] == [[4, -1, 10], [6, 1, 20], [2, 1, 30]]
         assert payload["result"]["end"] == [7, 5]
         assert payload["result"]["length"] == 35
+
+    def test_json_base_bounces_match_the_fold(self, runner):
+        # trace reads them off its traced path; base_bounces folds their times without tracing
+        for m in range(1, 21):
+            for n in range(1, 21):
+                _, payload = invoke_json(runner, ["trace", str(m), str(n), "--json"])
+                assert payload["result"]["base_bounces"] == [list(b) for b in base_bounces(m, n)], (m, n)
 
     def test_bad_args_exit_2(self, runner):
         assert runner.invoke(main, ["trace", "0", "7"]).exit_code == 2

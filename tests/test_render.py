@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from quadres.billiards import trace_path
+from quadres.billiards import base_bounces, trace_path
 from quadres.checkers import Board, CheckerSet, PebbleSet, bottom_row_puzzle, kernel_element, solve
 from quadres.render import BOARD_CELL_PX, render_board_ascii, render_board_svg, render_path_svg
 
@@ -71,6 +71,25 @@ def test_path_svg_sign_annotations():
     doc = render_path_svg(trace_path(5, 7), annotate_signs=False)
     root = ET.fromstring(doc)
     assert not [el for el in root.iter() if el.tag.split("}")[-1] == "text"]
+
+
+def test_path_svg_labels_and_splits_at_the_bounces_the_fold_lists():
+    """render reads the bottom bounces off its path: they stay those base_bounces folds without tracing."""
+    px = BOARD_CELL_PX  # also the margin
+    for m in range(1, 21):
+        for n in range(1, 21):
+            path, bottom = trace_path(m, n), base_bounces(m, n)
+            root = ET.fromstring(render_path_svg(path))
+            labels = [(int(el.attrib["x"]) // px - 1, 1 if el.text == "+" else -1)
+                      for el in root.iter() if el.tag.split("}")[-1] == "text"]
+            assert labels == [(x, sign) for x, sign, _ in bottom], (m, n)
+            for k in range(1, n // 2 + 1):
+                if any(x == 2 * k for x, _, _ in bottom):
+                    first, _ = polyline_points(render_path_svg(path, split_k=k))
+                    assert first[-1] == (px + 2 * k * px, px + m * px), (m, n, k)
+                else:
+                    with pytest.raises(ValueError, match="no bottom bounce"):
+                        render_path_svg(path, split_k=k)
 
 
 def test_render_deterministic():

@@ -2,15 +2,18 @@
 
 import dataclasses
 import itertools
+import json
 import math
 from functools import partial
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from quadres import sweeps
 from quadres.symbols import billiard_symbol
 from quadres.checkers import Board
+from quadres.cli import main
 from quadres.sweeps import FAMILIES, run_family
 from reference import pebbles
 
@@ -150,9 +153,9 @@ FAILURE_CASES = [
     ("tilings", sweeps.tilings, "count_tilings", _wrong_at((2, 2), lambda count: count + 1),
      [{"rows": 2, "cols": 2, "count": 3, "gcd_flag": False, "rank_full": False}]),
     ("kernel", sweeps.ck, "kernel_element", _wrong_at((6, 9), lambda e: e ^ e), [{"m": 6, "n": 9, "kernel": "empty"}]),
-    # a coprime board given a kernel: no longer invertible, and its nullity and cokernel both 1
+    # a coprime board given a kernel: one nullity record, its cokernel 1 too, which also says it is not invertible
     ("kernel", sweeps.ck, "kernel_dimension", _wrong_at((4, 7), lambda nullity: nullity + 1),
-     [{"m": 4, "n": 7, "invertible": False, "coprime": True}, {"m": 4, "n": 7, "nullity": 1, "cokernel": 1, "gcd": 1}]),
+     [{"m": 4, "n": 7, "nullity": 1, "cokernel": 1, "gcd": 1}]),
     ("kernel", sweeps.ck, "apply_checkers", _extra_pebble_at(6, 9), [{"m": 6, "n": 9, "kernel": "nonzero image"}]),
 ]
 
@@ -357,10 +360,37 @@ def test_reduced_bounds_shrink_the_sweep():
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_parallel_merge_matches_serial(name):
-    """Two worker processes: each cell and check pickles, and a worker runs the same sides."""
-    serial = run_family(name, max_m=13, max_n=21, parallelism=1)
-    parallel = run_family(name, max_m=13, max_n=21, parallelism=2)
-    assert serial == parallel
+    """Two worker processes: each cell and check pickles, and a worker runs the same sides.
+
+    tilings runs its 117 boards of 9x13 (0.07 s serial): 13x21 costs it 3.5 times the CLI's cap, and
+    test_family_grid_follows_each_bound checks those boards at both bound orders.
+    """
+    bounds = (9, 13) if name == "tilings" else (13, 21)
+    assert run_family(name, *bounds, parallelism=1) == run_family(name, *bounds, parallelism=2)
+
+
+def test_board_is_odd_exactly_when_the_gcd_is_even():
+    """Why the kernel family compares the nullity alone: with this, nullity floor(g/2) forces the cokernel
+    nullity - (m-1)(n-1) mod 2 to be floor((g-1)/2), and an invertible map (no kernel, even board) to mean g = 1."""
+    for m, n in itertools.product(range(1, 61), repeat=2):
+        assert (m - 1) * (n - 1) % 2 == (math.gcd(m, n) % 2 == 0), (m, n)
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+@pytest.mark.parametrize("max_n", [1, 9, 20])
+def test_run_family_sweeps_the_grid_verify_sweeps(monkeypatch, name, max_n):
+    """One bound rule: with max_n alone, run_family and `quadres verify --max-n` take max_m = max_n.
+
+    Only the grid is compared, so count_tilings is stubbed (every board of 20x20 is out of its reach) and
+    the cap is raised to admit tilings' 20x20 grid; the stub's failures are counted, not compared.
+    """
+    monkeypatch.setattr(sweeps.tilings, "count_tilings", lambda rows, cols: 0)
+    monkeypatch.setenv("QUADRES_MAX_CELLS", str(10**12))
+    result = run_family(name, max_n=max_n)
+    payload = json.loads(CliRunner().invoke(main, ["verify", "--checks", name, "--max-n", str(max_n), "--json"]).output)
+    witness = payload["checks"][0]["witness"]
+    assert (witness["cells"], witness["checked"]) == (result.cells, result.checked)
+    assert witness["reproduce"].endswith(f"--max-m {max_n} --max-n {max_n}") and payload["inputs"]["m"] is None
 
 
 def test_zero_bound_is_not_the_default():
