@@ -14,10 +14,9 @@ the map and light chasing work a row at a time by shifts and XORs.
 
 The solver is the greedy top-to-bottom "light chasing" pass combined with
 the billiards two-coloring for the bottom-row residue, laid arch by arch
-(bottom bounce to bottom bounce) down one packed grid.  The same chase, run
-from the top row alone, is a transfer map that gives the dimension of the
-kernel, and (for gcd > 1 boards) the once-visited billiard points give a
-kernel element.
+(bottom bounce to bottom bounce) down one packed grid.  The dimension of the
+kernel is the degree of a gcd of two path polynomials over GF(2), and (for
+gcd > 1 boards) the once-visited billiard points give a kernel element.
 """
 
 from __future__ import annotations
@@ -178,28 +177,28 @@ def light_chase(p: PebbleSet) -> tuple[CheckerSet, PebbleSet]:
 def kernel_dimension(m: int, n: int) -> int:
     """Dimension of the checker sets with no pebbles on the (m-1)-by-(n-1) board.
 
-    With no pebbles, light chasing fixes each row from the two above it, so a kernel
-    element is fixed by its top row.  Each dark top-row square, placed alone and chased
-    down, leaves a bottom-row residual; the kernel is the top rows whose residuals
-    cancel, of dimension the top-row darks less the rank of their residuals.  A board and
-    its transpose have the same kernel, so the chase runs down the long side: a line is a short row.
+    The grid graph's adjacency is M + M^T, M the checker-to-pebble map, so its GF(2) nullity is
+    2 dim ker M - (#dark - #light), the last term the parity of the square count.  By Sutner's theorem
+    that nullity is deg gcd(p_{m-1}, p_{n-1}), p_k the k-vertex path's characteristic polynomial:
+    p_0 = 1, p_1 = x, p_{k+1} = x p_k + p_{k-1}, an int with bit i the coefficient of x^i.  As
+    p_{a+b} = p_a p_b + p_{a-1} p_{b-1} and p_{s-1}^2 = 1 + p_s p_{s-2}, p_k mod p_s has period 2s + 2.
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
-    rows, cols = max(m, n) - 1, min(m, n) - 1
-    full = (1 << cols) - 1
-    tops = range((rows - 1) % 2, cols, 2) if rows else range(0)
-    leading: dict[int, int] = {}  # XOR basis of the residuals, keyed by highest bit
-    for col in tops:
-        above, row = 0, 1 << col
-        for _ in range(rows - 1):
-            above, row = row, _lit(row, above, full)
-        residual = _lit(row, above, full)
-        while residual.bit_length() in leading:
-            residual ^= leading[residual.bit_length()]
-        if residual:
-            leading[residual.bit_length()] = residual
-    return len(tops) - len(leading)
+    short, long = sorted((m - 1, n - 1))
+    below, path = 0, 1  # p_{k-1} and p_k, up to k = short
+    for _ in range(short):
+        below, path = path, path << 1 ^ below
+    rest = 0  # p_k mod p_short, one XOR a step, from k = short; below is p_{short-1}, reduced already
+    for _ in range((long - short) % (2 * short + 2)):
+        below, rest = rest, rest << 1 ^ below
+        if rest >> short:
+            rest ^= path
+    while rest:  # Euclid by shifted XORs, path kept the higher degree: path becomes the gcd
+        path ^= rest << path.bit_length() - rest.bit_length()
+        if path.bit_length() < rest.bit_length():
+            path, rest = rest, path
+    return (path.bit_length() - 1 + short * long % 2) // 2
 
 
 def _walk(m: int, n: int) -> Iterator[int]:

@@ -233,7 +233,7 @@ FAMILIES: dict[str, Family] = {
         Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30,
                lambda m, n: 1 + (m + n) * (8000 + m * n) // 32000),
         Family("kernel", lambda max_m, max_n: _grid(range(2, max_m + 1), range(2, max_n + 1)), _kernel_check, 14, 14,
-               lambda m, n: 1 + m * n // 20 + n // 4 + m * (m + n) // 2000),
+               lambda m, n: 1 + (m + n) // 20 + m * (m + n) // 3000),  # the polynomials, the laid (m, m + n) grid
         Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31,
                lambda m, n: 1 + (m + n) // 3 + (m + n) ** 2 // 2400),
         Family("tilings", lambda max_m, max_n: _grid(range(1, max_m + 1), range(1, max_n + 1)), _tilings_check,

@@ -15,6 +15,9 @@ GF(2) elimination solves a puzzle from the light-by-dark neighbour matrix
 alone, with no chase and no path (the matrix is read off the checkers
 stencil, and the tests check it against one built square by square), and
 the backtracking counter enumerates domino tilings one by one.
+`ref_kernel_dimension` is the transfer-map chase that the path
+polynomials replaced: it chases each dark top-row square down the long
+side and row-reduces the bottom-row residuals in an XOR basis.
 `ref_base_bounces` reads the bottom-wall events off a traced path, where
 the library folds their times alone, and `vertices` lists the path's
 corners and bounce points in time order.  `position_at` reads the ball's
@@ -440,6 +443,33 @@ def solve_elimination(p: PebbleSet) -> EliminationResult:
         solution=_unpack(board, raw.particular) if raw.particular is not None else None,
         kernel_basis=tuple(_unpack(board, v) for v in raw.kernel_basis),
     )
+
+
+def ref_kernel_dimension(m: int, n: int) -> int:
+    """Dimension of the checker sets with no pebbles on the (m-1)-by-(n-1) board.
+
+    With no pebbles, light chasing fixes each row from the two above it, so a kernel
+    element is fixed by its top row.  Each dark top-row square, placed alone and chased
+    down, leaves a bottom-row residual; the kernel is the top rows whose residuals
+    cancel, of dimension the top-row darks less the rank of their residuals.  A board and
+    its transpose have the same kernel, so the chase runs down the long side: a line is a short row.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
+    rows, cols = max(m, n) - 1, min(m, n) - 1
+    full = (1 << cols) - 1
+    tops = range((rows - 1) % 2, cols, 2) if rows else range(0)
+    leading: dict[int, int] = {}  # XOR basis of the residuals, keyed by highest bit
+    for col in tops:
+        above, row = 0, 1 << col
+        for _ in range(rows - 1):
+            above, row = row, _lit(row, above, full)
+        residual = _lit(row, above, full)
+        while residual.bit_length() in leading:
+            residual ^= leading[residual.bit_length()]
+        if residual:
+            leading[residual.bit_length()] = residual
+    return len(tops) - len(leading)
 
 
 MAX_BRUTE_CELLS = 42

@@ -10,13 +10,16 @@ walk is checked grid for grid against `ref_walk`, the walk it replaced, and
 the arch layout against `ref_walk`'s stretches, against the walk-based
 two-colouring it replaced (`ref_two_color`), and against the dict-based
 constructions in `tests/reference.py`: `two_color_checkers` for
-single-pebble solutions and `kernel_checkers` for kernel elements.
+single-pebble solutions and `kernel_checkers` for kernel elements.  The
+kernel dimension from path polynomials is checked against the top-row chase
+it replaced, `ref_kernel_dimension`, and against gcd(m, n) // 2.
 """
 
 import inspect
 import math
 import random
 import sys
+import timeit
 from bisect import bisect_left, bisect_right
 
 import pytest
@@ -55,6 +58,7 @@ from reference import (
     ref_base_bounces,
     ref_clear_bottom_row,
     ref_count_tilings,
+    ref_kernel_dimension,
     ref_rows,
     ref_two_color,
     ref_walk,
@@ -531,8 +535,28 @@ def test_kernel_dimension_matches_elimination_rank():
             assert kernel_dimension(m, n) == matrix.cols - matrix.rank(), (m, n)
 
 
+def test_kernel_dimension_matches_the_chase():
+    """The path-polynomial gcd against the top-row chase it replaced, on every board up to 59x59."""
+    for m in range(1, 61):
+        for n in range(1, 61):
+            assert kernel_dimension(m, n) == ref_kernel_dimension(m, n) == ref_kernel_dimension(n, m), (m, n)
+
+
+def test_kernel_dimension_is_half_the_gcd_on_wide_and_large_boards():
+    """p_k mod p_s has period 2s + 2, so a long side near 10^12 costs no more steps than a short one."""
+    rng = random.Random(26)
+    pairs = [(rng.randrange(1, 400), rng.randrange(1, 400)) for _ in range(200)]
+    pairs += [(g * a, g * b) for g in (2, 6, 10) for a, b in [(7, 9), (11, 13), (5, 17)]]
+    for m, n in pairs:
+        assert kernel_dimension(m, n) == kernel_dimension(n, m) == math.gcd(m, n) // 2, (m, n)
+    for m, n in [(3000, 3002), (2048, 4096), (1001, 7007), (64, 100000), (100, 10**12 + 39), (600, 6 * 10**11)]:
+        assert kernel_dimension(m, n) == kernel_dimension(n, m) == math.gcd(m, n) // 2, (m, n)
+        best = min(timeit.repeat(lambda: kernel_dimension(m, n), number=1, repeat=3))
+        assert best < 0.01, (m, n, best)
+
+
 def test_kernel_dimension_is_transpose_symmetric():
-    """A board and its transpose have the same kernel, which lets the chase pick its orientation."""
+    """A board and its transpose have the same kernel, as the polynomial gcd is symmetric in the sides."""
     for m in range(1, 41):
         for n in range(1, 41):
             assert kernel_dimension(m, n) == kernel_dimension(n, m), (m, n)
@@ -568,7 +592,7 @@ def test_kernel_and_cokernel_dimensions_follow_gcd(m, n):
 
 
 def test_kernel_dimension_and_tiling_count_call_no_elimination_gcd_or_oracle(monkeypatch):
-    """The transfer map and the profile count run with the references, gcd, lcm and every oracle disabled."""
+    """The path polynomials and the profile count run with the references, gcd, lcm and every oracle disabled."""
     import inspect
 
     import quadres

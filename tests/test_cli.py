@@ -337,7 +337,7 @@ class TestVerify:
     @pytest.mark.parametrize("max_m, max_n, work", [(1, 3161, 250277), (2, 1413, 250277)])
     def test_tilings_cap_counts_the_work_of_narrow_boards(self, runner, max_m, max_n, work):
         # the profiles alone cost these about 250,000 units over 40, yet each grid takes 4-5 s: a cell's dict
-        # and the chase cost 8 units of 0.1 us a cell at any width
+        # and its kernel dimension cost 8 units of 0.1 us a cell at any width
         result = runner.invoke(main, ["verify", "--checks", "tilings", "--max-m", str(max_m), "--max-n", str(max_n)])
         assert result.exit_code == 2
         assert f"tilings sweep grid {max_m}x{max_n} (at least {work} work units) exceeds" in result.output
@@ -367,10 +367,10 @@ class TestVerify:
         assert "cells      5  checked      10" in result.output
 
     def test_kernel_cap_counts_board_squares(self, runner):
-        # 80x80 is 6,400 grid cells, but the kernel sweep chases 9,985,600 board squares, about 2 s
-        result = runner.invoke(main, ["verify", "--max-n", "80", "--checks", "kernel"])
+        # a cell is priced by its board's sides, not counted as one: 147x147 is the first square past the cap
+        result = runner.invoke(main, ["verify", "--max-n", "147", "--checks", "kernel"])
         assert result.exit_code == 2
-        assert "(at least 250015 work units) exceeds the safety limit" in result.output
+        assert "(at least 250024 work units) exceeds the safety limit" in result.output
 
     @pytest.mark.parametrize("max_m, max_n", [("1", "1000000000"), ("1000000000", "1")])
     def test_kernel_cap_counts_a_side_that_makes_no_board(self, runner, max_m, max_n):

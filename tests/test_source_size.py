@@ -1,10 +1,10 @@
-"""The library stays within its size budget: src/quadres holds at most 1,491 lines."""
+"""The library stays within its size budget: src/quadres holds at most 1,490 lines."""
 
 from pathlib import Path
 
 import quadres
 
-MAX_SOURCE_LINES = 1491
+MAX_SOURCE_LINES = 1490
 
 
 def test_source_lines_within_budget():

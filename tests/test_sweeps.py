@@ -255,7 +255,7 @@ def test_work_stops_at_the_first_cell_past_the_limit(name):
 # the largest square bound each family's work admits under the CLI's default cap; each takes 0.4-1.3 s
 LARGEST_SQUARE = {
     "euler": 1296, "zolotarev": 433, "jacobi": 706, "supplements": 250002, "almost_reciprocity": 998, "mod4": 999,
-    "reciprocity": 707, "checkers_symbol": 138, "checkers_bridge": 102, "kernel": 63, "superposition": 144,
+    "reciprocity": 707, "checkers_symbol": 138, "checkers_bridge": 102, "kernel": 146, "superposition": 144,
     "tilings": 13,
 }
 
@@ -286,15 +286,16 @@ def test_cap_admits_each_familys_longest_row_and_column_and_no_more(name):
 
 
 def test_kernel_cost_counts_board_squares():
-    # each board's squares over 20, a quarter unit a column and its laid grid: 1 unit at 2x2, 225 at 64x64 (0.8 ms)
+    # a unit per 20 of m + n for the path polynomials and the laid arches and rows, and one per 3000 bits of
+    # the laid m x (m + n) grid: 1 unit at 2x2, 9 at 64x64; the 146x146 sweep takes 1.0 s of process wall
     kernel = FAMILIES["kernel"]
-    assert kernel.cell_cost(2, 2) == 1 and kernel.cell_cost(64, 64) == 1 + 204 + 16 + 4 == 225
-    assert kernel.work(14, 14, UNREACHABLE) == 908 and kernel.work(2, 14, UNREACHABLE) == 39
-    assert kernel.work(63, 63, UNREACHABLE) == 238033 <= CAP < kernel.work(64, 64, UNREACHABLE) == 252940
+    assert kernel.cell_cost(2, 2) == 1 and kernel.cell_cost(64, 64) == 1 + 6 + 2 == 9
+    assert kernel.work(14, 14, UNREACHABLE) == 214 and kernel.work(2, 14, UNREACHABLE) == 13
+    assert kernel.work(146, 146, UNREACHABLE) == 245675 <= CAP < kernel.work(147, 147, UNREACHABLE) == 251362
     assert kernel.work(1, 10**9, CAP) == kernel.work(10**9, 1, CAP) == 0  # a side below 2 makes no board
     # the work at 33x40 for every family: it reads each bound its grid reads, and only those
     at_33_40 = {"euler": 401, "zolotarev": 1045, "jacobi": 680, "supplements": 38, "almost_reciprocity": 418,
-                "mod4": 360, "reciprocity": 646, "checkers_symbol": 4436, "checkers_bridge": 8416, "kernel": 29777,
+                "mod4": 360, "reciprocity": 646, "checkers_symbol": 4436, "checkers_bridge": 8416, "kernel": 3057,
                 "superposition": 3287, "tilings": 4826686022405}
     assert {name: family.work(33, 40, UNREACHABLE) for name, family in FAMILIES.items()} == at_33_40
 

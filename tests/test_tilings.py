@@ -3,7 +3,7 @@
 The profile count is checked against the backtracking counter it replaced,
 `ref_count_tilings` in `tests/reference.py`.  The row compares the count's
 parity with the gcd condition and with invertibility, read from the kernel
-chase, which is checked against the reference GF(2) elimination.  The row's
+dimension, which is checked against the reference GF(2) elimination.  The row's
 cells are every board of its grid, so every record carries a count.
 """
 
@@ -102,9 +102,9 @@ def test_rank_full_matches_elimination(monkeypatch):
 
 
 def test_kernel_dimension_is_chased_down_the_long_side():
-    """Each chase step is a short row, so a long thin board is cheap in either orientation.
+    """The long side's path polynomial steps reduced mod the short side's, so a long thin board is cheap.
 
-    Chased along its 20000-square side, the 1x20000 board takes about 30 ms; down it, microseconds.
+    p_k mod p_1 has period 4, so the 1x20000 board takes a few steps and about 1 us in either orientation.
     """
     for m, n in [(2, 20001), (20001, 2)]:
         best = min(timeit.repeat(lambda: kernel_dimension(m, n), number=1, repeat=3))
@@ -112,7 +112,7 @@ def test_kernel_dimension_is_chased_down_the_long_side():
 
 
 def test_row_fails_where_invertibility_disagrees(monkeypatch):
-    """A wrong chase fails the row with the exact count, once per orientation of the board."""
+    """A wrong kernel dimension fails the row with the exact count, once per orientation of the board."""
     real = sweeps.ck.kernel_dimension
     monkeypatch.setattr(sweeps.ck, "kernel_dimension", lambda m, n: real(m, n) + ({m, n} == {3, 4}))
     record = {"count": 3, "gcd_flag": True, "rank_full": False}  # the 2x3 board, passed as (3, 4) or (4, 3)
@@ -145,7 +145,7 @@ def test_row_cost_sums_the_work_of_its_boards():
     """The row's work is the work of its boards, each over 40 and at least 1.
 
     A board's work is its transfer count's, 2^s * s * long for short side s, plus 8 units a cell for the
-    count's per-cell dict and the chase.
+    count's per-cell dict and the kernel dimension.
     """
     tilings_row = FAMILIES["tilings"]
     bounds = [*range(0, 16), 20, 29, 60]
