@@ -13,10 +13,10 @@ Configurations are kept as one int bitmask per row (bit c = column c), so
 the map and light chasing work a row at a time by shifts and XORs.
 
 The solver is the greedy top-to-bottom "light chasing" pass combined with
-the billiards two-coloring for the bottom-row residue, laid arch by arch
-(bottom bounce to bottom bounce) down one packed grid.  The dimension of the
-kernel is the degree of a gcd of two path polynomials over GF(2), and (for
-gcd > 1 boards) the once-visited billiard points give a kernel element.
+the billiards two-coloring for the bottom-row residue, laid arch by arch of
+the coprime path down one packed grid.  The kernel's dimension is the degree
+of a gcd of two GF(2) path polynomials; on gcd > 1 boards the points the
+path visits once, a kernel element, are read off a congruence mod 2 gcd(m, n).
 """
 
 from __future__ import annotations
@@ -129,10 +129,8 @@ class CheckerSet(_Configuration):
 
 def bottom_row_puzzle(board: Board) -> PebbleSet:
     """Pebbles on every light square of the bottom row."""
-    row_bits = [0] * board.rows
-    if board.rows:
-        row_bits[0] = sum(1 << col for col in range(1, board.cols, 2))
-    return PebbleSet._from_rows(board, row_bits)
+    bottom = sum(1 << col for col in range(1, board.cols, 2))
+    return PebbleSet._from_rows(board, (0 if row else bottom for row in range(board.rows)))
 
 
 def left_column_puzzle(board: Board) -> PebbleSet:
@@ -247,11 +245,11 @@ def _stride(m: int, n: int) -> int:
     return (m + n + 7) & ~7
 
 
-def _lay(m: int, n: int, arches: Iterable[int], length: int) -> int:
-    """The interior lattice points that the chosen arches of the m-by-n path visit an odd number of times.
+def _lay(m: int, n: int, arches: Iterable[int]) -> int:
+    """The interior lattice points that the chosen arches of the coprime m-by-n path visit an odd number of times.
 
     Arch k runs from the bottom bounce at time 2mk, at unfolded abscissa u = 2mk mod 2n, up to the
-    top wall and back down to the next bounce, unless the path ends at time `length` first.  On row
+    top wall and back down to the next bounce, unless the path ends at time mn first.  On row
     y it rises through x = +-(u + y) and falls through x = +-(u' - y), u' its next bounce's abscissa,
     so the arches' points are A(x - y) ^ A(-x - y), A the 2n-bit pattern of their starts u and
     mirrored ends -u'.  Tiles of A and of its mirror go down the rows at strides S + 1 and S - 1 by
@@ -263,7 +261,7 @@ def _lay(m: int, n: int, arches: Iterable[int], length: int) -> int:
         t = step * k
         rise ^= 1 << t % period
         fall ^= 1 << -t % period
-        if t + step <= length:  # the arch falls back before the path ends
+        if k < n // 2:  # the arch falls back before the path ends at time mn
             rise ^= 1 << -(t + step) % period
             fall ^= 1 << (t + step) % period
     lead = -m % period  # bit i of row 0 of the rising copies is A(i - m), so point (x, y) lands at bit m + y*S + x
@@ -295,7 +293,7 @@ def _clear_bottom_row(m: int, n: int, pebbled: int) -> list[int]:
     inverse = pow(m, -1, n)
     cuts = sorted(min(k, n - k) for k in ((col + 1) // 2 * inverse % n for col in _columns(pebbled)))
     colored = (k for start, stop in zip(cuts[::2], [*cuts[1::2], (n + 1) // 2]) for k in range(start, stop))
-    return _laid_rows(m, n, _lay(m, n, colored, m * n))
+    return _laid_rows(m, n, _lay(m, n, colored))
 
 
 def solve(p: PebbleSet) -> CheckerSet:
@@ -315,17 +313,18 @@ def solve(p: PebbleSet) -> CheckerSet:
 
 
 def kernel_element(m: int, n: int) -> CheckerSet:
-    """A nonempty checker set with no pebbles, for gcd(m, n) > 1: every arch up to lcm(m, n), laid.
+    """A nonempty checker set with no pebbles, for g = gcd(m, n) > 1: the points the path visits once.
 
-    The checkers sit on the lattice points that the path visits exactly once (none is visited thrice).
+    The path meets (x, y) at times t = +-x (mod 2n) and t = +-y (mod 2m), so exactly when x = +-y (mod 2g):
+    row y is two combs of period 2g shifted by y and by -y, and their XOR clears the crossings, met twice.
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
-    if math.gcd(m, n) == 1:
+    if (g := math.gcd(m, n)) == 1:
         raise ValueError(f"gcd({m}, {n}) = 1: the kernel is trivial")
-    length = math.lcm(m, n)
-    grid = _lay(m, n, range(-(-length // (2 * m))), length)
-    return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), _laid_rows(m, n, grid))
+    comb = ((1 << 2 * g * (n // (2 * g) + 1)) - 1) // ((1 << 2 * g) - 1)  # bits x = 0 (mod 2g), up to past x = n
+    rows = ((comb << y % (2 * g) ^ comb << -y % (2 * g)) >> 1 & (1 << n - 1) - 1 for y in range(1, m))
+    return CheckerSet._from_rows(Board(rows=m - 1, cols=n - 1), rows)
 
 
 def bottom_row_count(m: int, n: int) -> int:
@@ -338,7 +337,7 @@ def bottom_row_count(m: int, n: int) -> int:
         raise ValueError(f"sides must be positive, got {m}x{n}")
     if math.gcd(m, n) != 1:
         raise PuzzleNotUniquelySolvable(f"gcd({m}, {n}) > 1")
-    return _lay(m, n, range(1, (n + 1) // 2, 2), m * n).bit_count()
+    return _lay(m, n, range(1, (n + 1) // 2, 2)).bit_count()
 
 
 def bottom_row_symbol(m: int, n: int) -> int:

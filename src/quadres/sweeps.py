@@ -232,8 +232,9 @@ FAMILIES: dict[str, Family] = {
                     lambda n, max_m: 1 + max_m * (max_m + n) // 16),
         Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30,
                lambda m, n: 1 + (m + n) * (8000 + m * n) // 32000),
+        # the path polynomials, a step per unit of the short side; for g > 1 the element, its count and image: m rows
         Family("kernel", lambda max_m, max_n: _grid(range(2, max_m + 1), range(2, max_n + 1)), _kernel_check, 14, 14,
-               lambda m, n: 1 + (m + n) // 20 + m * (m + n) // 3000),  # the polynomials, the laid (m, m + n) grid
+               lambda m, n: 1 + min(m, n) // 10 + (math.gcd(m, n) > 1) * (2 + m * (n + 1000) // 5000)),
         Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31,
                lambda m, n: 1 + (m + n) // 3 + (m + n) ** 2 // 2400),
         Family("tilings", lambda max_m, max_n: _grid(range(1, max_m + 1), range(1, max_n + 1)), _tilings_check,

@@ -9,10 +9,11 @@ the traced path, found by bisecting the sorted visit times.  The packed
 walk is checked grid for grid against `ref_walk`, the walk it replaced, and
 the arch layout against `ref_walk`'s stretches, against the walk-based
 two-colouring it replaced (`ref_two_color`), and against the dict-based
-constructions in `tests/reference.py`: `two_color_checkers` for
-single-pebble solutions and `kernel_checkers` for kernel elements.  The
-kernel dimension from path polynomials is checked against the top-row chase
-it replaced, `ref_kernel_dimension`, and against gcd(m, n) // 2.
+`two_color_checkers` of `tests/reference.py` for single-pebble solutions.
+The closed-form kernel element is checked against the traced path's
+once-visited points, `kernel_checkers`.  The kernel dimension from path
+polynomials is checked against the top-row chase it replaced,
+`ref_kernel_dimension`, and against gcd(m, n) // 2.
 """
 
 import inspect
@@ -276,14 +277,25 @@ def _refuse_the_walk_and_other_legs(monkeypatch):
 
 
 def test_kernel_element_matches_once_visited_reference(monkeypatch):
-    cells = [(m, n) for m in range(2, 41) for n in range(2, 41) if math.gcd(m, n) > 1]
-    assert len(cells) == 621
+    """The closed form, with no layout, walk, lcm or other leg, against the traced path's once-visited points."""
+    import quadres
+    from quadres import checkers
+
+    cells = [(m, n) for m in range(2, 61) for n in range(2, 61) if math.gcd(m, n) > 1]
+    assert len(cells) == 1397
     want = [{(x - 1, y - 1) for x, y in kernel_checkers(m, n)} for m, n in cells]
-    _refuse_the_walk_and_other_legs(monkeypatch)
+    _refuse_everywhere(monkeypatch, {checkers._walk, checkers._lay, checkers._laid_rows, *_legs()})
+    monkeypatch.setattr(math, "lcm", _refuse)
+    assert checkers._lay is _refuse and checkers._laid_rows is _refuse and quadres.base_bounces is _refuse
     for (m, n), squares in zip(cells, want):
         elem = kernel_element(m, n)
         assert elem.squares == squares, (m, n)
         assert elem.squares and not apply_checkers(elem).squares, (m, n)
+    # large and thin boards, their counts as the laid path gave them
+    for m, n, count in [(3000, 2, 1500), (2, 3000, 1500), (600, 900, 1794), (1001, 7007, 7000),
+                        (3000, 3002, 2251500), (2048, 4096, 4094)]:
+        elem = kernel_element(m, n)
+        assert elem.count() == count and not apply_checkers(elem).count(), (m, n)
 
 
 def test_bottom_row_count_matches_the_walked_two_coloring(monkeypatch):
@@ -354,21 +366,24 @@ def test_path_built_checker_sets_call_no_billiards_function(monkeypatch):
 
 
 def laid_arches(m, n, kind, seed=0):
-    """(arches, length) of one kind: the whole path, bottom_row_count's arches, or a random set of arches."""
-    length = math.lcm(m, n) if kind == "path" else m * n  # past lcm(m, n) when gcd > 1: the path runs on, reflected
-    arches = range(-(-length // (2 * m)))  # the last is cut at the top when length / m is odd
+    """The arches of one kind up to time mn: every one, bottom_row_count's, or a random set.
+
+    On a gcd > 1 board the path ends at lcm(m, n) < mn; its arches past that point retrace it, which the
+    layout handles as it does any chosen set.
+    """
+    arches = range((n + 1) // 2)  # the last is cut at the top when n is odd
     if kind == "alternate":  # bottom_row_count's color-1 arches
         arches = arches[1::2]
     elif kind == "arches":
         rng = random.Random(seed)
         arches = [k for k in arches if rng.random() < 0.5]
-    return arches, length
+    return arches
 
 
-def walked_rows(m, n, arches, length):
-    """Board rows of `ref_walk` run over the given arches, the last cut at the path's end."""
+def walked_rows(m, n, arches):
+    """Board rows of `ref_walk` run over the given arches, the last cut at time mn."""
     grid = 0
-    for grid in ref_walk(m, n, [(2 * m * k, min(2 * m * (k + 1), length)) for k in arches]):
+    for grid in ref_walk(m, n, [(2 * m * k, min(2 * m * (k + 1), m * n)) for k in arches]):
         pass
     return ref_rows(m, n, grid)
 
@@ -381,8 +396,8 @@ def test_walk_matches_reference_walk():
             stretches = [(t - 2 * m, t) for t in bounces]  # single_pebble_counts' stretches
             assert [grid for _, grid in zip(bounces, _walk(m, n))] == list(ref_walk(m, n, stretches)), (m, n)
             for kind in ("path", "alternate", "arches"):
-                arches, length = laid_arches(m, n, kind, seed=m * 41 + n)
-                assert _laid_rows(m, n, _lay(m, n, arches, length)) == walked_rows(m, n, arches, length), (m, n, kind)
+                arches = laid_arches(m, n, kind, seed=m * 41 + n)
+                assert _laid_rows(m, n, _lay(m, n, arches)) == walked_rows(m, n, arches), (m, n, kind)
 
 
 @settings(max_examples=80, deadline=None)
@@ -392,8 +407,8 @@ def test_walk_matches_reference_walk_on_large_sides(m, n, kind, seed):
     bounces = range(2 * m, m * n, 2 * m)
     stretches = [(t - 2 * m, t) for t in bounces]
     assert [grid for _, grid in zip(bounces, _walk(m, n))] == list(ref_walk(m, n, stretches))
-    arches, length = laid_arches(m, n, kind, seed)
-    assert _laid_rows(m, n, _lay(m, n, arches, length)) == walked_rows(m, n, arches, length)
+    arches = laid_arches(m, n, kind, seed)
+    assert _laid_rows(m, n, _lay(m, n, arches)) == walked_rows(m, n, arches)
 
 
 def test_single_pebble_counts_match_straddling_crossings():
@@ -422,7 +437,7 @@ def test_single_pebble_counts_reject_common_factor():
 def test_bottom_row_walk_matches_the_solved_puzzle():
     # the whole checker set laid from the alternate arches, not only its parity
     for m, n in coprime_sides(60):
-        grid = _lay(m, n, range(1, (n + 1) // 2, 2), m * n)
+        grid = _lay(m, n, range(1, (n + 1) // 2, 2))
         want = solve(bottom_row_puzzle(Board(rows=m - 1, cols=n - 1))).row_bits
         assert tuple(_laid_rows(m, n, grid)) == want, (m, n)
         assert bottom_row_symbol(m, n) == (-1) ** sum(bits.bit_count() for bits in want), (m, n)

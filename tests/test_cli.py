@@ -367,10 +367,10 @@ class TestVerify:
         assert "cells      5  checked      10" in result.output
 
     def test_kernel_cap_counts_board_squares(self, runner):
-        # a cell is priced by its board's sides, not counted as one: 147x147 is the first square past the cap
-        result = runner.invoke(main, ["verify", "--max-n", "147", "--checks", "kernel"])
+        # a cell is priced by its board's sides, not counted as one: 144x144 is the first square past the cap
+        result = runner.invoke(main, ["verify", "--max-n", "144", "--checks", "kernel"])
         assert result.exit_code == 2
-        assert "(at least 250024 work units) exceeds the safety limit" in result.output
+        assert "(at least 250018 work units) exceeds the safety limit" in result.output
 
     @pytest.mark.parametrize("max_m, max_n", [("1", "1000000000"), ("1000000000", "1")])
     def test_kernel_cap_counts_a_side_that_makes_no_board(self, runner, max_m, max_n):

@@ -255,7 +255,7 @@ def test_work_stops_at_the_first_cell_past_the_limit(name):
 # the largest square bound each family's work admits under the CLI's default cap; each takes 0.4-1.3 s
 LARGEST_SQUARE = {
     "euler": 1296, "zolotarev": 433, "jacobi": 706, "supplements": 250002, "almost_reciprocity": 998, "mod4": 999,
-    "reciprocity": 707, "checkers_symbol": 138, "checkers_bridge": 102, "kernel": 146, "superposition": 144,
+    "reciprocity": 707, "checkers_symbol": 138, "checkers_bridge": 102, "kernel": 143, "superposition": 144,
     "tilings": 13,
 }
 
@@ -286,16 +286,18 @@ def test_cap_admits_each_familys_longest_row_and_column_and_no_more(name):
 
 
 def test_kernel_cost_counts_board_squares():
-    # a unit per 20 of m + n for the path polynomials and the laid arches and rows, and one per 3000 bits of
-    # the laid m x (m + n) grid: 1 unit at 2x2, 9 at 64x64; the 146x146 sweep takes 1.0 s of process wall
+    # a unit per 10 of the short side for the path polynomials; when g > 1, 2 units and one per 5000 of
+    # m * (n + 1000) for the element, its count and its image, m rows of n bits: 3 units at 2x2, 22 at 64x64
+    # and 7 at the coprime 63x64, which makes no element; the 143x143 sweep takes 0.8 s of process wall
     kernel = FAMILIES["kernel"]
-    assert kernel.cell_cost(2, 2) == 1 and kernel.cell_cost(64, 64) == 1 + 6 + 2 == 9
-    assert kernel.work(14, 14, UNREACHABLE) == 214 and kernel.work(2, 14, UNREACHABLE) == 13
-    assert kernel.work(146, 146, UNREACHABLE) == 245675 <= CAP < kernel.work(147, 147, UNREACHABLE) == 251362
+    assert kernel.cell_cost(2, 2) == 3 and kernel.cell_cost(64, 64) == 1 + 6 + 2 + 13 == 22
+    assert kernel.cell_cost(63, 64) == 1 + 6 == 7
+    assert kernel.work(14, 14, UNREACHABLE) == 410 and kernel.work(2, 14, UNREACHABLE) == 27
+    assert kernel.work(143, 143, UNREACHABLE) == 243526 <= CAP < kernel.work(144, 144, UNREACHABLE) == 250573
     assert kernel.work(1, 10**9, CAP) == kernel.work(10**9, 1, CAP) == 0  # a side below 2 makes no board
     # the work at 33x40 for every family: it reads each bound its grid reads, and only those
     at_33_40 = {"euler": 401, "zolotarev": 1045, "jacobi": 680, "supplements": 38, "almost_reciprocity": 418,
-                "mod4": 360, "reciprocity": 646, "checkers_symbol": 4436, "checkers_bridge": 8416, "kernel": 3057,
+                "mod4": 360, "reciprocity": 646, "checkers_symbol": 4436, "checkers_bridge": 8416, "kernel": 4868,
                 "superposition": 3287, "tilings": 4826686022405}
     assert {name: family.work(33, 40, UNREACHABLE) for name, family in FAMILIES.items()} == at_33_40
 
