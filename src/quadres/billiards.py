@@ -79,15 +79,8 @@ def trace_path(m: int, n: int) -> BilliardPath:
     bounces = []
     for t in times:
         (x, dx), (y, dy) = _fold(t, n), _fold(t, m)
-        if y == 0:
-            wall, sign = Wall.BOTTOM, dx
-        elif y == m:
-            wall, sign = Wall.TOP, dx
-        elif x == 0:
-            wall, sign = Wall.LEFT, dy
-        else:
-            wall, sign = Wall.RIGHT, dy
-        bounces.append(BounceEvent(t=t, x=x, y=y, wall=wall, sign=sign))
+        wall = Wall.BOTTOM if y == 0 else Wall.TOP if y == m else Wall.LEFT if x == 0 else Wall.RIGHT
+        bounces.append(BounceEvent(t=t, x=x, y=y, wall=wall, sign=dx if y in (0, m) else dy))
 
     (ex, _), (ey, _) = _fold(total, n), _fold(total, m)
     return BilliardPath(m=m, n=n, bounces=tuple(bounces), end=(ex, ey), length=total)

@@ -38,16 +38,15 @@ def is_odd_prime(n: int) -> bool:
 
 
 def euler_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a|p) via a^((p-1)/2) mod p.
+    """Legendre symbol (a|p) via a^((p-1)/2) mod p, for an odd prime p: 0 when p divides a."""
+    return euler_row(p, [a])[0]
 
-    p must be an odd prime.  Returns 0 when p divides a.
-    """
+
+def euler_row(p: int, ms: list[int]) -> list[int]:
+    """euler_symbol(a, p) for each a of ms, with p proven prime once for the row."""
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1  # else p - 1, p being prime
+    return [r if (r := pow(a, (p - 1) // 2, p)) < 2 else -1 for a in ms]  # 0, 1 or p - 1, p being prime
 
 
 def jacobi_symbol(a: int, n: int) -> int:

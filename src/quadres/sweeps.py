@@ -90,17 +90,12 @@ def _agreement(n: int, ms, lhs: Row, rhs: Row, keys: tuple[str, str], n_key: str
 
 
 def _billiard(n: int, ms: list[int]) -> list[int]:
-    """(m|n) for each m of ms, from one billiard_symbol call per class m mod n, kept for this row only.
-
-    (m+n|n) = (m|n), as floor(2(m+n)k/n) = floor(2mk/n) + 2k and gcd(m+n, n) = gcd(m, n).
-    """
-    row: dict[int, int] = {}
-    return [row[r] if (r := m % n) in row else row.setdefault(r, symbols.billiard_symbol(m, n).value) for m in ms]
+    return symbols.billiard_row(n, ms)  # looked up when the cell runs, so a row patched after import is checked
 
 
 def _swapped(n: int, ms: list[int]) -> list[int]:
     """(m|n)(n|m) for each m of ms, the left side of both reciprocity identities: (m|n) from the row."""
-    return [mn * symbols.billiard_symbol(n, m).value for m, mn in zip(ms, _billiard(n, ms))]
+    return [mn * symbols._value(n, m) for m, mn in zip(ms, _billiard(n, ms))]
 
 
 def _comparison(name: str, default_max_m: int, default_max_n: int, denominators: Callable[[int], Iterable[int]],
@@ -199,8 +194,7 @@ FAMILIES: dict[str, Family] = {
         # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
         _comparison("euler", 398, 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
                     lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n), _billiard,
-                    lambda n, ms: [oracles.euler_symbol(m, n) for m in ms], ("billiard", "euler"),
-                    lambda n, max_m: 1 + (2 if n < 43 * 43 else 10) * n),  # from 43^2, 13 Miller-Rabin rounds a call
+                    lambda n, ms: oracles.euler_row(n, ms), ("billiard", "euler"), lambda n, max_m: 1 + 2 * n),
         # billiard symbol vs permutation sign, coprime m, n, even denominators included; n is factored once,
         # and each numerator's cycle count walks n's divisors, so its units grow with the bits of n
         _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1), _coprime_numerators,
@@ -215,7 +209,7 @@ FAMILIES: dict[str, Family] = {
         # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
         _comparison("almost_reciprocity", 201, 201, lambda max_n: range(3, max_n + 1, 2),
                     lambda n, max_m: range(1, n, 2), _swapped,
-                    lambda n, ms: [symbols.billiard_symbol(m, n - m).value for m in ms], ("lhs", "rhs"),
+                    lambda n, ms: [symbols._value(m, n - m) for m in ms], ("lhs", "rhs"),
                     lambda n, max_m: 1 + n),
         # closed form for (m|d), odd numerator m over even denominator d, coprime
         _comparison("mod4", 201, 200, lambda max_n: range(2, max_n + 1, 2), partial(_coprime_numerators, step=2),

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SymbolEvidence:
-    """A symbol value, with room for the bounces behind it.
+    """A symbol value: (-1) to the number of negative bottom bounces, or 0 when gcd(m, n) > 1.
 
-    The value is (-1) to the number of negative bottom bounces, or 0 when gcd(m, n) > 1.
-    billiard_symbol reads only that count's parity and returns a shared record with no
-    bounces and count None; billiards.base_bounces lists the bounces themselves.
+    billiard_symbol reads only that count's parity and returns a shared record with no bounces and
+    count None; billiards.base_bounces lists the bounces themselves.
     """
 
     value: int
@@ -58,6 +57,25 @@ def billiard_symbol(m: int, n: int) -> SymbolEvidence:
     return _VALUE_ONLY[-1 if _floor_sum((n + 1) // 2, n, 2 * m) % 2 else 1]
 
 
+def _value(m: int, n: int) -> int:
+    """billiard_symbol(m, n).value as a plain int, for m >= 0 and n >= 1, which it does not check."""
+    return 0 if math.gcd(m, n) != 1 else -1 if _floor_sum((n + 1) // 2, n, 2 * m) % 2 else 1
+
+
+def billiard_row(n: int, ms: list[int]) -> list[int]:
+    """(m|n) for each m of ms, from one floor sum per class r = m mod n with 2r <= n, kept for this row only.
+
+    (m+n|n) = (m|n), as floor(2(m+n)k/n) = floor(2mk/n) + 2k and gcd(m+n, n) = gcd(m, n); and
+    (n-r|n) = (-1)^((n-1)//2) (r|n), as floor(2(n-r)k/n) = 2k - 1 - floor(2rk/n) for 0 < k < n/2.
+    """
+    if n < 1 or min(ms, default=1) < 1:
+        raise ValueError(f"sides must be positive, got {min(ms, default=1)}x{n}")
+    flip, row = -1 if (n - 1) // 2 % 2 else 1, {}
+    for r in sorted({m % n for m in ms}):  # a class r <= n/2 comes before its reflection n - r
+        row[r] = _value(r, n) if 2 * r <= n else flip * (row[n - r] if n - r in row else _value(n - r, n))
+    return [row[m % n] for m in ms]
+
+
 def negative_bounce_count(m: int, n: int) -> int:
     """The number of negative bottom bounces of the m-by-n path, in O(log n); 0 when gcd > 1.
 
@@ -90,11 +108,7 @@ def _require_odd(n: int) -> None:
 
 
 def mod4_symbol(m: int, d: int) -> int:
-    """Closed form for (m|d) with m odd, d even, coprime.
-
-    +1 when d = 2 mod 4; (-1)^((m-1)/2) when d = 0 mod 4.  Agrees with
-    billiard_symbol(m, d).
-    """
+    """Closed form for (m|d), m odd and d even, coprime: +1 when d = 2 mod 4, else (-1)^((m-1)/2)."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be odd and positive, got {m}")
     if d < 2 or d % 2 == 1:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadres import oracles
-from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
+from quadres.oracles import euler_row, euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from reference import ref_cycle_count, ref_zolotarev_perm_sign, residue_table
 
 
@@ -69,6 +69,19 @@ def test_euler_symbol_rejects_composite():
 def test_euler_symbol_reduces_argument():
     assert euler_symbol(-2, 7) == euler_symbol(5, 7)
     assert euler_symbol(12, 7) == euler_symbol(5, 7)
+
+
+def test_euler_row_matches_the_residue_table_with_one_primality_proof(monkeypatch):
+    """Each a of the row, negative, zero and past p included, against the squares mod p; p is proven prime once."""
+    calls = []
+    monkeypatch.setattr(oracles, "is_odd_prime", lambda n, real=is_odd_prime: calls.append(n) or real(n))
+    for p in (3, 5, 7, 11, 1861, 10007):
+        table, ms = residue_table(p), list(range(-p, 2 * p + 1))
+        assert euler_row(p, ms) == [0 if a % p == 0 else 1 if a % p in table else -1 for a in ms], p
+    assert calls == [3, 5, 7, 11, 1861, 10007] and euler_row(7, []) == []
+    for p in (1, 2, 9, 1849):
+        with pytest.raises(ValueError, match="odd prime"):
+            euler_row(p, [1])
 
 
 def test_residue_table_examples():
@@ -205,14 +218,14 @@ def test_factorisation_cache_is_bounded():
 
 
 def test_zolotarev_calls_no_other_method(monkeypatch):
-    """The cycle count runs with every symbols and billiards function, Jacobi and Euler disabled."""
+    """The cycle count runs with every symbols and billiards function, Jacobi and Euler (symbol and row) disabled."""
     from quadres import billiards, symbols
 
     def refuse(*args, **kwargs):
         raise AssertionError("the permutation sign called a method it is checked against")
 
     targets = {f for module in (symbols, billiards) for _, f in inspect.getmembers(module, inspect.isfunction)
-               if f.__module__ == module.__name__} | {oracles.jacobi_symbol, oracles.euler_symbol}
+               if f.__module__ == module.__name__} | {oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row}
     cells = [(m, n) for n in range(1, 60) for m in range(1, 120) if math.gcd(m, n) == 1]
     want = [ref_zolotarev_perm_sign(m, n) for m, n in cells]
     cells.append((3, 10**12 + 39))  # n prime, so both n and n - 1 are factored

@@ -98,6 +98,13 @@ def _wrong_at(at, change=_negated):
     return breaker
 
 
+def _wrong_in_row(at):
+    """Breaks a row function of (n, ms): its value for the one pair (m, n) = `at` negated."""
+    def breaker(row):
+        return lambda n, ms: [-value if (m, n) == at else value for m, value in zip(ms, row(n, ms))]
+    return breaker
+
+
 def _count_one_more_at(index):
     """Breaks single_pebble_counts' list: the checker count of the bounce at `index` is one too many."""
     def change(counts):
@@ -126,20 +133,22 @@ def _two_more_on(m, n):
 
 # (family, module, function broken by the breaker, breaker, every failure record at bounds 9)
 FAILURE_CASES = [
-    ("euler", sweeps.oracles, "euler_symbol", _wrong_at((2, 7)), [{"m": 2, "n": 7, "billiard": 1, "euler": -1}]),
+    ("euler", sweeps.oracles, "euler_row", _wrong_in_row((2, 7)), [{"m": 2, "n": 7, "billiard": 1, "euler": -1}]),
     ("zolotarev", sweeps.oracles, "zolotarev_perm_sign", _wrong_at((3, 8)),
      [{"m": 3, "n": 8, "billiard": -1, "zolotarev": 1}]),
     ("jacobi", sweeps.oracles, "jacobi_symbol", _wrong_at((2, 9)), [{"m": 2, "n": 9, "billiard": 1, "jacobi": -1}]),
-    # the row calls billiard_symbol once per class m mod n, at its first m: (2|3) serves (5|3) and (8|3) too
-    ("jacobi", sweeps.symbols, "billiard_symbol", _wrong_at((2, 3)),
-     [{"m": m, "n": 3, "billiard": 1, "jacobi": -1} for m in (2, 5, 8)]),
+    # the row takes one value per class r = m mod n with 2r <= n: (1|3) serves (4|3) and (7|3), and, reflected,
+    # (2|3), (5|3) and (8|3)
+    ("jacobi", sweeps.symbols, "_value", _wrong_at((1, 3)),
+     [{"m": m, "n": 3, "billiard": -value, "jacobi": value} for m, value in zip((1, 2, 4, 5, 7, 8), (1, -1) * 3)]),
     ("mod4", sweeps.symbols, "mod4_symbol", _wrong_at((3, 8)), [{"m": 3, "d": 8, "billiard": -1, "closed": 1}]),
     ("supplements", sweeps.symbols, "billiard_symbol", _wrong_at((2, 7)),
      [{"n": 7, "identity": "two", "closed": 1, "billiard": -1}]),
-    ("reciprocity", sweeps.symbols, "billiard_symbol", _wrong_at((3, 7)),  # (3|7) enters the cells (7, 3) and (3, 7)
+    # (3|7) enters the cell (7, 3) as the column (n|m) and the cell (3, 7) as the row's class 3
+    ("reciprocity", sweeps.symbols, "_value", _wrong_at((3, 7)),
      [{"m": 7, "n": 3, "lhs": 1, "rhs": -1}, {"m": 3, "n": 7, "lhs": 1, "rhs": -1}]),
-    ("almost_reciprocity", sweeps.symbols, "billiard_symbol", _wrong_at((3, 7)),
-     [{"m": 3, "n": 7, "lhs": 1, "rhs": -1}]),
+    # (2|7) is asked only for the reflected class 5 of the row n = 7, as its numerators are odd
+    ("almost_reciprocity", sweeps.symbols, "_value", _wrong_at((2, 7)), [{"m": 5, "n": 7, "lhs": -1, "rhs": 1}]),
     ("checkers_symbol", sweeps.ck, "bottom_row_symbol", _wrong_at((3, 5)),
      [{"m": 3, "n": 5, "checkers": 1, "billiard": -1}]),
     ("checkers_bridge", sweeps.ck, "single_pebble_counts", _wrong_at((5, 7), _count_one_more_at(1)),
@@ -184,40 +193,54 @@ def test_billiard_row_matches_each_symbol():
     assert sweeps._billiard(7, []) == [] and sweeps._billiard(1, [5, 1]) == [1, 1]
 
 
-# billiard_symbol calls in one default sweep: the row's one per distinct (m mod n, n), and reciprocity's
-# 6,060 classes plus a swapped (n|m) for each of its 7,952 numerators
-BILLIARD_CALLS = {"euler": 4180, "zolotarev": 3044, "jacobi": 5776, "mod4": 4081, "checkers_symbol": 774,
-                  "reciprocity": 6060 + 7952}
+def _count_values(monkeypatch) -> list[tuple[int, int]]:
+    """Records every (m, n) that symbols._value, the int symbol behind the rows, is asked from now on."""
+    calls, real = [], sweeps.symbols._value
+    monkeypatch.setattr(sweeps.symbols, "_value", lambda m, n: calls.append((m, n)) or real(m, n))
+    return calls
 
 
-@pytest.mark.parametrize("name", sorted(BILLIARD_CALLS))
-def test_billiard_row_calls_the_symbol_once_per_class(monkeypatch, name):
-    calls = []
-    real = sweeps.symbols.billiard_symbol
-    monkeypatch.setattr(sweeps.symbols, "billiard_symbol", lambda m, n: calls.append((m, n)) or real(m, n))
+# symbols._value calls in one default sweep: the row's one per distinct (r, n) with r = m mod n or n - r and
+# 2r <= n, half of what one per class m mod n took (4180, 3044, 5776, 4081, 774, 6060); reciprocity adds a
+# column (n|m) for each of its 7,952 numerators, almost_reciprocity a column and a right side for each of its 5,050
+VALUE_CALLS = {"euler": 2090, "zolotarev": 1523, "jacobi": 2926, "mod4": 2041, "checkers_symbol": 388,
+               "reciprocity": 4025 + 7952, "almost_reciprocity": 3 * 5050}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CALLS))
+def test_billiard_row_takes_one_value_per_reflected_class(monkeypatch, name):
+    calls = _count_values(monkeypatch)
     result = run_family(name)
     assert result.ok and (result.cells, result.checked) == DEFAULT_SIZES[name]
-    assert len(calls) == BILLIARD_CALLS[name]
-    if name != "reciprocity":
-        assert len({(m % n, n) for m, n in calls}) == len(calls)
+    assert len(calls) == VALUE_CALLS[name]
+    if name not in ("reciprocity", "almost_reciprocity"):
+        assert len(set(calls)) == len(calls) and all(2 * r <= n for r, n in calls)
 
 
-def test_billiard_row_asks_the_first_numerator_of_each_class(monkeypatch):
-    """The symbol asked is one the row checks: (5|3) and (7|3) serve (8|3) and (4|3), never (2|3) or (1|3)."""
-    calls = []
-    real = sweeps.symbols.billiard_symbol
-    monkeypatch.setattr(sweeps.symbols, "billiard_symbol", lambda m, n: calls.append((m, n)) or real(m, n))
-    assert sweeps._billiard(3, [5, 7, 8, 4, 6]) == [-1, 1, -1, 1, 0] and calls == [(5, 3), (7, 3), (6, 3)]
+def test_billiard_row_asks_the_low_member_of_each_class(monkeypatch):
+    """(1|3) serves (4|3), and reflected (5|3) and (8|3); (0|3) serves (6|3); (3|7) serves (10|7), (4|7), (11|7)."""
+    calls = _count_values(monkeypatch)
+    assert sweeps._billiard(3, [5, 7, 8, 4, 6]) == [-1, 1, -1, 1, 0] and sorted(calls) == [(0, 3), (1, 3)]
+    calls.clear()
+    assert sweeps._billiard(7, [3, 10, 4, 11]) == [-1, -1, 1, 1] and calls == [(3, 7)]
+
+
+def test_breaking_the_int_symbol_fails_every_billiard_row(monkeypatch):
+    """Each family with a billiard row records a failure when symbols._value is negated wherever m < n.
+
+    A row asks only such values; negating every value would leave reciprocity's (m|n)(n|m) as it is.
+    """
+    real = sweeps.symbols._value
+    monkeypatch.setattr(sweeps.symbols, "_value", lambda m, n: -real(m, n) if m < n else real(m, n))
+    assert all(run_family(name, max_m=9, max_n=9).failures for name in VALUE_CALLS)
 
 
 def test_no_row_table_outlives_its_cell(monkeypatch):
-    """A second sweep calls billiard_symbol as often as the first: nothing is kept between cells or runs."""
-    calls = []
-    real = sweeps.symbols.billiard_symbol
-    monkeypatch.setattr(sweeps.symbols, "billiard_symbol", lambda m, n: calls.append((m, n)) or real(m, n))
+    """A second sweep asks symbols._value as often as the first: nothing is kept between cells or runs."""
+    calls = _count_values(monkeypatch)
     first = run_family("jacobi", max_m=40, max_n=40)
     counted = len(calls)
-    assert run_family("jacobi", max_m=40, max_n=40) == first and len(calls) == 2 * counted
+    assert counted and run_family("jacobi", max_m=40, max_n=40) == first and len(calls) == 2 * counted
 
 
 def test_oracle_sides_evaluate_every_numerator(monkeypatch):
@@ -227,6 +250,10 @@ def test_oracle_sides_evaluate_every_numerator(monkeypatch):
     monkeypatch.setattr(sweeps.oracles, "jacobi_symbol", lambda m, n: calls.append((m, n)) or real(m, n))
     result = run_family("jacobi", max_m=30, max_n=9)
     assert sorted(calls) == sorted((m, n) for n in range(1, 10, 2) for m in range(1, 31)) and result.checked == 150
+    rows, real_row = [], sweeps.oracles.euler_row
+    monkeypatch.setattr(sweeps.oracles, "euler_row", lambda n, ms: rows.append((n, ms)) or real_row(n, ms))
+    assert run_family("euler", max_n=9).checked == 4 + 8 + 12
+    assert rows == [(n, [m for m in range(1, 2 * n + 1) if m % n]) for n in (3, 5, 7)]
 
 
 CAP = 500 * 500  # the CLI's default cap, about 1 s of work
@@ -302,16 +329,23 @@ def test_kernel_cost_counts_board_squares():
     assert {name: family.work(33, 40, UNREACHABLE) for name, family in FAMILIES.items()} == at_33_40
 
 
-def test_euler_cost_prices_the_primality_test_of_large_primes():
-    """From 43^2 each euler_symbol call runs 13 Miller-Rabin rounds, about 5 units a numerator instead of 1.
+def test_euler_cost_is_two_units_a_numerator_at_any_prime():
+    """The row proves n prime once and then takes one modular power a numerator, so 43^2 changes nothing.
 
-    Measured per cell (median of 7, Python 3.11.7, 2 shared cores): (1847, ·) 10.1 ms, 2,527 units;
-    (1861, ·) 41.7 ms, 10,416 units; (10007, ·) 353 ms, 88,301 units.
+    Measured per cell (median of 7, Python 3.11.7, 2 shared cores): (1847, ·) 10.1 ms, 2,532 units;
+    (1861, ·) 9.7 ms, 2,432 units; (10007, ·) 62.6 ms, 15,648 units.  With primality proven per numerator
+    the last two took 65 and 422 ms.
     """
     euler = FAMILIES["euler"]
-    for n, measured in [(1847, 2527), (1861, 10416), (10007, 88301)]:
-        assert measured / 2 <= euler.cell_cost(n, 0) <= 2 * measured, n
-    assert euler.cell_cost(1847, 0) == 1 + 2 * 1847 and euler.cell_cost(10007, 0) == 1 + 10 * 10007
+    for n, measured in [(1847, 2532), (1861, 2432), (10007, 15648)]:
+        assert measured / 2 <= euler.cell_cost(n, 0) == 1 + 2 * n <= 2 * measured, n
+
+
+def test_euler_proves_each_prime_once(monkeypatch):
+    """The default sweep tests each n <= 199 once to pick its 45 primes, and each prime once more for its row."""
+    calls, real = [], sweeps.oracles.is_odd_prime
+    monkeypatch.setattr(sweeps.oracles, "is_odd_prime", lambda n: calls.append(n) or real(n))
+    assert run_family("euler").ok and len(calls) == 197 + 45
 
 
 def test_zolotarev_cost_grows_with_the_bits_of_n():

@@ -11,6 +11,8 @@ from quadres.billiards import base_bounces, trace_path
 from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from quadres.symbols import (
     _floor_sum,
+    _value,
+    billiard_row,
     billiard_symbol,
     mod4_symbol,
     negative_bounce_count,
@@ -45,10 +47,12 @@ def test_billiard_symbol_empty_products():
 
 
 def test_billiard_symbol_rejects_nonpositive():
-    for symbol in (billiard_symbol, base_bounces, negative_bounce_count):
+    for symbol in (billiard_symbol, base_bounces, negative_bounce_count, lambda m, n: billiard_row(n, [3, m])):
         for m, n in [(0, 5), (5, 0), (1, 0), (-3, 5)]:
             with pytest.raises(ValueError, match="sides must be positive"):
                 symbol(m, n)
+    with pytest.raises(ValueError, match="sides must be positive"):
+        billiard_row(0, [])
 
 
 def test_billiard_symbol_matches_traced_path():
@@ -75,6 +79,39 @@ def test_floor_sums_match_bounce_walk():
             assert negative_bounce_count(m, n) == negatives, (m, n)
 
 
+def test_billiard_row_matches_bounce_walk():
+    """Every n <= 60 and m <= 3n against the listed bounce signs: n = 1, n = 2, even n and gcd > 1 among them.
+
+    The row is asked in order, then reversed with every m repeated, so a class is first met at any member.
+    """
+    for n in range(1, 61):
+        ms = list(range(1, 3 * n + 1))
+        want = [math.prod(s for _, s, _ in base_bounces(m, n)) if math.gcd(m, n) == 1 else 0 for m in ms]
+        assert billiard_row(n, ms) == want, n
+        assert billiard_row(n, ms[::-1] + ms) == want[::-1] + want, n
+    assert billiard_row(7, []) == [] and billiard_row(1, [5, 1, 1]) == [1, 1, 1] and billiard_row(2, [4, 3]) == [0, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 10**6))
+def test_reflected_class_flips_by_the_half_count(data, n):
+    """(n-r|n) = (-1)^((n-1)//2) (r|n): the row's reflected value against billiard_symbol, any class r."""
+    m = data.draw(st.integers(1, 3 * n))
+    r = m % n
+    row = billiard_row(n, [m, n - r, r or n])
+    assert row == [billiard_symbol(k, n).value for k in (m, n - r, r or n)]
+    assert row[1] == (-1) ** ((n - 1) // 2) * row[2] if r else row[1] == row[2]
+
+
+def test_billiard_row_takes_one_floor_sum_per_reflected_class(monkeypatch):
+    """Row 7 over m <= 21 needs (1|7), (2|7) and (3|7): the classes 4, 5, 6 are their reflections, 0 shares 7."""
+    from quadres import symbols
+
+    calls, want = [], [billiard_symbol(m, 7).value for m in range(1, 22)]
+    monkeypatch.setattr(symbols, "_floor_sum", lambda count, n, a: calls.append(a) or _floor_sum(count, n, a))
+    assert billiard_row(7, list(range(1, 22))) == want and sorted(calls) == [2, 4, 6]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.integers(1, 3000))
 def test_floor_sum_matches_plain_sum(data, n):
@@ -95,7 +132,8 @@ def _refuse_everywhere(monkeypatch, targets):
 
 
 def test_billiard_symbol_calls_no_oracle(monkeypatch):
-    """The floor sums run without the bounce lister, its fold or the path tracer, and with every oracle disabled."""
+    """The floor sums, the row and its int symbol run without the bounce lister, its fold or the path tracer,
+    and with every oracle disabled."""
     import quadres
     from quadres import billiards, oracles
 
@@ -108,6 +146,8 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     values = [billiard_symbol(m, n).value for m, n in cells]
     assert values == [(-1) ** count if math.gcd(m, n) == 1 else 0 for (m, n), count in zip(cells, want)]
     assert values.count(-1) > 0 and values.count(0) > 0
+    assert [billiard_row(n, list(range(1, 30)))[m - 1] for m, n in cells] == values  # the row, n at a time
+    assert [_value(m, n) for m, n in cells] == values  # the int symbol the row and the sweeps' columns ask
     assert billiard_symbol(5, 7).value == -1
     assert billiard_symbol(5, 8).value == 1
 
