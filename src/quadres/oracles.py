@@ -7,7 +7,6 @@ plain int restricted to {-1, 0, +1}.
 
 from __future__ import annotations
 
-import functools
 import math
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -83,30 +82,15 @@ def _factor(n: int) -> dict[int, int]:
     return factors
 
 
-@functools.lru_cache(maxsize=128)
-def _unit_groups(n: int) -> tuple[tuple[int, int, frozenset[int]], ...]:
-    """(d, phi(d), the primes of phi(d)) for every divisor d > 1 of n, from one factorisation of n.
-
-    phi(d) is the product of p^(e-1) (p - 1) over the prime powers p^e of d, so its primes are
-    those of each p - 1 and each p with e > 1.
-    """
-    groups = [(1, 1, frozenset())]
-    for p, k in _factor(n).items():
-        below = frozenset(_factor(p - 1))
-        groups += [(d * p**e, phi * p ** (e - 1) * (p - 1), primes | below | ({p} if e > 1 else set()))
-                   for d, phi, primes in groups for e in range(1, k + 1)]
-    return tuple(groups[1:])
-
-
-def _cycle_count(m: int, n: int) -> int:
-    """#cycles of x -> m*x mod n on {0, ..., n-1}, for gcd(m, n) = 1.
+def _cycle_count(m: int, groups: list[tuple[int, int, frozenset[int]]]) -> int:
+    """#cycles of x -> m*x mod n on {0, ..., n-1}, for gcd(m, n) = 1, from the unit groups of n's divisors.
 
     The phi(d) points x with gcd(x, n) = n/d lie on cycles of length ord_d(m), so #cycles sums
     phi(d)/ord_d(m) over the divisors d of n.  ord_d(m) divides phi(d), the order of the unit group
     mod d, and is phi(d) stripped of each prime q while m^(order/q) = 1 mod d (Cohen, Alg. 1.4.3).
     """
-    cycles = 1  # d = 1: the fixed point 0
-    for d, phi, primes in _unit_groups(n):
+    cycles = 0
+    for d, phi, primes in groups:
         order = phi
         for q in primes:
             while order % q == 0 and pow(m, order // q, d) == 1:
@@ -117,8 +101,23 @@ def _cycle_count(m: int, n: int) -> int:
 
 def zolotarev_perm_sign(m: int, n: int) -> int:
     """Sign of the permutation x -> m*x mod n on {0, ..., n-1}: (-1)^(n - #cycles).  Requires gcd(m, n) = 1."""
-    if m < 1 or n < 1:
+    return zolotarev_row(n, [m])[0]
+
+
+def zolotarev_row(n: int, ms: list[int]) -> list[int]:
+    """zolotarev_perm_sign(m, n) for each m of ms, from one factorisation of n; nothing outlives the call.
+
+    phi(d) is the product of p^(e-1) (p - 1) over the prime powers p^e of a divisor d, so its primes
+    are those of each p - 1 and each p with e > 1.
+    """
+    if n < 1 or any(m < 1 for m in ms):
         raise ValueError("arguments must be positive")
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"gcd({m}, {n}) > 1: the map x -> {m}x mod {n} is not a permutation")
-    return -1 if (n - _cycle_count(m, n)) % 2 else 1
+    for m in ms:
+        if math.gcd(m, n) != 1:
+            raise ValueError(f"gcd({m}, {n}) > 1: the map x -> {m}x mod {n} is not a permutation")
+    groups = [(1, 1, frozenset())]  # (d, phi(d), the primes of phi(d)) for every divisor d; d = 1 fixes 0
+    for p, k in _factor(n).items():
+        below = frozenset(_factor(p - 1))
+        groups += [(d * p**e, phi * p ** (e - 1) * (p - 1), primes | below | ({p} if e > 1 else set()))
+                   for d, phi, primes in groups for e in range(1, k + 1)]
+    return [-1 if (n - _cycle_count(m, groups)) % 2 else 1 for m in ms]

@@ -195,10 +195,10 @@ FAMILIES: dict[str, Family] = {
         _comparison("euler", 398, 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
                     lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n), _billiard,
                     lambda n, ms: oracles.euler_row(n, ms), ("billiard", "euler"), lambda n, max_m: 1 + 2 * n),
-        # billiard symbol vs permutation sign, coprime m, n, even denominators included; n is factored once,
+        # billiard symbol vs permutation sign, coprime m, n, even denominators included; the row factors n once,
         # and each numerator's cycle count walks n's divisors, so its units grow with the bits of n
         _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1), _coprime_numerators,
-                    _billiard, lambda n, ms: [oracles.zolotarev_perm_sign(m, n) for m in ms], ("billiard", "zolotarev"),
+                    _billiard, lambda n, ms: oracles.zolotarev_row(n, ms), ("billiard", "zolotarev"),
                     lambda n, max_m: 1 + (max_m + 1) * (32 + n.bit_length() ** 2) // 72 + math.isqrt(n) // 16),
         # billiard symbol vs Jacobi symbol, odd denominators
         _comparison("jacobi", 151, 151, lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),

@@ -8,6 +8,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 import json
 import math
 import random
+import statistics
 import time
 
 from click.testing import CliRunner
@@ -42,9 +43,12 @@ def timed_family(name: str, **bounds):
 
 def test_criterion_01_figure_one_trace():
     trace_path(5, 7)  # warm up
-    start = time.perf_counter()
-    path = trace_path(5, 7)
-    elapsed = time.perf_counter() - start
+    times = []
+    for _ in range(7):  # the median of 7, so that one sample slowed by a loaded machine does not decide
+        start = time.perf_counter()
+        path = trace_path(5, 7)
+        times.append(time.perf_counter() - start)
+    elapsed = statistics.median(times)
     ok = (
         base_bounces(5, 7) == [(4, -1, 10), (6, 1, 20), (2, 1, 30)]
         and path.end == (7, 5)

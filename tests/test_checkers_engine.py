@@ -225,7 +225,8 @@ def test_solver_calls_no_oracle(monkeypatch):
 
     _refuse_everywhere(monkeypatch, {
         symbols.billiard_symbol, symbols.billiard_row, billiards.base_bounces, billiards._fold, oracles.jacobi_symbol,
-        oracles.euler_symbol, oracles.euler_row, oracles.zolotarev_perm_sign, reference.solve_elimination,
+        oracles.euler_symbol, oracles.euler_row, oracles.zolotarev_perm_sign, oracles.zolotarev_row,
+        reference.solve_elimination,
     })
     assert quadres.billiard_symbol is _refuse and reference.solve_elimination is _refuse
     assert quadres.base_bounces is _refuse and billiards._fold is _refuse
@@ -472,6 +473,7 @@ def test_single_pebble_counts_call_no_path_tracer_or_oracle(monkeypatch):
     _refuse_everywhere(monkeypatch, {
         billiards.trace_path, billiards._fold, symbols.billiard_symbol, symbols.billiard_row, billiards.base_bounces,
         oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row, oracles.zolotarev_perm_sign,
+        oracles.zolotarev_row,
     })
     assert quadres.trace_path is _refuse and quadres.base_bounces is _refuse and billiards._fold is _refuse
     assert [single_pebble_counts(m, n) for m, n in cells] == want

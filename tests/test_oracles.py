@@ -1,7 +1,9 @@
 """Tests for the classical number-theory oracles."""
 
+import importlib
 import inspect
 import math
+import pkgutil
 import random
 import sys
 
@@ -9,8 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quadres
 from quadres import oracles
-from quadres.oracles import euler_row, euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
+from quadres.oracles import (
+    euler_row, euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign, zolotarev_row,
+)
 from reference import ref_cycle_count, ref_zolotarev_perm_sign, residue_table
 
 
@@ -148,29 +153,44 @@ def test_zolotarev_examples():
 
 
 def test_zolotarev_rejects_shared_factor():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gcd\(6, 9\) > 1: the map x -> 6x mod 9 is not a permutation$"):
         zolotarev_perm_sign(6, 9)
+
+
+@pytest.mark.parametrize("ms, shared", [([6, 1, 2], 6), ([1, 2, 6], 6), ([1, 6, 2, 6], 6), ([1, 3, 6], 3)])
+def test_zolotarev_row_names_the_first_numerator_sharing_a_factor(ms, shared):
+    message = rf"^gcd\({shared}, 9\) > 1: the map x -> {shared}x mod 9 is not a permutation$"
+    with pytest.raises(ValueError, match=message):
+        zolotarev_row(9, ms)
 
 
 @pytest.mark.parametrize("m, n", [(0, 5), (5, 0)])
 def test_zolotarev_rejects_a_nonpositive_argument(m, n):
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^arguments must be positive$"):
         zolotarev_perm_sign(m, n)
+
+
+@pytest.mark.parametrize("n, ms", [(0, []), (-7, [1]), (5, [1, 2, 0]), (5, [-3, 1]), (9, [6, 0])])
+def test_zolotarev_row_rejects_a_nonpositive_argument(n, ms):
+    with pytest.raises(ValueError, match="^arguments must be positive$"):
+        zolotarev_row(n, ms)
 
 
 def test_zolotarev_matches_jacobi_for_odd_denominators():
     for n in range(1, 302, 2):
-        for a in range(1, n + 1):
-            if math.gcd(a, n) != 1:
-                continue
-            assert jacobi_symbol(a, n) == zolotarev_perm_sign(a, n), (a, n)
+        units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+        assert zolotarev_row(n, units) == [jacobi_symbol(a, n) for a in units], n
 
 
 def test_zolotarev_matches_cycle_walk():
+    """One row per n against the point-by-point walk: every numerator in order, the first eight reversed and then
+    repeated, and the empty row."""
     for n in range(1, 300):
-        for m in range(1, 300):
-            if math.gcd(m, n) == 1:
-                assert zolotarev_perm_sign(m, n) == ref_zolotarev_perm_sign(m, n), (m, n)
+        ms = [m for m in range(1, 300) if math.gcd(m, n) == 1]
+        want = [ref_zolotarev_perm_sign(m, n) for m in ms]
+        assert zolotarev_row(n, ms) == want, n
+        assert zolotarev_row(n, ms[7::-1] + ms[:8]) == want[7::-1] + want[:8], n
+        assert zolotarev_row(n, []) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,12 +203,23 @@ def test_zolotarev_matches_cycle_walk_on_large_n(m, n):
         assert zolotarev_perm_sign(m, n) == ref_zolotarev_perm_sign(m, n)
 
 
-def test_cycle_count_matches_cycle_walk():
-    """The count itself: the sign reads only whether m^(phi(d)/2) = 1 mod d, hiding a wrong odd part of an order."""
+def test_cycle_count_matches_cycle_walk(monkeypatch):
+    """The count itself: the sign reads only whether m^(phi(d)/2) = 1 mod d, hiding a wrong odd part of an order.
+
+    The counts are those the row takes from the unit groups it builds.
+    """
+    counts, real = [], oracles._cycle_count
+
+    def count(m, groups):
+        counts.append((m, cycles := real(m, groups)))
+        return cycles
+
+    monkeypatch.setattr(oracles, "_cycle_count", count)
     for n in range(1, 200):
-        for m in range(1, 60):
-            if math.gcd(m, n) == 1:
-                assert oracles._cycle_count(m, n) == ref_cycle_count(m, n), (m, n)
+        ms = [m for m in range(1, 60) if math.gcd(m, n) == 1]
+        counts.clear()
+        zolotarev_row(n, ms)
+        assert counts == [(m, ref_cycle_count(m, n)) for m in ms], n
 
 
 def test_zolotarev_matches_jacobi_at_seeded_odd_n_up_to_10_12():
@@ -204,8 +235,7 @@ def test_zolotarev_matches_jacobi_at_seeded_odd_n_up_to_10_12():
 
 @pytest.mark.parametrize("n", [3**12, 2**19, 2 * 3**2 * 5 * 7 * 11 * 13])
 def test_zolotarev_matches_cycle_walk_on_structured_n(n):
-    for m in (17, n - 1):
-        assert zolotarev_perm_sign(m, n) == ref_zolotarev_perm_sign(m, n), m
+    assert zolotarev_row(n, [17, n - 1]) == [ref_zolotarev_perm_sign(17, n), ref_zolotarev_perm_sign(n - 1, n)]
 
 
 @pytest.mark.parametrize("n", [720720 * 11 + 1, 2**40 + 1, 3**25])
@@ -213,12 +243,26 @@ def test_zolotarev_matches_jacobi_on_structured_n_above_10_6(n):
     assert zolotarev_perm_sign(2, n) == jacobi_symbol(2, n)
 
 
-def test_factorisation_cache_is_bounded():
-    assert oracles._unit_groups.cache_info().maxsize is not None
+def test_no_oracle_table_outlives_a_row(monkeypatch):
+    """Every row factors n afresh, with the _factor it finds when it runs, and no quadres function keeps a cache."""
+    first, second, real = [], [], oracles._factor
+    monkeypatch.setattr(oracles, "_factor", lambda n: first.append(n) or real(n))
+    assert zolotarev_row(45, [2, 7]) == zolotarev_row(45, [2, 7]) and first.count(45) == 2
+    assert zolotarev_perm_sign(7, 45) == zolotarev_perm_sign(7, 45) and first.count(45) == 4
+    monkeypatch.setattr(oracles, "_factor", lambda n: second.append(n) or real(n))
+    assert zolotarev_row(45, [2]) == [zolotarev_perm_sign(2, 45)] and first.count(45) == 4
+    assert second == [45, 2, 4, 45, 2, 4]  # 45 = 3^2 * 5, then 3 - 1 and 5 - 1
+    modules = [quadres, *(importlib.import_module(f"quadres.{m.name}") for m in pkgutil.iter_modules(quadres.__path__))]
+    assert len(modules) == 9  # the package and its eight modules
+    for module in modules:
+        values = [*vars(module).values()]
+        values += [v for cls in values if isinstance(cls, type) for v in vars(cls).values()]
+        assert not [v for v in values if hasattr(v, "cache_info")], module.__name__
 
 
 def test_zolotarev_calls_no_other_method(monkeypatch):
-    """The cycle count runs with every symbols and billiards function, Jacobi and Euler (symbol and row) disabled."""
+    """The sign, one call and a row per n at a time, runs with every symbols and billiards function, Jacobi and
+    Euler (symbol and row) disabled."""
     from quadres import billiards, symbols
 
     def refuse(*args, **kwargs):
@@ -230,7 +274,6 @@ def test_zolotarev_calls_no_other_method(monkeypatch):
     want = [ref_zolotarev_perm_sign(m, n) for m, n in cells]
     cells.append((3, 10**12 + 39))  # n prime, so both n and n - 1 are factored
     want.append(jacobi_symbol(3, 10**12 + 39))
-    oracles._unit_groups.cache_clear()  # a factorisation cached earlier would skip the code under test
     for name, module in list(sys.modules.items()):
         if name == "quadres" or name.startswith("quadres."):
             for attr, value in list(vars(module).items()):
@@ -238,15 +281,17 @@ def test_zolotarev_calls_no_other_method(monkeypatch):
                     monkeypatch.setattr(module, attr, refuse)
     assert oracles.jacobi_symbol is refuse and symbols._floor_sum is refuse and billiards._fold is refuse
     assert [zolotarev_perm_sign(m, n) for m, n in cells] == want
+    rows = [zolotarev_row(n, [m for m in range(1, 120) if math.gcd(m, n) == 1]) for n in range(1, 60)]
+    assert [sign for row in rows for sign in row] == want[:-1]  # the last cell's n = 10**12 + 39 ran as one call
 
 
 def test_zolotarev_multiplicative_in_numerator():
     for n in range(2, 40):
         units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        sign = dict(zip(units, zolotarev_row(n, units)))
         for m1 in units:
             for m2 in units:
-                prod = zolotarev_perm_sign(m1, n) * zolotarev_perm_sign(m2, n)
-                assert zolotarev_perm_sign(m1 * m2 % n, n) == prod, (m1, m2, n)
+                assert sign[m1 * m2 % n] == sign[m1] * sign[m2], (m1, m2, n)
 
 
 def test_symbol_values_multiplication_closed():

@@ -134,7 +134,7 @@ def _two_more_on(m, n):
 # (family, module, function broken by the breaker, breaker, every failure record at bounds 9)
 FAILURE_CASES = [
     ("euler", sweeps.oracles, "euler_row", _wrong_in_row((2, 7)), [{"m": 2, "n": 7, "billiard": 1, "euler": -1}]),
-    ("zolotarev", sweeps.oracles, "zolotarev_perm_sign", _wrong_at((3, 8)),
+    ("zolotarev", sweeps.oracles, "zolotarev_row", _wrong_in_row((3, 8)),
      [{"m": 3, "n": 8, "billiard": -1, "zolotarev": 1}]),
     ("jacobi", sweeps.oracles, "jacobi_symbol", _wrong_at((2, 9)), [{"m": 2, "n": 9, "billiard": 1, "jacobi": -1}]),
     # the row takes one value per class r = m mod n with 2r <= n: (1|3) serves (4|3) and (7|3), and, reflected,
@@ -254,6 +254,10 @@ def test_oracle_sides_evaluate_every_numerator(monkeypatch):
     monkeypatch.setattr(sweeps.oracles, "euler_row", lambda n, ms: rows.append((n, ms)) or real_row(n, ms))
     assert run_family("euler", max_n=9).checked == 4 + 8 + 12
     assert rows == [(n, [m for m in range(1, 2 * n + 1) if m % n]) for n in (3, 5, 7)]
+    signs, real_signs = [], sweeps.oracles.zolotarev_row
+    monkeypatch.setattr(sweeps.oracles, "zolotarev_row", lambda n, ms: signs.append((n, ms)) or real_signs(n, ms))
+    assert run_family("zolotarev", max_m=12, max_n=9).checked == 12 + 6 + 8 + 6 + 10 + 4 + 11 + 6 + 8
+    assert signs == [(n, [m for m in range(1, 13) if math.gcd(m, n) == 1]) for n in range(1, 10)]
 
 
 CAP = 500 * 500  # the CLI's default cap, about 1 s of work

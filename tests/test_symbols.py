@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadres.billiards import base_bounces, trace_path
-from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
+from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_row
 from quadres.symbols import (
     _floor_sum,
     _value,
@@ -140,7 +140,8 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     cells = [(m, n) for m in range(1, 30) for n in range(1, 30)]
     want = [sum(s < 0 for _, s, _ in base_bounces(m, n)) if math.gcd(m, n) == 1 else 0 for m, n in cells]
     _refuse_everywhere(monkeypatch, {billiards.base_bounces, billiards._fold, billiards.trace_path,
-                                     oracles.jacobi_symbol, oracles.euler_symbol, oracles.zolotarev_perm_sign})
+                                     oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row,
+                                     oracles.zolotarev_perm_sign, oracles.zolotarev_row})
     assert quadres.base_bounces is _refuse and billiards._fold is _refuse and quadres.jacobi_symbol is _refuse
     assert [negative_bounce_count(m, n) for m, n in cells] == want
     values = [billiard_symbol(m, n).value for m, n in cells]
@@ -294,7 +295,5 @@ def test_agrees_with_jacobi_on_odd():
 
 def test_agrees_with_zolotarev_including_even():
     for n in range(1, 50):
-        for m in range(1, 50):
-            if math.gcd(m, n) != 1:
-                continue
-            assert billiard_symbol(m, n).value == zolotarev_perm_sign(m, n), (m, n)
+        ms = [m for m in range(1, 50) if math.gcd(m, n) == 1]
+        assert [billiard_symbol(m, n).value for m in ms] == zolotarev_row(n, ms), n
