@@ -10,43 +10,14 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .billiards import (
-    BilliardPath,
-    BounceEvent,
-    Wall,
-    base_bounces,
-    trace_path,
-)
-from .checkers import (
-    Board,
-    CheckerSet,
-    PebbleSet,
-    PuzzleNotUniquelySolvable,
-    apply_checkers,
-    bottom_row_count,
-    bottom_row_puzzle,
-    bottom_row_symbol,
-    kernel_dimension,
-    kernel_element,
-    left_column_puzzle,
-    light_chase,
-    single_pebble_counts,
-    solve,
-)
-from .oracles import (
-    euler_symbol,
-    is_odd_prime,
-    jacobi_symbol,
-    zolotarev_perm_sign,
-)
+from .billiards import BilliardPath, BounceEvent, Wall, base_bounces, trace_path
+from .checkers import (Board, CheckerSet, PebbleSet, PuzzleNotUniquelySolvable, apply_checkers, bottom_row_count,
+                       bottom_row_puzzle, bottom_row_symbol, kernel_dimension, kernel_element, left_column_puzzle,
+                       light_chase, single_pebble_counts, solve)
+from .oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from .render import render_board_ascii, render_board_svg, render_path_svg
-from .symbols import (
-    SymbolEvidence,
-    billiard_symbol,
-    mod4_symbol,
-    symbol_supplement_minus_one,
-    symbol_supplement_two,
-)
+from .symbols import (SymbolEvidence, billiard_symbol, mod4_symbol, symbol_supplement_minus_one,
+                      symbol_supplement_two)
 from .tilings import count_tilings
 
 # every public name imported above; the submodules those imports bind are not part of the API

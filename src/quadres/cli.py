@@ -17,15 +17,8 @@ import click
 
 from . import __version__
 from .billiards import Wall, base_bounces, trace_path
-from .checkers import (
-    Board,
-    PebbleSet,
-    PuzzleNotUniquelySolvable,
-    bottom_row_puzzle,
-    kernel_element,
-    left_column_puzzle,
-    solve,
-)
+from .checkers import (Board, PebbleSet, PuzzleNotUniquelySolvable, bottom_row_puzzle, kernel_element,
+                       left_column_puzzle, solve)
 from .oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
 from .render import render_board_ascii, render_board_svg, render_path_svg
 from .sweeps import FAMILIES, run_family
@@ -274,26 +267,28 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
             raise click.UsageError(f"unknown check families: {', '.join(unknown)}")
         if not names:
             raise click.UsageError(f"--checks {check_names!r} names no family; known: {', '.join(FAMILIES)}")
-    reproduce = {}  # the command that reruns one family alone at the bounds it ran with
+    planned = {}  # each family's work units, and the command that reruns it alone at the bounds it ran with
     for name in names:
         family = FAMILIES[name]
         grid_m, grid_n = family.bounds(max_m, max_n)
         work = family.work(grid_m, grid_n, _max_cells())  # stops counting once past the limit: a lower bound then
         _check_size(work, f"{name} sweep grid {grid_m}x{grid_n} (at least {work} work units)")
-        reproduce[name] = f"quadres verify --checks {name} --max-m {grid_m} --max-n {grid_n}"
+        planned[name] = work, f"quadres verify --checks {name} --max-m {grid_m} --max-n {grid_n}"
     if out:
         _write(out, "", "a")  # fail on an unwritable target before any family runs
 
     streamed = not as_json and out is None  # each family's line prints as that family finishes
     checks, lines = [], []
     for name in names:
+        work, reproduce = planned[name]
         res = run_family(name, max_m=max_m, max_n=max_n, parallelism=parallelism)
         checks.append({"name": name, "status": "pass" if res.ok else "fail",
                        "witness": {"cells": res.cells, "checked": res.checked, "failures": list(res.failures)[:20],
-                                   "failure_count": len(res.failures), "elapsed_s": res.elapsed_s,
-                                   "checks_per_s": res.checks_per_s, "reproduce": reproduce[name]}})
+                                   "failure_count": len(res.failures), "work_units": work, "elapsed_s": res.elapsed_s,
+                                   "checks_per_s": res.checks_per_s, "reproduce": reproduce}})
         line = (f"{name:<20} cells {res.cells:>6}  checked {res.checked:>7}  failures {len(res.failures):>4}  "
-                f"{res.elapsed_s * 1e3:8.1f} ms  {res.checks_per_s:>9.0f} checks/s  [{'PASS' if res.ok else 'FAIL'}]")
+                f"units {work:>7}  {res.elapsed_s * 1e3:8.1f} ms  {res.checks_per_s:>9.0f} checks/s  "
+                f"[{'PASS' if res.ok else 'FAIL'}]")
         if streamed:
             click.echo(line)
         else:

@@ -25,7 +25,16 @@ from . import checkers as ck
 from . import billiards, oracles, symbols, tilings
 
 Failure = dict
-Row = Callable[[int, list[int]], list[int]]  # a side of a comparison: (n, ms) to a value per m of ms
+
+
+class Table(dict):
+    """One batch's billiard values: n to its symbols.BilliardRow, made when n is first asked."""
+
+    def __missing__(self, n: int) -> symbols.BilliardRow:
+        return self.setdefault(n, symbols.BilliardRow(n))
+
+
+Row = Callable[[int, list[int], Table], list[int]]  # a side of a comparison: (n, ms, table) to a value per m of ms
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,7 @@ class Family:
     default_max_m: int
     default_max_n: int
     cell_cost: Callable[..., int]  # one cell's work from its arguments alone: at least 1 unit of about 4 us
+    tabled: bool = False  # check takes its batch's Table after the cell's arguments
 
     def bounds(self, max_m: int | None, max_n: int | None) -> tuple[int, int]:
         """The grid bounds a run uses: max_m left as None takes max_n, then a bound still None the family default."""
@@ -82,33 +92,34 @@ def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> It
     return (m for m in range(start, max_m + 1, step) if math.gcd(m, n) == 1)
 
 
-def _agreement(n: int, ms, lhs: Row, rhs: Row, keys: tuple[str, str], n_key: str = "n") -> tuple[int, list[Failure]]:
-    """The row lhs(n, ms) against the row rhs(n, ms); a failure records both values under `keys`."""
+def _agreement(n: int, ms, lhs: Row, rhs: Row, keys: tuple[str, str], table: Table,
+               n_key: str = "n") -> tuple[int, list[Failure]]:
+    """The row lhs(n, ms, table) against the row rhs(n, ms, table); a failure records both values under `keys`."""
     ms, (left, right) = list(ms), keys
     return len(ms), [{"m": m, n_key: n, left: got, right: want}
-                     for m, got, want in zip(ms, lhs(n, ms), rhs(n, ms), strict=True) if got != want]
+                     for m, got, want in zip(ms, lhs(n, ms, table), rhs(n, ms, table), strict=True) if got != want]
 
 
-def _billiard(n: int, ms: list[int]) -> list[int]:
+def _billiard(n: int, ms: list[int], _table: Table | None = None) -> list[int]:
     return symbols.billiard_row(n, ms)  # looked up when the cell runs, so a row patched after import is checked
 
 
-def _swapped(n: int, ms: list[int]) -> list[int]:
-    """(m|n)(n|m) for each m of ms, the left side of both reciprocity identities: (m|n) from the row."""
-    return [mn * symbols._value(n, m) for m, mn in zip(ms, _billiard(n, ms))]
+def _swapped(n: int, ms: list[int], table: Table) -> list[int]:
+    """(m|n)(n|m) for each m of ms, the left side of both reciprocity identities, from the batch's table."""
+    return [mn * table[m][n % m] for m, mn in zip(ms, symbols.billiard_row(n, ms, table[n]))]
 
 
 def _comparison(name: str, default_max_m: int, default_max_n: int, denominators: Callable[[int], Iterable[int]],
                 numerators: Callable[[int, int], Iterable[int]], lhs: Row, rhs: Row, keys: tuple[str, str],
                 cell_cost: Callable[[int, int], int], n_key: str = "n") -> Family:
-    """A symbol family: for each denominator n up to max_n, the rows lhs(n, ms) and rhs(n, ms) over its numerators.
+    """A symbol family: for each denominator n up to max_n, lhs(n, ms, table) against rhs over its numerators ms.
 
-    A cell is (n, max_m).  A side looks its callee up in its module when the cell runs, so a function
-    patched after import is the one checked; an oracle or closed-form side evaluates every numerator.
+    A cell is (n, max_m); table is its batch's.  A side looks its callee up in its module when the cell runs,
+    so a function patched after import is the one checked; an oracle or closed-form side evaluates every numerator.
     """
     return Family(name, lambda max_m, max_n: ((n, max_m) for n in denominators(max_n)),
-                  lambda n, max_m: _agreement(n, numerators(n, max_m), lhs, rhs, keys, n_key),
-                  default_max_m, default_max_n, cell_cost)
+                  lambda n, max_m, table: _agreement(n, numerators(n, max_m), lhs, rhs, keys, table, n_key),
+                  default_max_m, default_max_n, cell_cost, tabled=True)
 
 
 # --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
@@ -194,35 +205,35 @@ FAMILIES: dict[str, Family] = {
         # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
         _comparison("euler", 398, 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
                     lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n), _billiard,
-                    lambda n, ms: oracles.euler_row(n, ms), ("billiard", "euler"), lambda n, max_m: 1 + 2 * n),
+                    lambda n, ms, _: oracles.euler_row(n, ms), ("billiard", "euler"), lambda n, max_m: 1 + 2 * n),
         # billiard symbol vs permutation sign, coprime m, n, even denominators included; the row factors n once,
         # and each numerator's cycle count walks n's divisors, so its units grow with the bits of n
         _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1), _coprime_numerators,
-                    _billiard, lambda n, ms: oracles.zolotarev_row(n, ms), ("billiard", "zolotarev"),
+                    _billiard, lambda n, ms, _: oracles.zolotarev_row(n, ms), ("billiard", "zolotarev"),
                     lambda n, max_m: 1 + (max_m + 1) * (32 + n.bit_length() ** 2) // 72 + math.isqrt(n) // 16),
         # billiard symbol vs Jacobi symbol, odd denominators
         _comparison("jacobi", 151, 151, lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
-                    _billiard, lambda n, ms: [oracles.jacobi_symbol(m, n) for m in ms], ("billiard", "jacobi"),
+                    _billiard, lambda n, ms, _: [oracles.jacobi_symbol(m, n) for m in ms], ("billiard", "jacobi"),
                     lambda n, max_m: 1 + max_m),
         Family("supplements", lambda max_m, max_n: ((n,) for n in range(3, max_n + 1, 2)),
                _supplements_check, 199, 199, lambda n: 2),
         # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
         _comparison("almost_reciprocity", 201, 201, lambda max_n: range(3, max_n + 1, 2),
                     lambda n, max_m: range(1, n, 2), _swapped,
-                    lambda n, ms: [symbols._value(m, n - m) for m in ms], ("lhs", "rhs"),
+                    lambda n, ms, table: [table[n - m][m % (n - m)] for m in ms], ("lhs", "rhs"),
                     lambda n, max_m: 1 + n),
         # closed form for (m|d), odd numerator m over even denominator d, coprime
         _comparison("mod4", 201, 200, lambda max_n: range(2, max_n + 1, 2), partial(_coprime_numerators, step=2),
-                    _billiard, lambda d, ms: [symbols.mod4_symbol(m, d) for m in ms], ("billiard", "closed"),
+                    _billiard, lambda d, ms, _: [symbols.mod4_symbol(m, d) for m in ms], ("billiard", "closed"),
                     lambda d, max_m: 1 + (max_m + 1) // 2, n_key="d"),
         # reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3
         _comparison("reciprocity", 199, 199, lambda max_n: range(3, max_n + 1, 2),
                     partial(_coprime_numerators, start=3, step=2),
-                    _swapped, lambda n, ms: [-1 if (m - 1) * (n - 1) // 4 % 2 else 1 for m in ms], ("lhs", "rhs"),
+                    _swapped, lambda n, ms, _: [-1 if (m - 1) * (n - 1) // 4 % 2 else 1 for m in ms], ("lhs", "rhs"),
                     lambda n, max_m: 1 + max_m),
         # bottom-row puzzle parity vs billiard symbol, coprime m, n
         _comparison("checkers_symbol", 50, 50, lambda max_n: range(1, max_n + 1), _coprime_numerators,
-                    lambda n, ms: [ck.bottom_row_symbol(m, n) for m in ms], _billiard, ("checkers", "billiard"),
+                    lambda n, ms, _: [ck.bottom_row_symbol(m, n) for m in ms], _billiard, ("checkers", "billiard"),
                     lambda n, max_m: 1 + max_m * (max_m + n) // 16),
         Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30,
                lambda m, n: 1 + (m + n) * (8000 + m * n) // 32000),
@@ -237,9 +248,11 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def _run_cell(name: str, cell: tuple) -> tuple[int, list[Failure]]:
-    """One cell of a family; module-level, so that a worker receives only the name and the cell."""
-    return FAMILIES[name].check(*cell)
+def _run_batch(name: str, cells: list[tuple]) -> list[tuple[int, list[Failure]]]:
+    """One family's cells, sharing a Table for this batch only; module-level, so a worker receives names and cells."""
+    family = FAMILIES[name]
+    check = partial(family.check, table=Table()) if family.tabled else family.check
+    return [check(*cell) for cell in cells]
 
 
 def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
@@ -247,19 +260,22 @@ def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
     """Run one check family and merge per-cell results in cell order.
 
     Bounds left as None resolve as `Family.bounds` says.  At most one worker
-    process runs per core and per cell, whatever `parallelism` asks for.
+    process runs per core and per cell, whatever `parallelism` asks for.  A batch,
+    every cell serially and a worker's chunk of them in parallel, shares one Table.
     """
     start = time.perf_counter()
     family = FAMILIES[name]
     cells = list(family.make_cells(*family.bounds(max_m, max_n)))
-    run = partial(_run_cell, name)
+    run = partial(_run_batch, name)
     workers = min(parallelism, os.cpu_count() or 1, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+        size = max(1, len(cells) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cells, chunksize=max(1, len(cells) // (4 * workers))))
+            results = [r for batch in pool.map(run, (cells[i:i + size] for i in range(0, len(cells), size)))
+                       for r in batch]
     else:
-        results = list(map(run, cells))
+        results = run(cells)
     return FamilyResult(name=name, checked=sum(c for c, _ in results),
                         failures=tuple(f for _, fails in results for f in fails), cells=len(cells),
                         elapsed_s=time.perf_counter() - start)

@@ -18,6 +18,10 @@ the backtracking counter enumerates domino tilings one by one.
 `ref_kernel_dimension` is the transfer-map chase that the path
 polynomials replaced: it chases each dark top-row square down the long
 side and row-reduces the bottom-row residuals in an XOR basis.
+`ref_swapped` and `ref_almost_rhs` are the reciprocity sides as each cell
+took them before the sweeps' billiard table: a fresh row, then one int
+symbol per numerator; `ref_reciprocity_sweeps` runs both reciprocity
+families' grids on them.
 `ref_base_bounces` reads the bottom-wall events off a traced path, where
 the library folds their times alone, and `vertices` lists the path's
 corners and bounce points in time order.  `position_at` reads the ball's
@@ -30,6 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from quadres import symbols
 from quadres.billiards import BilliardPath, Wall, _fold, trace_path
 from quadres.checkers import (
     Board,
@@ -508,3 +513,30 @@ def ref_count_tilings(rows: int, cols: int) -> int:
         return total
 
     return fill(0)
+
+
+def ref_swapped(n: int, ms: list[int]) -> list[int]:
+    """(m|n)(n|m) for each m of ms: (m|n) from a fresh row, (n|m) from one `_value(n, m)` per numerator."""
+    return [mn * symbols._value(n, m) for m, mn in zip(ms, symbols.billiard_row(n, ms))]
+
+
+def ref_almost_rhs(n: int, ms: list[int]) -> list[int]:
+    """(m|n-m) for each m of ms, one `_value` per numerator."""
+    return [symbols._value(m, n - m) for m in ms]
+
+
+def ref_reciprocity_sweeps(max_m: int, max_n: int) -> dict[str, tuple[int, list[dict]]]:
+    """(checked, failures) of `reciprocity` and `almost_reciprocity` over their grids at these bounds, every cell
+    on the sides above: coprime odd 3 <= m <= max_m, and odd m < n, each over odd 3 <= n <= max_n."""
+    def sweep(numerators, rhs):
+        checked, failures = 0, []
+        for n in range(3, max_n + 1, 2):
+            ms = numerators(n)
+            checked += len(ms)
+            failures += [{"m": m, "n": n, "lhs": got, "rhs": want}
+                         for m, got, want in zip(ms, ref_swapped(n, ms), rhs(n, ms)) if got != want]
+        return checked, failures
+
+    return {"reciprocity": sweep(lambda n: [m for m in range(3, max_m + 1, 2) if math.gcd(m, n) == 1],
+                                 lambda n, ms: [-1 if (m - 1) * (n - 1) // 4 % 2 else 1 for m in ms]),
+            "almost_reciprocity": sweep(lambda n: list(range(1, n, 2)), ref_almost_rhs)}

@@ -355,6 +355,7 @@ class TestVerify:
             assert check["witness"]["failure_count"] == 0
             assert check["witness"]["checked"] > 0
             assert check["witness"]["cells"] > 0
+            assert check["witness"]["work_units"] == FAMILIES[check["name"]].work(12, 12, 10**9)
             assert check["witness"]["elapsed_s"] >= 0
             assert check["witness"]["checks_per_s"] >= 0
             assert check["witness"]["reproduce"] == f"quadres verify --checks {check['name']} --max-m 12 --max-n 12"
@@ -365,6 +366,7 @@ class TestVerify:
         assert result.exit_code == 0
         assert " ms " in result.output and " checks/s  [PASS]" in result.output
         assert "cells      5  checked      10" in result.output
+        assert "failures    0  units      10  " in result.output  # 2 units a denominator, 3 to 11
 
     def test_kernel_cap_counts_board_squares(self, runner):
         # a cell is priced by its board's sides, not counted as one: 144x144 is the first square past the cap

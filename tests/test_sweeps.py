@@ -4,18 +4,21 @@ import dataclasses
 import itertools
 import json
 import math
+import weakref
 from functools import partial
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadres import sweeps
 from quadres.symbols import billiard_symbol
 from quadres.checkers import Board
 from quadres.cli import main
 from quadres.sweeps import FAMILIES, run_family
-from reference import pebbles
+from reference import pebbles, ref_almost_rhs, ref_reciprocity_sweeps, ref_swapped
 
 ALL_FAMILIES = sorted(FAMILIES)
 
@@ -147,8 +150,9 @@ FAILURE_CASES = [
     # (3|7) enters the cell (7, 3) as the column (n|m) and the cell (3, 7) as the row's class 3
     ("reciprocity", sweeps.symbols, "_value", _wrong_at((3, 7)),
      [{"m": 7, "n": 3, "lhs": 1, "rhs": -1}, {"m": 3, "n": 7, "lhs": 1, "rhs": -1}]),
-    # (2|7) is asked only for the reflected class 5 of the row n = 7, as its numerators are odd
-    ("almost_reciprocity", sweeps.symbols, "_value", _wrong_at((2, 7)), [{"m": 5, "n": 7, "lhs": -1, "rhs": 1}]),
+    # (2|7) enters the row n = 7 as its reflected class 5, and the cell (9, 7) as the column (9|7), class 2 of 7
+    ("almost_reciprocity", sweeps.symbols, "_value", _wrong_at((2, 7)),
+     [{"m": 5, "n": 7, "lhs": -1, "rhs": 1}, {"m": 7, "n": 9, "lhs": -1, "rhs": 1}]),
     ("checkers_symbol", sweeps.ck, "bottom_row_symbol", _wrong_at((3, 5)),
      [{"m": 3, "n": 5, "checkers": 1, "billiard": -1}]),
     ("checkers_bridge", sweeps.ck, "single_pebble_counts", _wrong_at((5, 7), _count_one_more_at(1)),
@@ -184,13 +188,26 @@ def test_failure_records_carry_each_familys_keys(monkeypatch, name, module, attr
 
 def test_billiard_row_matches_each_symbol():
     """Every class of m mod n, n = 1, even n and gcd > 1 among them; in order, out of order and repeated."""
+    table = sweeps.Table()  # one table for every n, as a sweep's batch keeps it
     for n in range(1, 61):
         ms = list(range(1, 3 * n + 1))
         want = [billiard_symbol(m, n).value for m in ms]
         assert sweeps._billiard(n, ms) == want, n
         assert sweeps._billiard(n, ms[::-1] + ms) == want[::-1] + want, n
-        assert sweeps._swapped(n, ms) == [w * billiard_symbol(n, m).value for m, w in zip(ms, want)], n
+        assert sweeps._swapped(n, ms, table) == [w * billiard_symbol(n, m).value for m, w in zip(ms, want)], n
+        assert sweeps._swapped(n, ms, table) == ref_swapped(n, ms), n
     assert sweeps._billiard(7, []) == [] and sweeps._billiard(1, [5, 1]) == [1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 400), st.integers(1, 120), st.booleans()), max_size=80))
+def test_table_answers_every_question_with_the_symbol(questions):
+    """One table asked any (m, n), repeated, m >= n, gcd > 1, even n and n = 1 among them, one at a time or in
+    a row (with m + n beside it), returns billiard_symbol(m, n).value every time."""
+    table = sweeps.Table()
+    for m, n, in_row in questions + questions[::-1]:
+        got = sweeps.symbols.billiard_row(n, [m, m + n], table[n]) if in_row else [table[n][m % n]]
+        assert got == [billiard_symbol(m, n).value] * len(got), (m, n)
 
 
 def _count_values(monkeypatch) -> list[tuple[int, int]]:
@@ -201,10 +218,12 @@ def _count_values(monkeypatch) -> list[tuple[int, int]]:
 
 
 # symbols._value calls in one default sweep: the row's one per distinct (r, n) with r = m mod n or n - r and
-# 2r <= n, half of what one per class m mod n took (4180, 3044, 5776, 4081, 774, 6060); reciprocity adds a
-# column (n|m) for each of its 7,952 numerators, almost_reciprocity a column and a right side for each of its 5,050
+# 2r <= n, half of what one per class m mod n took (4180, 3044, 5776, 4081, 774, 6060).  The two reciprocity
+# families read their rows, their columns (n|m) and almost_reciprocity's right side (m|n-m) from one table for
+# the sweep, which takes each such class once: 4,025 and 6,801, where each cell's own row and one value per
+# column and right side took 4,025 + 7,952 and 3 x 5,050
 VALUE_CALLS = {"euler": 2090, "zolotarev": 1523, "jacobi": 2926, "mod4": 2041, "checkers_symbol": 388,
-               "reciprocity": 4025 + 7952, "almost_reciprocity": 3 * 5050}
+               "reciprocity": 4025, "almost_reciprocity": 6801}
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CALLS))
@@ -213,8 +232,7 @@ def test_billiard_row_takes_one_value_per_reflected_class(monkeypatch, name):
     result = run_family(name)
     assert result.ok and (result.cells, result.checked) == DEFAULT_SIZES[name]
     assert len(calls) == VALUE_CALLS[name]
-    if name not in ("reciprocity", "almost_reciprocity"):
-        assert len(set(calls)) == len(calls) and all(2 * r <= n for r, n in calls)
+    assert len(set(calls)) == len(calls) and all(2 * r <= n for r, n in calls)
 
 
 def test_billiard_row_asks_the_low_member_of_each_class(monkeypatch):
@@ -226,13 +244,57 @@ def test_billiard_row_asks_the_low_member_of_each_class(monkeypatch):
 
 
 def test_breaking_the_int_symbol_fails_every_billiard_row(monkeypatch):
-    """Each family with a billiard row records a failure when symbols._value is negated wherever m < n.
+    """Each family with a billiard row records a failure when symbols._value is negated for every n not 1 mod 4.
 
-    A row asks only such values; negating every value would leave reciprocity's (m|n)(n|m) as it is.
+    Rows and the reciprocity families' table ask only classes m < n, so negating every value would leave
+    (m|n)(n|m) as it is; a coprime odd pair of 1 and 3 mod 4 negates one factor alone.
     """
     real = sweeps.symbols._value
-    monkeypatch.setattr(sweeps.symbols, "_value", lambda m, n: -real(m, n) if m < n else real(m, n))
+    monkeypatch.setattr(sweeps.symbols, "_value", lambda m, n: -real(m, n) if n % 4 != 1 else real(m, n))
     assert all(run_family(name, max_m=9, max_n=9).failures for name in VALUE_CALLS)
+
+
+_BOUNDS = [(None, None), (21, 13), (13, 21)]
+
+
+@pytest.mark.parametrize("name", ["reciprocity", "almost_reciprocity"])
+@pytest.mark.parametrize("bounds, broken, parallelism", [*((b, k, 1) for b in _BOUNDS for k in (None, 7, 9)),
+                                                         *((b, None, 2) for b in _BOUNDS)])
+def test_reciprocity_families_match_their_per_cell_sides(monkeypatch, name, bounds, broken, parallelism):
+    """checked and failures as each cell's own row and one value per column and right side gave them.
+
+    With every (m|broken) negated, a break both ways of reading ask alike, both report the same failures.
+    Two workers run each grid with a table per chunk.
+    """
+    if broken is not None:
+        real = sweeps.symbols._value
+        monkeypatch.setattr(sweeps.symbols, "_value", lambda m, n: -real(m, n) if n == broken else real(m, n))
+    result = run_family(name, *bounds, parallelism=parallelism)
+    want = ref_reciprocity_sweeps(*FAMILIES[name].bounds(*bounds))[name]
+    assert (result.checked, list(result.failures)) == want
+    assert (broken is None) == result.ok
+
+
+def test_one_table_per_sweep_and_none_after_it(monkeypatch):
+    """Each serial reciprocity sweep makes one table, asks each class once, and leaves nothing behind: the table
+    is gone once run_family returns, the second sweep asks as often as the first, and a _value patched between
+    them is the one it asks."""
+    made = []
+
+    class Recorded(sweeps.Table):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(sweeps, "Table", Recorded)
+    calls = _count_values(monkeypatch)
+    first = run_family("reciprocity")
+    assert first.ok and len(calls) == 4025 and len(made) == 1 and made[0]() is None
+    real = sweeps.symbols._value  # still counting
+    monkeypatch.setattr(sweeps.symbols, "_value", lambda m, n: -real(m, n) if n == 7 else real(m, n))
+    second = run_family("reciprocity")
+    assert len(calls) == 2 * 4025 and len(made) == 2 and made[1]() is None
+    assert second.failures and all(7 in (f["m"], f["n"]) for f in second.failures)
 
 
 def test_no_row_table_outlives_its_cell(monkeypatch):
@@ -471,3 +533,20 @@ def test_parallelism_is_clamped_to_cores_and_cells(monkeypatch, cpus, max_n, wan
     result = run_family("kernel", max_m=max_n, max_n=max_n, parallelism=10_000)
     assert _InlinePool.requested == ([want] if want else [])
     assert result == run_family("kernel", max_m=max_n, max_n=max_n)
+
+
+def test_each_parallel_chunk_is_a_batch_with_its_own_table(monkeypatch):
+    """Under --parallelism a worker's chunk of len(cells) // (4 * workers) cells is one batch, with one table."""
+    made = []
+
+    class Recorded(sweeps.Table):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)  # run_family imports it late
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweeps, "Table", Recorded)
+    parallel = run_family("reciprocity", parallelism=2)
+    assert len(made) == 9  # 99 cells in chunks of 99 // 8 = 12: eight of 12 and one of 3
+    assert parallel == run_family("reciprocity") and len(made) == 10  # the serial sweep is one batch

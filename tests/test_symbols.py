@@ -135,7 +135,7 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     """The floor sums, the row and its int symbol run without the bounce lister, its fold or the path tracer,
     and with every oracle disabled."""
     import quadres
-    from quadres import billiards, oracles
+    from quadres import billiards, oracles, sweeps
 
     cells = [(m, n) for m in range(1, 30) for n in range(1, 30)]
     want = [sum(s < 0 for _, s, _ in base_bounces(m, n)) if math.gcd(m, n) == 1 else 0 for m, n in cells]
@@ -148,7 +148,10 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     assert values == [(-1) ** count if math.gcd(m, n) == 1 else 0 for (m, n), count in zip(cells, want)]
     assert values.count(-1) > 0 and values.count(0) > 0
     assert [billiard_row(n, list(range(1, 30)))[m - 1] for m, n in cells] == values  # the row, n at a time
-    assert [_value(m, n) for m, n in cells] == values  # the int symbol the row and the sweeps' columns ask
+    assert [_value(m, n) for m, n in cells] == values  # the int symbol the row and the sweeps' table ask
+    table = sweeps.Table()  # the reciprocity sweeps' table, which fills each class through that int symbol
+    assert [table[n][m % n] for m, n in cells] == values
+    assert all(sweeps.run_family(name, 21, 21).ok for name in ("reciprocity", "almost_reciprocity"))
     assert billiard_symbol(5, 7).value == -1
     assert billiard_symbol(5, 8).value == 1
 
