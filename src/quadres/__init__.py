@@ -6,20 +6,30 @@ classical number-theory oracles, together with the identity chain that
 proves quadratic reciprocity from the geometry.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from types import ModuleType as _ModuleType
+__all__ = ["__version__", "BilliardPath", "Board", "BounceEvent", "CheckerSet", "PebbleSet",
+           "PuzzleNotUniquelySolvable", "SymbolEvidence", "Wall", "apply_checkers", "base_bounces", "billiard_symbol",
+           "bottom_row_count", "bottom_row_puzzle", "bottom_row_symbol", "count_tilings", "euler_symbol",
+           "is_odd_prime", "jacobi_symbol", "kernel_dimension", "kernel_element", "left_column_puzzle", "light_chase",
+           "mod4_symbol", "render_board_ascii", "render_board_svg", "render_path_svg", "single_pebble_counts", "solve",
+           "symbol_supplement_minus_one", "symbol_supplement_two", "trace_path", "zolotarev_perm_sign"]
 
-from .billiards import BilliardPath, BounceEvent, Wall, base_bounces, trace_path
-from .checkers import (Board, CheckerSet, PebbleSet, PuzzleNotUniquelySolvable, apply_checkers, bottom_row_count,
-                       bottom_row_puzzle, bottom_row_symbol, kernel_dimension, kernel_element, left_column_puzzle,
-                       light_chase, single_pebble_counts, solve)
-from .oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
-from .render import render_board_ascii, render_board_svg, render_path_svg
-from .symbols import (SymbolEvidence, billiard_symbol, mod4_symbol, symbol_supplement_minus_one,
-                      symbol_supplement_two)
-from .tilings import count_tilings
+_OWNERS = {"billiards": "BilliardPath BounceEvent Wall base_bounces trace_path",  # the submodule defining each name
+           "checkers": "Board CheckerSet PebbleSet PuzzleNotUniquelySolvable apply_checkers bottom_row_count "
+                       "bottom_row_puzzle bottom_row_symbol kernel_dimension kernel_element left_column_puzzle "
+                       "light_chase single_pebble_counts solve",
+           "oracles": "euler_symbol is_odd_prime jacobi_symbol zolotarev_perm_sign",
+           "render": "render_board_ascii render_board_svg render_path_svg",
+           "symbols": "SymbolEvidence billiard_symbol mod4_symbol symbol_supplement_minus_one symbol_supplement_two",
+           "tilings": "count_tilings"}
 
-# every public name imported above; the submodules those imports bind are not part of the API
-__all__ = ["__version__", *sorted(name for name, value in globals().items()
-                                  if not name.startswith("_") and not isinstance(value, _ModuleType))]
+
+def __getattr__(name: str):
+    """A public name, read from its submodule on every access (PEP 562), so that none is stored here."""
+    owner = next((module for module, names in _OWNERS.items() if name in names.split()), None)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{owner}"), name)

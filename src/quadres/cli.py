@@ -7,30 +7,14 @@ and `checks` (a list of {name, status, witness}).  Each command computes
 its result and its text lines once and hands both to `_finish`.
 """
 
-from __future__ import annotations
-
-import json
 import math
 import os
 
 import click
 
 from . import __version__
-from .billiards import Wall, base_bounces, trace_path
-from .checkers import (Board, PebbleSet, PuzzleNotUniquelySolvable, bottom_row_puzzle, kernel_element,
-                       left_column_puzzle, solve)
-from .oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_perm_sign
-from .render import render_board_ascii, render_board_svg, render_path_svg
-from .sweeps import FAMILIES, run_family
-from .symbols import billiard_symbol, negative_bounce_count
 
 DEFAULT_MAX_CELLS = 500 * 500
-
-_PUZZLES = {
-    "bottom-row": bottom_row_puzzle,
-    "left-column": left_column_puzzle,
-    "both": lambda board: bottom_row_puzzle(board) ^ left_column_puzzle(board),
-}
 
 
 def _max_cells() -> int:
@@ -87,6 +71,7 @@ def _finish(command: str, m: int | None, n: int | None, flags: dict, result: dic
             lines: list[str], as_json: bool, out: str | None) -> None:
     """Write the JSON envelope or the text lines to stdout or --out, then exit 1 if a check failed."""
     if as_json:
+        import json  # only here: text output does not load it
         envelope = {"command": command, "inputs": {"m": m, "n": n, "flags": flags},
                     "result": result, "checks": checks}
         text = json.dumps(envelope, indent=2)
@@ -119,11 +104,12 @@ def main() -> None:
 @_output()
 def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
     """Trace the M x N billiard path and list its bounces."""
+    from . import billiards
     _check_path(m, n)
-    path = trace_path(m, n)
+    path = billiards.trace_path(m, n)
     result = {
         "bounces": [{"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign} for b in path.bounces],
-        "base_bounces": [[b.x, b.sign, b.t] for b in path.bounces if b.wall is Wall.BOTTOM],
+        "base_bounces": [[b.x, b.sign, b.t] for b in path.bounces if b.wall is billiards.Wall.BOTTOM],
         "end": list(path.end),
         "length": path.length,
     }
@@ -146,24 +132,25 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
     negative-bounce count come from floor sums.  --verify counts the oracles'
     work against the limit: factoring N takes up to about sqrt(N) trial divisions, 32 to a work unit.
     """
+    from . import billiards, oracles, symbols
     if do_verify:
         _check_size(units := 1 + math.isqrt(n) // 32, f"--verify on n={n} ({units} work units)")
     limit = _max_cells()
     listed = n <= limit  # the bounce list grows with n alone
-    value, negatives = billiard_symbol(m, n).value, negative_bounce_count(m, n)
-    bounces = [[x, s] for x, s, _ in base_bounces(m, n)] if listed and value else []  # none listed at gcd > 1
+    value, negatives = symbols.billiard_symbol(m, n).value, symbols.negative_bounce_count(m, n)
+    bounces = [[x, s] for x, s, _ in billiards.base_bounces(m, n)] if listed and value else []  # none listed at gcd > 1
     oracle_values: dict[str, int] = {}
     if do_verify:
         try:
-            prime = is_odd_prime(n)
+            prime = oracles.is_odd_prime(n)
         except ValueError as exc:  # primality is proven exact only below 3.3e24
             raise click.UsageError(str(exc)) from exc
         if prime:
-            oracle_values["euler"] = euler_symbol(m, n)
+            oracle_values["euler"] = oracles.euler_symbol(m, n)
         if n % 2 == 1:
-            oracle_values["jacobi"] = jacobi_symbol(m, n)
+            oracle_values["jacobi"] = oracles.jacobi_symbol(m, n)
         if math.gcd(m, n) == 1:
-            oracle_values["zolotarev"] = zolotarev_perm_sign(m, n)
+            oracle_values["zolotarev"] = oracles.zolotarev_perm_sign(m, n)
     checks = [{"name": name, "status": "pass" if oracle == value else "fail",
                "witness": {"billiard": value, name: oracle}} for name, oracle in oracle_values.items()]
 
@@ -199,12 +186,15 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
 def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
               as_json: bool, out: str | None) -> None:
     """Solve a parity-checkers puzzle on the (M-1) x (N-1) board."""
+    from . import checkers, render
+    puzzles = {"bottom-row": checkers.bottom_row_puzzle, "left-column": checkers.left_column_puzzle,
+               "both": lambda board: checkers.bottom_row_puzzle(board) ^ checkers.left_column_puzzle(board)}
     _check_size(m * n, f"{m}x{n} ({m * n} cells)")
     if pebble_args and puzzle_kind:
         raise click.UsageError("--pebble cannot be combined with another puzzle kind")
     if not pebble_args and not puzzle_kind:
         raise click.UsageError("choose a puzzle: --bottom-row, --left-column, --both, --pebble COL ROW, or --kernel")
-    board = Board(rows=m - 1, cols=n - 1)
+    board = checkers.Board(rows=m - 1, cols=n - 1)
     kind = puzzle_kind or "pebble"
     flags = {"puzzle": kind, "json": as_json}
     if kind == "pebble":
@@ -216,17 +206,17 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
     if kind == "kernel" and math.gcd(m, n) == 1:
         error = f"gcd({m}, {n}) = 1: only the empty checker set solves the empty puzzle"
     elif kind == "kernel":
-        result_set, pebble_set = kernel_element(m, n), PebbleSet(board, frozenset())
+        result_set, pebble_set = checkers.kernel_element(m, n), checkers.PebbleSet(board, frozenset())
     else:
         try:
-            pebble_set = (_PUZZLES[kind](board) if kind in _PUZZLES
-                          else PebbleSet(board, frozenset(tuple(p) for p in pebble_args)))
+            pebble_set = (puzzles[kind](board) if kind in puzzles
+                          else checkers.PebbleSet(board, frozenset(tuple(p) for p in pebble_args)))
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
         try:
-            result_set = solve(pebble_set)
-        except PuzzleNotUniquelySolvable:
-            error, witness = f"gcd({m}, {n}) > 1: no unique solution", sorted(kernel_element(m, n).squares)
+            result_set = checkers.solve(pebble_set)
+        except checkers.PuzzleNotUniquelySolvable:
+            error, witness = f"gcd({m}, {n}) > 1: no unique solution", sorted(checkers.kernel_element(m, n).squares)
 
     if error:
         result, lines = {"error": error}, [error]
@@ -241,7 +231,7 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
         lines = [f"checkers ({len(squares)}): {_squares(squares)}", f"count s = {len(squares)}, (-1)^s = {value:+d}"]
         checks = []
         if render_mode:
-            renderer = render_board_ascii if render_mode == "ascii" else render_board_svg
+            renderer = render.render_board_ascii if render_mode == "ascii" else render.render_board_svg
             result["render"] = renderer(board, pebble_set, result_set)
             lines.append(result["render"])
     _finish("solve", m, n, flags, result, checks, lines, as_json, out)
@@ -253,23 +243,24 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
 @click.option("--max-m", type=int, default=None, callback=_positive,
               help="Sweep bound for m (defaults to --max-n when only that is given).")
 @click.option("--checks", "check_names", default=None,
-              help="Comma-separated family names (default: all). Known: " + ", ".join(FAMILIES))
+              help="Comma-separated family names (default: all); an unknown name lists the known ones.")
 @click.option("--parallelism", type=int, default=1, callback=_positive,
               help="Worker processes for partitioning sweep cells.")
 @_output()
 def verify(max_n: int | None, max_m: int | None, check_names: str | None,
            parallelism: int, as_json: bool, out: str | None) -> None:
     """Run identity-check sweeps across all modules."""
-    names = list(FAMILIES)
+    from . import sweeps
+    names = list(sweeps.FAMILIES)
     if check_names is not None:
         names = list(dict.fromkeys(c.strip() for c in check_names.split(",") if c.strip()))  # repeats run once
-        if unknown := [c for c in names if c not in FAMILIES]:
-            raise click.UsageError(f"unknown check families: {', '.join(unknown)}")
+        if unknown := [c for c in names if c not in sweeps.FAMILIES]:
+            raise click.UsageError(f"unknown check families: {', '.join(unknown)}; known: {', '.join(sweeps.FAMILIES)}")
         if not names:
-            raise click.UsageError(f"--checks {check_names!r} names no family; known: {', '.join(FAMILIES)}")
+            raise click.UsageError(f"--checks {check_names!r} names no family; known: {', '.join(sweeps.FAMILIES)}")
     planned = {}  # each family's work units, and the command that reruns it alone at the bounds it ran with
     for name in names:
-        family = FAMILIES[name]
+        family = sweeps.FAMILIES[name]
         grid_m, grid_n = family.bounds(max_m, max_n)
         work = family.work(grid_m, grid_n, _max_cells())  # stops counting once past the limit: a lower bound then
         _check_size(work, f"{name} sweep grid {grid_m}x{grid_n} (at least {work} work units)")
@@ -281,7 +272,7 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
     checks, lines = [], []
     for name in names:
         work, reproduce = planned[name]
-        res = run_family(name, max_m=max_m, max_n=max_n, parallelism=parallelism)
+        res = sweeps.run_family(name, max_m=max_m, max_n=max_n, parallelism=parallelism)
         checks.append({"name": name, "status": "pass" if res.ok else "fail",
                        "witness": {"cells": res.cells, "checked": res.checked, "failures": list(res.failures)[:20],
                                    "failure_count": len(res.failures), "work_units": work, "elapsed_s": res.elapsed_s,
@@ -315,10 +306,11 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
 def render_cmd(m: int, n: int, split_k: int | None, cell_px: int, grid: bool, signs: bool,
                color_before: str, color_after: str, as_json: bool, out: str | None) -> None:
     """Render the M x N billiard path as SVG."""
+    from . import billiards, render
     _check_path(m, n)
     try:
-        svg = render_path_svg(trace_path(m, n), split_k, cell_px=cell_px, show_grid=grid,
-                              color_before=color_before, color_after=color_after, annotate_signs=signs)
+        svg = render.render_path_svg(billiards.trace_path(m, n), split_k, cell_px=cell_px, show_grid=grid,
+                                     color_before=color_before, color_after=color_after, annotate_signs=signs)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if out and not as_json and not out.endswith(".svg"):

@@ -5,8 +5,6 @@ billiards and checkers modules compute geometrically.  A symbol value is a
 plain int restricted to {-1, 0, +1}.
 """
 
-from __future__ import annotations
-
 import math
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

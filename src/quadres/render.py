@@ -5,7 +5,7 @@ the y axis flipped so the origin renders at the lower left.  Identical
 inputs always produce byte-identical output.
 """
 
-from __future__ import annotations
+from html import escape
 
 from .billiards import BilliardPath, Wall
 from .checkers import Board, CheckerSet, PebbleSet
@@ -19,12 +19,14 @@ def render_path_svg(path: BilliardPath, split_k: int | None = None, *, cell_px: 
     """Standalone SVG of a billiard path, cell_px (at least 4) a unit square.
 
     With split_k the polyline is cut at the bottom bounce at (2k, 0) and the
-    two halves get distinct stroke colors; without it the whole path uses
-    color_before.  Bottom bounces are labeled +/- below the base when
+    two halves get distinct stroke colors, written escaped; without it the whole
+    path uses color_before.  Bottom bounces are labeled +/- below the base when
     annotate_signs is set.
     """
     if cell_px < 4:
         raise ValueError(f"cell_px must be >= 4, got {cell_px}")
+    if not (color_before + color_after).isprintable():  # XML cannot carry control characters, even escaped
+        raise ValueError(f"colors must be printable, got {color_before!r} and {color_after!r}")
     m, n = path.m, path.n
     px = margin = cell_px
     width, height = n * px + 2 * margin, m * px + 2 * margin
@@ -45,7 +47,7 @@ def render_path_svg(path: BilliardPath, split_k: int | None = None, *, cell_px: 
 
     def polyline(points: list[tuple[int, int]], color: str) -> str:
         coords = " ".join(f"{sx(x)},{sy(y)}" for x, y in points)
-        return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
+        return f'<polyline points="{coords}" fill="none" stroke="{escape(color)}" stroke-width="2"/>'
 
     vertices = [(0, 0), *((b.x, b.y) for b in path.bounces), path.end]
     bottom = [(i, b) for i, b in enumerate(path.bounces, 1) if b.wall is Wall.BOTTOM]  # vertex 0 is the start corner

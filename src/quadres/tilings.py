@@ -8,8 +8,6 @@ oracle: a transfer count over row profiles, with no determinant, rank or
 gcd, and it imports no other quadres module.
 """
 
-from __future__ import annotations
-
 
 def count_tilings(rows: int, cols: int) -> int:
     """Exact number of perfect domino tilings, by a broken-profile transfer count.

@@ -294,7 +294,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("as_json", [[], ["--json"]])
     def test_out_is_checked_before_any_family_runs(self, runner, tmp_path, monkeypatch, as_json):
-        from quadres import cli
+        from quadres import sweeps
 
         ran = []
 
@@ -302,7 +302,7 @@ class TestVerify:
             ran.append(name)
             raise AssertionError(f"{name} ran before --out was checked")
 
-        monkeypatch.setattr(cli, "run_family", family_must_not_run)
+        monkeypatch.setattr(sweeps, "run_family", family_must_not_run)
         assert_unwritable_out(runner, ["verify", "--checks", "kernel,tilings", *as_json], tmp_path)
         assert ran == []
 
@@ -409,7 +409,10 @@ class TestVerify:
         assert payload["result"]["families"] == 1
 
     def test_unknown_family_exit_2(self, runner):
-        assert runner.invoke(main, ["verify", "--checks", "nonsense"]).exit_code == 2
+        result = runner.invoke(main, ["verify", "--checks", "nonsense"])
+        assert result.exit_code == 2
+        assert "unknown check families: nonsense" in result.output
+        assert all(name in result.output.split("known: ", 1)[1] for name in FAMILIES)
 
     @pytest.mark.parametrize("checks", [",", "", " , "])
     def test_checks_naming_no_family_exit_2(self, runner, checks):
@@ -587,14 +590,26 @@ class TestTextMatchesJson:
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    """Only `verify --parallelism` above 1 needs multiprocessing, so start-up does not load it."""
+    """Start-up loads no leg and no process pool; each command imports the legs it runs.
+
+    Only `verify --parallelism` above 1 needs multiprocessing, and `symbol` runs no checkers,
+    rendering, tiling count or sweep.
+    """
     import quadres
 
-    code = "import sys, quadres.cli; print('concurrent.futures.process' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(quadres.__file__).parent.parent)}
+    loaded = "; print(*sorted(m for m in sys.modules if m.startswith(('quadres', 'concurrent.futures.process'))))"
+    code = "import sys, quadres.cli" + loaded
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["quadres", "quadres.cli"]
+    code = "import sys; from quadres.cli import main; main(['symbol', '3', '5'], standalone_mode=False)" + loaded
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    output, modules = proc.stdout.splitlines()[:-1], set(proc.stdout.splitlines()[-1].split())
+    assert output == ["(3|5) = -1", "base-bounce signs: - +"]
+    assert "quadres.symbols" in modules
+    assert not modules & {"quadres.checkers", "quadres.render", "quadres.tilings", "quadres.sweeps"}
 
 
 def test_module_entry_point_runs_the_cli(runner):

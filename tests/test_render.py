@@ -1,8 +1,11 @@
 """Tests for ASCII and SVG rendering."""
 
+import xml.dom.minidom
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from quadres.billiards import base_bounces, trace_path
 from quadres.checkers import Board, CheckerSet, PebbleSet, bottom_row_puzzle, kernel_element, solve
@@ -104,6 +107,23 @@ def test_render_deterministic():
 def test_path_svg_cell_px_validation():
     with pytest.raises(ValueError, match="cell_px must be >= 4"):
         render_path_svg(trace_path(5, 7), cell_px=3)
+
+
+@given(before=st.text(), after=st.text())
+@example(before="a&b", after='"><script>x</script><x a="')
+@example(before="tab\there", after="line\nbreak")
+def test_path_svg_colors_are_escaped_or_refused(before, after):
+    """Any colour strings give well-formed XML whose strokes read back as given, or a ValueError.
+
+    The refusal is for strings XML cannot carry: a control character or other unprintable one.
+    """
+    try:
+        doc = render_path_svg(trace_path(3, 5), split_k=1, color_before=before, color_after=after)
+    except ValueError as exc:
+        assert not (before + after).isprintable() and "colors must be printable" in str(exc)
+        return
+    strokes = [el.getAttribute("stroke") for el in xml.dom.minidom.parseString(doc).getElementsByTagName("polyline")]
+    assert strokes == [before, after]
 
 
 def test_board_ascii_first_figure_golden():
