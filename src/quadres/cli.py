@@ -132,7 +132,7 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
     negative-bounce count come from floor sums.  --verify counts the oracles'
     work against the limit: factoring N takes up to about sqrt(N) trial divisions, 32 to a work unit.
     """
-    from . import billiards, oracles, symbols
+    from . import billiards, symbols
     if do_verify:
         _check_size(units := 1 + math.isqrt(n) // 32, f"--verify on n={n} ({units} work units)")
     limit = _max_cells()
@@ -141,6 +141,7 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
     bounces = [[x, s] for x, s, _ in billiards.base_bounces(m, n)] if listed and value else []  # none listed at gcd > 1
     oracle_values: dict[str, int] = {}
     if do_verify:
+        from . import oracles  # only here: the plain symbol needs no oracle
         try:
             prime = oracles.is_odd_prime(n)
         except ValueError as exc:  # primality is proven exact only below 3.3e24

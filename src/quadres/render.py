@@ -5,10 +5,15 @@ the y axis flipped so the origin renders at the lower left.  Identical
 inputs always produce byte-identical output.
 """
 
+from __future__ import annotations
+
 from html import escape
+from typing import TYPE_CHECKING
 
 from .billiards import BilliardPath, Wall
-from .checkers import Board, CheckerSet, PebbleSet
+
+if TYPE_CHECKING:  # annotations only: rendering a path loads no checkers
+    from .checkers import Board, CheckerSet, PebbleSet
 
 BOARD_CELL_PX = 24
 

@@ -101,12 +101,13 @@ def _agreement(n: int, ms, lhs: Row, rhs: Row, keys: tuple[str, str], table: Tab
 
 
 def _billiard(n: int, ms: list[int], _table: Table | None = None) -> list[int]:
-    return symbols.billiard_row(n, ms)  # looked up when the cell runs, so a row patched after import is checked
+    row = symbols.BilliardRow(n)  # no other cell asks this n, so the row dies with the cell
+    return [row[m % n] for m in ms]
 
 
 def _swapped(n: int, ms: list[int], table: Table) -> list[int]:
     """(m|n)(n|m) for each m of ms, the left side of both reciprocity identities, from the batch's table."""
-    return [mn * table[m][n % m] for m, mn in zip(ms, symbols.billiard_row(n, ms, table[n]))]
+    return [table[n][m % n] * table[m][n % m] for m in ms]
 
 
 def _comparison(name: str, default_max_m: int, default_max_n: int, denominators: Callable[[int], Iterable[int]],

@@ -45,53 +45,36 @@ def _floor_sum(count: int, n: int, a: int) -> int:
 
 
 def billiard_symbol(m: int, n: int) -> SymbolEvidence:
-    """(m|n) from one floor sum, without walking the bounces.
+    """(m|n) from one floor sum, without walking the bounces."""
+    if m < 1 or n < 1:
+        raise ValueError(f"sides must be positive, got {m}x{n}")
+    return _VALUE_ONLY[_value(m, n)]
+
+
+def _value(m: int, n: int) -> int:
+    """(m|n) as a plain int, for m >= 0 and n >= 1, which it does not check.
 
     The bottom bounce at time 2mk (0 < k < n/2) is negative iff floor(2mk/n),
     the side-wall contacts before it, is odd; so (m|n) is (-1) to their sum.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"sides must be positive, got {m}x{n}")
-    if math.gcd(m, n) != 1:
-        return _VALUE_ONLY[0]
-    return _VALUE_ONLY[-1 if _floor_sum((n + 1) // 2, n, 2 * m) % 2 else 1]
-
-
-def _value(m: int, n: int) -> int:
-    """billiard_symbol(m, n).value as a plain int, for m >= 0 and n >= 1, which it does not check."""
     return 0 if math.gcd(m, n) != 1 else -1 if _floor_sum((n + 1) // 2, n, 2 * m) % 2 else 1
 
 
-def _fill(row: dict[int, int], n: int, residues: list[int]) -> None:
-    """Enters (r|n) into row for each residue r it lacks, given in increasing order: a floor sum per class 2r <= n.
+class BilliardRow(dict):
+    """(m|n) for one n >= 1, keyed by the residue r = m mod n and entered when first asked.
 
     (m+n|n) = (m|n), as floor(2(m+n)k/n) = floor(2mk/n) + 2k and gcd(m+n, n) = gcd(m, n); and
     (n-r|n) = (-1)^((n-1)//2) (r|n), as floor(2(n-r)k/n) = 2k - 1 - floor(2rk/n) for 0 < k < n/2.
+    So a floor sum is taken once per class 2r <= n, and its reflection n - r reads it.
     """
-    flip = -1 if (n - 1) // 2 % 2 else 1
-    for r in residues:  # a class r <= n/2 comes before its reflection n - r; a reflection met alone enters it too
-        row[r] = _value(r, n) if 2 * r <= n else flip * (row[n - r] if n - r in row else
-                                                         row.setdefault(n - r, _value(n - r, n)))
-
-
-class BilliardRow(dict):
-    """(m|n) by residue m mod n for one n >= 1, each class filled when a residue of it is first asked."""
 
     def __init__(self, n: int):
         self.n = n
 
     def __missing__(self, r: int) -> int:
-        _fill(self, self.n, [r])
-        return self[r]
-
-
-def billiard_row(n: int, ms: list[int], row: BilliardRow | None = None) -> list[int]:
-    """(m|n) for each m of ms, one floor sum per class that `row` lacks; with no row they live for this row only."""
-    if n < 1 or min(ms, default=1) < 1:
-        raise ValueError(f"sides must be positive, got {min(ms, default=1)}x{n}")
-    row = {} if row is None else row
-    _fill(row, n, sorted({m % n for m in ms}.difference(row)))
-    return [row[m % n] for m in ms]
+        n = self.n
+        value = self[r] = _value(r, n) if 2 * r <= n else (-1 if (n - 1) // 2 % 2 else 1) * self[n - r]
+        return value
 
 
 def negative_bounce_count(m: int, n: int) -> int:

@@ -516,8 +516,8 @@ def ref_count_tilings(rows: int, cols: int) -> int:
 
 
 def ref_swapped(n: int, ms: list[int]) -> list[int]:
-    """(m|n)(n|m) for each m of ms: (m|n) from a fresh row, (n|m) from one `_value(n, m)` per numerator."""
-    return [mn * symbols._value(n, m) for m, mn in zip(ms, symbols.billiard_row(n, ms))]
+    """(m|n)(n|m) for each m of ms, two `_value` floor sums per numerator and no row."""
+    return [symbols._value(m, n) * symbols._value(n, m) for m in ms]
 
 
 def ref_almost_rhs(n: int, ms: list[int]) -> list[int]:

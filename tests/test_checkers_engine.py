@@ -224,7 +224,7 @@ def test_solver_calls_no_oracle(monkeypatch):
     from quadres import billiards, oracles, symbols
 
     _refuse_everywhere(monkeypatch, {
-        symbols.billiard_symbol, symbols.billiard_row, billiards.base_bounces, billiards._fold, oracles.jacobi_symbol,
+        symbols.billiard_symbol, symbols._value, billiards.base_bounces, billiards._fold, oracles.jacobi_symbol,
         oracles.euler_symbol, oracles.euler_row, oracles.zolotarev_perm_sign, oracles.zolotarev_row,
         reference.solve_elimination,
     })
@@ -471,7 +471,7 @@ def test_single_pebble_counts_call_no_path_tracer_or_oracle(monkeypatch):
     cells = coprime_sides(20)
     want = [ref_single_pebble_counts(m, n) for m, n in cells]
     _refuse_everywhere(monkeypatch, {
-        billiards.trace_path, billiards._fold, symbols.billiard_symbol, symbols.billiard_row, billiards.base_bounces,
+        billiards.trace_path, billiards._fold, symbols.billiard_symbol, symbols._value, billiards.base_bounces,
         oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row, oracles.zolotarev_perm_sign,
         oracles.zolotarev_row,
     })

@@ -589,27 +589,44 @@ class TestTextMatchesJson:
             assert words[-1] == f"[{check['status'].upper()}]"
 
 
+def _run_and_list_modules(*commands: list[str]) -> tuple[list[str], set[str]]:
+    """Runs the commands through main() in one fresh interpreter: their output lines, then the quadres modules
+    and process pool it loaded (none when no command is given)."""
+    import quadres
+
+    env = {**os.environ, "PYTHONPATH": str(Path(quadres.__file__).parent.parent)}
+    code = "import sys, quadres.cli\n" + "".join(f"quadres.cli.main({c!r}, standalone_mode=False)\n" for c in commands)
+    code += "print(*sorted(m for m in sys.modules if m.startswith(('quadres', 'concurrent.futures.process'))))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    lines = proc.stdout.splitlines()
+    return lines[:-1], set(lines[-1].split())
+
+
 def test_cli_import_leaves_out_the_process_pool():
     """Start-up loads no leg and no process pool; each command imports the legs it runs.
 
     Only `verify --parallelism` above 1 needs multiprocessing, and `symbol` runs no checkers,
-    rendering, tiling count or sweep.
+    rendering, tiling count or sweep, and no oracle unless --verify asks for them.
     """
-    import quadres
-
-    env = {**os.environ, "PYTHONPATH": str(Path(quadres.__file__).parent.parent)}
-    loaded = "; print(*sorted(m for m in sys.modules if m.startswith(('quadres', 'concurrent.futures.process'))))"
-    code = "import sys, quadres.cli" + loaded
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert proc.stdout.split() == ["quadres", "quadres.cli"]
-    code = "import sys; from quadres.cli import main; main(['symbol', '3', '5'], standalone_mode=False)" + loaded
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    output, modules = proc.stdout.splitlines()[:-1], set(proc.stdout.splitlines()[-1].split())
+    assert _run_and_list_modules() == ([], {"quadres", "quadres.cli"})
+    output, modules = _run_and_list_modules(["symbol", "3", "5"])
     assert output == ["(3|5) = -1", "base-bounce signs: - +"]
     assert "quadres.symbols" in modules
-    assert not modules & {"quadres.checkers", "quadres.render", "quadres.tilings", "quadres.sweeps"}
+    assert not modules & {"quadres.checkers", "quadres.oracles", "quadres.render", "quadres.tilings",
+                          "quadres.sweeps"}
+    output, modules = _run_and_list_modules(["symbol", "3", "5", "--verify"])
+    assert output[-1] == "verdict: OK" and "quadres.oracles" in modules and "quadres.checkers" not in modules
+
+
+def test_render_loads_no_checkers():
+    """`render` draws a path without the checkers leg; `solve --render` then draws boards with the same module."""
+    output, modules = _run_and_list_modules(["render", "3", "5"])
+    assert output[0].startswith("<svg") and output[-1] == "</svg>"
+    assert "quadres.render" in modules and "quadres.checkers" not in modules
+    solve = ["solve", "5", "7", "--bottom-row", "--render"]
+    output, modules = _run_and_list_modules(["render", "3", "5"], [*solve, "ascii"], [*solve, "svg"])
+    assert "#o#oOo" in output and output.count("</svg>") == 2 and "quadres.checkers" in modules
 
 
 def test_module_entry_point_runs_the_cli(runner):
@@ -622,3 +639,37 @@ def test_module_entry_point_runs_the_cli(runner):
     result = runner.invoke(main, ["symbol", "3", "7", "--json"])
     assert proc.returncode == result.exit_code == 0, proc.stderr
     assert proc.stdout == result.output and json.loads(proc.stdout)["result"]["value"] == -1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# each transcript's file under tests/golden and the command it records; `python tests/test_cli.py` rewrites them
+GOLDEN_COMMANDS = {"verify.json": ["verify", "--json"],
+                   "symbol_3_1000000000039.json": ["symbol", "3", "1000000000039", "--verify", "--json"],
+                   "solve_6_9_kernel.json": ["solve", "6", "9", "--kernel", "--json"],
+                   "trace_3_5.json": ["trace", "3", "5", "--json"],
+                   "render_3_5.svg": ["render", "3", "5"]}
+
+
+def _transcript(name: str) -> str:
+    """The command's output, a JSON one with its timings (elapsed_s, checks_per_s) taken out."""
+    result = CliRunner().invoke(main, GOLDEN_COMMANDS[name])
+    assert result.exit_code == 0, result.output
+    if not name.endswith(".json"):
+        return result.output
+
+    def untimed(node):
+        if isinstance(node, dict):
+            return {k: untimed(v) for k, v in node.items() if k not in ("elapsed_s", "checks_per_s")}
+        return [untimed(v) for v in node] if isinstance(node, list) else node
+
+    return json.dumps(untimed(json.loads(result.output)), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_matches_its_golden_transcript(name):
+    assert _transcript(name) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for name in GOLDEN_COMMANDS:
+        (GOLDEN / name).write_text(_transcript(name), encoding="utf-8")

@@ -202,11 +202,11 @@ def test_billiard_row_matches_each_symbol():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 400), st.integers(1, 120), st.booleans()), max_size=80))
 def test_table_answers_every_question_with_the_symbol(questions):
-    """One table asked any (m, n), repeated, m >= n, gcd > 1, even n and n = 1 among them, one at a time or in
-    a row (with m + n beside it), returns billiard_symbol(m, n).value every time."""
+    """One table asked any (m, n), repeated, m >= n, gcd > 1, even n and n = 1 among them, one at a time or
+    beside m + n in a cell's fresh row, returns billiard_symbol(m, n).value every time."""
     table = sweeps.Table()
     for m, n, in_row in questions + questions[::-1]:
-        got = sweeps.symbols.billiard_row(n, [m, m + n], table[n]) if in_row else [table[n][m % n]]
+        got = sweeps._billiard(n, [m, m + n]) if in_row else [table[n][m % n]]
         assert got == [billiard_symbol(m, n).value] * len(got), (m, n)
 
 
@@ -244,14 +244,15 @@ def test_billiard_row_asks_the_low_member_of_each_class(monkeypatch):
 
 
 def test_breaking_the_int_symbol_fails_every_billiard_row(monkeypatch):
-    """Each family with a billiard row records a failure when symbols._value is negated for every n not 1 mod 4.
+    """Each family with a billiard row or billiard_symbol, the supplements, records a failure when symbols._value
+    is negated for every n not 1 mod 4.
 
     Rows and the reciprocity families' table ask only classes m < n, so negating every value would leave
     (m|n)(n|m) as it is; a coprime odd pair of 1 and 3 mod 4 negates one factor alone.
     """
     real = sweeps.symbols._value
     monkeypatch.setattr(sweeps.symbols, "_value", lambda m, n: -real(m, n) if n % 4 != 1 else real(m, n))
-    assert all(run_family(name, max_m=9, max_n=9).failures for name in VALUE_CALLS)
+    assert all(run_family(name, max_m=9, max_n=9).failures for name in [*VALUE_CALLS, "supplements"])
 
 
 _BOUNDS = [(None, None), (21, 13), (13, 21)]

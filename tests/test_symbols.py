@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from quadres.billiards import base_bounces, trace_path
 from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_row
+from quadres.sweeps import _billiard
 from quadres.symbols import (
     _floor_sum,
     _value,
-    billiard_row,
     billiard_symbol,
     mod4_symbol,
     negative_bounce_count,
@@ -47,12 +47,10 @@ def test_billiard_symbol_empty_products():
 
 
 def test_billiard_symbol_rejects_nonpositive():
-    for symbol in (billiard_symbol, base_bounces, negative_bounce_count, lambda m, n: billiard_row(n, [3, m])):
+    for symbol in (billiard_symbol, base_bounces, negative_bounce_count):
         for m, n in [(0, 5), (5, 0), (1, 0), (-3, 5)]:
             with pytest.raises(ValueError, match="sides must be positive"):
                 symbol(m, n)
-    with pytest.raises(ValueError, match="sides must be positive"):
-        billiard_row(0, [])
 
 
 def test_billiard_symbol_matches_traced_path():
@@ -87,9 +85,9 @@ def test_billiard_row_matches_bounce_walk():
     for n in range(1, 61):
         ms = list(range(1, 3 * n + 1))
         want = [math.prod(s for _, s, _ in base_bounces(m, n)) if math.gcd(m, n) == 1 else 0 for m in ms]
-        assert billiard_row(n, ms) == want, n
-        assert billiard_row(n, ms[::-1] + ms) == want[::-1] + want, n
-    assert billiard_row(7, []) == [] and billiard_row(1, [5, 1, 1]) == [1, 1, 1] and billiard_row(2, [4, 3]) == [0, 1]
+        assert _billiard(n, ms) == want, n
+        assert _billiard(n, ms[::-1] + ms) == want[::-1] + want, n
+    assert _billiard(7, []) == [] and _billiard(1, [5, 1, 1]) == [1, 1, 1] and _billiard(2, [4, 3]) == [0, 1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,7 +96,7 @@ def test_reflected_class_flips_by_the_half_count(data, n):
     """(n-r|n) = (-1)^((n-1)//2) (r|n): the row's reflected value against billiard_symbol, any class r."""
     m = data.draw(st.integers(1, 3 * n))
     r = m % n
-    row = billiard_row(n, [m, n - r, r or n])
+    row = _billiard(n, [m, n - r, r or n])
     assert row == [billiard_symbol(k, n).value for k in (m, n - r, r or n)]
     assert row[1] == (-1) ** ((n - 1) // 2) * row[2] if r else row[1] == row[2]
 
@@ -109,7 +107,7 @@ def test_billiard_row_takes_one_floor_sum_per_reflected_class(monkeypatch):
 
     calls, want = [], [billiard_symbol(m, 7).value for m in range(1, 22)]
     monkeypatch.setattr(symbols, "_floor_sum", lambda count, n, a: calls.append(a) or _floor_sum(count, n, a))
-    assert billiard_row(7, list(range(1, 22))) == want and sorted(calls) == [2, 4, 6]
+    assert _billiard(7, list(range(1, 22))) == want and sorted(calls) == [2, 4, 6]
 
 
 @settings(max_examples=300, deadline=None)
@@ -147,7 +145,7 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     values = [billiard_symbol(m, n).value for m, n in cells]
     assert values == [(-1) ** count if math.gcd(m, n) == 1 else 0 for (m, n), count in zip(cells, want)]
     assert values.count(-1) > 0 and values.count(0) > 0
-    assert [billiard_row(n, list(range(1, 30)))[m - 1] for m, n in cells] == values  # the row, n at a time
+    assert [_billiard(n, list(range(1, 30)))[m - 1] for m, n in cells] == values  # the row, n at a time
     assert [_value(m, n) for m, n in cells] == values  # the int symbol the row and the sweeps' table ask
     table = sweeps.Table()  # the reciprocity sweeps' table, which fills each class through that int symbol
     assert [table[n][m % n] for m, n in cells] == values
