@@ -10,13 +10,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", "BilliardPath", "Board", "BounceEvent", "CheckerSet", "PebbleSet",
-           "PuzzleNotUniquelySolvable", "SymbolEvidence", "Wall", "apply_checkers", "base_bounces", "billiard_symbol",
-           "bottom_row_count", "bottom_row_puzzle", "bottom_row_symbol", "count_tilings", "euler_symbol",
-           "is_odd_prime", "jacobi_symbol", "kernel_dimension", "kernel_element", "left_column_puzzle", "light_chase",
-           "mod4_symbol", "render_board_ascii", "render_board_svg", "render_path_svg", "single_pebble_counts", "solve",
-           "symbol_supplement_minus_one", "symbol_supplement_two", "trace_path", "zolotarev_perm_sign"]
-
 _OWNERS = {"billiards": "BilliardPath BounceEvent Wall base_bounces trace_path",  # the submodule defining each name
            "checkers": "Board CheckerSet PebbleSet PuzzleNotUniquelySolvable apply_checkers bottom_row_count "
                        "bottom_row_puzzle bottom_row_symbol kernel_dimension kernel_element left_column_puzzle "
@@ -25,11 +18,12 @@ _OWNERS = {"billiards": "BilliardPath BounceEvent Wall base_bounces trace_path",
            "render": "render_board_ascii render_board_svg render_path_svg",
            "symbols": "SymbolEvidence billiard_symbol mod4_symbol symbol_supplement_minus_one symbol_supplement_two",
            "tilings": "count_tilings"}
+_SUBMODULE = {name: module for module, names in _OWNERS.items() for name in names.split()}
+__all__ = ["__version__", *sorted(_SUBMODULE)]
 
 
 def __getattr__(name: str):
     """A public name, read from its submodule on every access (PEP 562), so that none is stored here."""
-    owner = next((module for module, names in _OWNERS.items() if name in names.split()), None)
-    if owner is None:
+    if name not in _SUBMODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{owner}"), name)
+    return getattr(importlib.import_module(f"{__name__}.{_SUBMODULE[name]}"), name)

@@ -59,15 +59,14 @@ class Family:
     name: str
     make_cells: Callable[[int, int], Iterable[tuple]]  # the argument tuples of `check`, in order, made lazily
     check: Callable[..., tuple[int, list[Failure]]]
-    default_max_m: int
-    default_max_n: int
+    default: int  # the grid bound a run sets for neither side (see `bounds`)
     cell_cost: Callable[..., int]  # one cell's work from its arguments alone: at least 1 unit of about 4 us
     tabled: bool = False  # check takes its batch's Table after the cell's arguments
 
     def bounds(self, max_m: int | None, max_n: int | None) -> tuple[int, int]:
-        """The grid bounds a run uses: max_m left as None takes max_n, then a bound still None the family default."""
-        max_m = max_n if max_m is None else max_m
-        return self.default_max_m if max_m is None else max_m, self.default_max_n if max_n is None else max_n
+        """The grid bounds a run uses: max_n left as None takes the family default, then max_m left as None max_n."""
+        max_n = self.default if max_n is None else max_n
+        return max_n if max_m is None else max_m, max_n
 
     def work(self, max_m: int, max_n: int, limit: int) -> int:
         """The cells' summed cell_cost at these bounds, counted only until it passes `limit`."""
@@ -92,14 +91,6 @@ def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> It
     return (m for m in range(start, max_m + 1, step) if math.gcd(m, n) == 1)
 
 
-def _agreement(n: int, ms, lhs: Row, rhs: Row, keys: tuple[str, str], table: Table,
-               n_key: str = "n") -> tuple[int, list[Failure]]:
-    """The row lhs(n, ms, table) against the row rhs(n, ms, table); a failure records both values under `keys`."""
-    ms, (left, right) = list(ms), keys
-    return len(ms), [{"m": m, n_key: n, left: got, right: want}
-                     for m, got, want in zip(ms, lhs(n, ms, table), rhs(n, ms, table), strict=True) if got != want]
-
-
 def _billiard(n: int, ms: list[int], _table: Table | None = None) -> list[int]:
     row = symbols.BilliardRow(n)  # no other cell asks this n, so the row dies with the cell
     return [row[m % n] for m in ms]
@@ -110,17 +101,22 @@ def _swapped(n: int, ms: list[int], table: Table) -> list[int]:
     return [table[n][m % n] * table[m][n % m] for m in ms]
 
 
-def _comparison(name: str, default_max_m: int, default_max_n: int, denominators: Callable[[int], Iterable[int]],
+def _comparison(name: str, default: int, denominators: Callable[[int], Iterable[int]],
                 numerators: Callable[[int, int], Iterable[int]], lhs: Row, rhs: Row, keys: tuple[str, str],
                 cell_cost: Callable[[int, int], int], n_key: str = "n") -> Family:
     """A symbol family: for each denominator n up to max_n, lhs(n, ms, table) against rhs over its numerators ms.
 
-    A cell is (n, max_m); table is its batch's.  A side looks its callee up in its module when the cell runs,
-    so a function patched after import is the one checked; an oracle or closed-form side evaluates every numerator.
+    A cell is (n, max_m), table is its batch's, and a failure records both values under `keys`.  A side looks its
+    callee up in its module when the cell runs, so a function patched after import is the one checked; an oracle
+    or closed-form side evaluates every numerator.
     """
-    return Family(name, lambda max_m, max_n: ((n, max_m) for n in denominators(max_n)),
-                  lambda n, max_m, table: _agreement(n, numerators(n, max_m), lhs, rhs, keys, table, n_key),
-                  default_max_m, default_max_n, cell_cost, tabled=True)
+    left, right = keys
+    def check(n: int, max_m: int, table: Table) -> tuple[int, list[Failure]]:
+        ms = list(numerators(n, max_m))
+        return len(ms), [{"m": m, n_key: n, left: got, right: want}
+                         for m, got, want in zip(ms, lhs(n, ms, table), rhs(n, ms, table), strict=True) if got != want]
+    return Family(name, lambda max_m, max_n: ((n, max_m) for n in denominators(max_n)), check, default, cell_cost,
+                  tabled=True)
 
 
 # --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
@@ -204,47 +200,47 @@ FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
         # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
-        _comparison("euler", 398, 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
+        _comparison("euler", 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
                     lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n), _billiard,
                     lambda n, ms, _: oracles.euler_row(n, ms), ("billiard", "euler"), lambda n, max_m: 1 + 2 * n),
         # billiard symbol vs permutation sign, coprime m, n, even denominators included; the row factors n once,
         # and each numerator's cycle count walks n's divisors, so its units grow with the bits of n
-        _comparison("zolotarev", 100, 100, lambda max_n: range(1, max_n + 1), _coprime_numerators,
+        _comparison("zolotarev", 100, lambda max_n: range(1, max_n + 1), _coprime_numerators,
                     _billiard, lambda n, ms, _: oracles.zolotarev_row(n, ms), ("billiard", "zolotarev"),
                     lambda n, max_m: 1 + (max_m + 1) * (32 + n.bit_length() ** 2) // 72 + math.isqrt(n) // 16),
         # billiard symbol vs Jacobi symbol, odd denominators
-        _comparison("jacobi", 151, 151, lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
+        _comparison("jacobi", 151, lambda max_n: range(1, max_n + 1, 2), lambda n, max_m: range(1, max_m + 1),
                     _billiard, lambda n, ms, _: [oracles.jacobi_symbol(m, n) for m in ms], ("billiard", "jacobi"),
                     lambda n, max_m: 1 + max_m),
         Family("supplements", lambda max_m, max_n: ((n,) for n in range(3, max_n + 1, 2)),
-               _supplements_check, 199, 199, lambda n: 2),
+               _supplements_check, 199, lambda n: 2),
         # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
-        _comparison("almost_reciprocity", 201, 201, lambda max_n: range(3, max_n + 1, 2),
+        _comparison("almost_reciprocity", 201, lambda max_n: range(3, max_n + 1, 2),
                     lambda n, max_m: range(1, n, 2), _swapped,
                     lambda n, ms, table: [table[n - m][m % (n - m)] for m in ms], ("lhs", "rhs"),
                     lambda n, max_m: 1 + n),
         # closed form for (m|d), odd numerator m over even denominator d, coprime
-        _comparison("mod4", 201, 200, lambda max_n: range(2, max_n + 1, 2), partial(_coprime_numerators, step=2),
+        _comparison("mod4", 201, lambda max_n: range(2, max_n + 1, 2), partial(_coprime_numerators, step=2),
                     _billiard, lambda d, ms, _: [symbols.mod4_symbol(m, d) for m in ms], ("billiard", "closed"),
                     lambda d, max_m: 1 + (max_m + 1) // 2, n_key="d"),
         # reciprocity: (m|n)(n|m) = (-1)^((m-1)(n-1)/4) for coprime odd m, n >= 3
-        _comparison("reciprocity", 199, 199, lambda max_n: range(3, max_n + 1, 2),
+        _comparison("reciprocity", 199, lambda max_n: range(3, max_n + 1, 2),
                     partial(_coprime_numerators, start=3, step=2),
                     _swapped, lambda n, ms, _: [-1 if (m - 1) * (n - 1) // 4 % 2 else 1 for m in ms], ("lhs", "rhs"),
                     lambda n, max_m: 1 + max_m),
         # bottom-row puzzle parity vs billiard symbol, coprime m, n
-        _comparison("checkers_symbol", 50, 50, lambda max_n: range(1, max_n + 1), _coprime_numerators,
+        _comparison("checkers_symbol", 50, lambda max_n: range(1, max_n + 1), _coprime_numerators,
                     lambda n, ms, _: [ck.bottom_row_symbol(m, n) for m in ms], _billiard, ("checkers", "billiard"),
                     lambda n, max_m: 1 + max_m * (max_m + n) // 16),
-        Family("checkers_bridge", _coprime_pairs, _bridge_check, 30, 30,
+        Family("checkers_bridge", _coprime_pairs, _bridge_check, 30,
                lambda m, n: 1 + (m + n) * (8000 + m * n) // 32000),
         # the path polynomials, a step per unit of the short side; for g > 1 the element, its count and image: m rows
-        Family("kernel", lambda max_m, max_n: _grid(range(2, max_m + 1), range(2, max_n + 1)), _kernel_check, 14, 14,
+        Family("kernel", lambda max_m, max_n: _grid(range(2, max_m + 1), range(2, max_n + 1)), _kernel_check, 14,
                lambda m, n: 1 + min(m, n) // 10 + (math.gcd(m, n) > 1) * (2 + m * (n + 1000) // 5000)),
-        Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31, 31,
+        Family("superposition", partial(_coprime_pairs, start=3, step=2), _superposition_check, 31,
                lambda m, n: 1 + (m + n) // 3 + (m + n) ** 2 // 2400),
         Family("tilings", lambda max_m, max_n: _grid(range(1, max_m + 1), range(1, max_n + 1)), _tilings_check,
-               6, 6, lambda r, c: 1 + (2 ** min(r, c) + 8 * min(r, c)) * r * c // 40),
+               6, lambda r, c: 1 + (2 ** min(r, c) + 8 * min(r, c)) * r * c // 40),
     )
 }
 
