@@ -1,20 +1,34 @@
-"""Command-line surface: trace, symbol, solve, verify, render.
+"""Command-line surface: trace, symbol, solve, verify, render, parsed by argparse.
 
-Exit codes are a stable contract: 0 success, 1 mathematical disagreement
-or failed check, 2 usage error.  With --json every command emits one
-top-level object with fields `command`, `inputs` (m, n, flags), `result`,
-and `checks` (a list of {name, status, witness}).  Each command computes
-its result and its text lines once and hands both to `_finish`.
+Exit codes are a stable contract: 0 success, 1 mathematical disagreement or failed check, 2 usage error.
+With --json every command emits one top-level object with fields `command`, `inputs` (m, n, flags),
+`result`, and `checks` (a list of {name, status, witness}).  Each command computes its result and its
+text lines once and hands both to `_finish`.
 """
 
+import argparse
 import math
 import os
-
-import click
+import sys
 
 from . import __version__
 
 DEFAULT_MAX_CELLS = 500 * 500
+
+
+class UsageError(Exception):
+    """A command refuses its arguments after parsing: `main` prints `Error: <message>` and returns 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options, `--help` alone, and a refused command line prints its usage and `Error: ...`, exit 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this help message and exit")
+
+    def error(self, message):
+        self.exit(2, f"{self.format_usage()}Error: {message}\n")
 
 
 def _max_cells() -> int:
@@ -24,14 +38,14 @@ def _max_cells() -> int:
     except ValueError:
         limit = 0  # refused below, with the same message as a nonpositive limit
     if limit < 1:
-        raise click.UsageError(f"QUADRES_MAX_CELLS must be a positive integer, got {raw!r}")
+        raise UsageError(f"QUADRES_MAX_CELLS must be a positive integer, got {raw!r}")
     return limit
 
 
 def _check_size(estimate: int, what: str) -> None:
     """Refuse a run whose work estimate passes the limit; `what` names the estimate and its unit."""
     if estimate > (limit := _max_cells()):
-        raise click.UsageError(f"{what} exceeds the safety limit of {limit} (override with QUADRES_MAX_CELLS)")
+        raise UsageError(f"{what} exceeds the safety limit of {limit} (override with QUADRES_MAX_CELLS)")
 
 
 def _check_path(m: int, n: int) -> None:
@@ -39,24 +53,15 @@ def _check_path(m: int, n: int) -> None:
     _check_size(4 * (m + n), f"{m}x{n} ({4 * (m + n)} work units for at most {m + n - 2} bounces)")
 
 
-def _positive(_ctx, param, value):
-    if value is not None and value < 1:
-        raise click.BadParameter(f"{param.name} must be >= 1")
+def _positive(text: str) -> int:
+    """A side or a bound: an integer >= 1.  A negative one is read as a number, since no option looks like one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _sides(command):
-    """The M and N arguments every board command takes."""
-    command = click.argument("n", type=int, callback=_positive)(command)
-    return click.argument("m", type=int, callback=_positive)(command)
-
-
-def _output(json_help: str = "Emit machine-readable JSON.", out_help: str = "Write output to FILE."):
-    """The --json and --out options every command takes."""
-    def decorate(command):
-        command = click.option("--out", type=click.Path(dir_okay=False), default=None, help=out_help)(command)
-        return click.option("--json", "as_json", is_flag=True, help=json_help)(command)
-    return decorate
 
 
 def _write(out: str, text: str, mode: str = "w") -> None:
@@ -64,25 +69,23 @@ def _write(out: str, text: str, mode: str = "w") -> None:
         with open(out, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:  # a missing or unwritable directory is a usage error, not a disagreement
-        raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+        raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _finish(command: str, m: int | None, n: int | None, flags: dict, result: dict, checks: list[dict],
-            lines: list[str], as_json: bool, out: str | None) -> None:
-    """Write the JSON envelope or the text lines to stdout or --out, then exit 1 if a check failed."""
+            lines: list[str], as_json: bool, out: str | None) -> int:
+    """Write the JSON envelope or the text lines to stdout or --out; return 1 if a check failed, else 0."""
     if as_json:
         import json  # only here: text output does not load it
-        envelope = {"command": command, "inputs": {"m": m, "n": n, "flags": flags},
-                    "result": result, "checks": checks}
-        text = json.dumps(envelope, indent=2)
+        text = json.dumps({"command": command, "inputs": {"m": m, "n": n, "flags": flags}, "result": result,
+                           "checks": checks}, indent=2)
     else:
         text = "\n".join(lines)
     if out:
         _write(out, text if text.endswith("\n") else text + "\n")
     else:
-        click.echo(text)
-    if any(c["status"] == "fail" for c in checks):
-        click.get_current_context().exit(1)
+        print(text)
+    return int(any(c["status"] == "fail" for c in checks))
 
 
 def _signed(value: int) -> str:
@@ -93,39 +96,21 @@ def _squares(squares) -> str:
     return " ".join(f"({c},{r})" for c, r in squares)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="quadres")
-def main() -> None:
-    """Quadratic-residue symbols via billiards, checkers, and number theory."""
-
-
-@main.command()
-@_sides
-@_output()
-def trace(m: int, n: int, as_json: bool, out: str | None) -> None:
+def trace(m: int, n: int, as_json: bool, out: str | None) -> int:
     """Trace the M x N billiard path and list its bounces."""
     from . import billiards
     _check_path(m, n)
     path = billiards.trace_path(m, n)
-    result = {
-        "bounces": [{"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign} for b in path.bounces],
-        "base_bounces": [[b.x, b.sign, b.t] for b in path.bounces if b.wall is billiards.Wall.BOTTOM],
-        "end": list(path.end),
-        "length": path.length,
-    }
+    result = {"bounces": [{"t": b.t, "x": b.x, "y": b.y, "wall": b.wall.value, "sign": b.sign} for b in path.bounces],
+              "base_bounces": [[b.x, b.sign, b.t] for b in path.bounces if b.wall is billiards.Wall.BOTTOM],
+              "end": list(path.end), "length": path.length}
     lines = [f"{'t':>6} {'x':>5} {'y':>5} {'wall':>7} {'sign':>5}"] if path.bounces else ["no bounces"]
-    for b in path.bounces:
-        lines.append(f"{b.t:>6} {b.x:>5} {b.y:>5} {b.wall.value:>7} {'+' if b.sign > 0 else '-':>5}")
+    lines += [f"{b.t:>6} {b.x:>5} {b.y:>5} {b.wall.value:>7} {'+' if b.sign > 0 else '-':>5}" for b in path.bounces]
     lines.append(f"end ({path.end[0]}, {path.end[1]}) at t={path.length}")
-    _finish("trace", m, n, {"json": True}, result, [], lines, as_json, out)
+    return _finish("trace", m, n, {"json": True}, result, [], lines, as_json, out)
 
 
-@main.command()
-@_sides
-@click.option("--verify", "do_verify", is_flag=True,
-              help="Cross-check against the Euler, Jacobi, and permutation-sign oracles.")
-@_output()
-def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> None:
+def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> int:
     """Compute the billiards symbol (M|N).
 
     For N over the size limit the bounce list is omitted and the value and
@@ -145,7 +130,7 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
         try:
             prime = oracles.is_odd_prime(n)
         except ValueError as exc:  # primality is proven exact only below 3.3e24
-            raise click.UsageError(str(exc)) from exc
+            raise UsageError(str(exc)) from exc
         if prime:
             oracle_values["euler"] = oracles.euler_symbol(m, n)
         if n % 2 == 1:
@@ -154,7 +139,6 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
             oracle_values["zolotarev"] = oracles.zolotarev_perm_sign(m, n)
     checks = [{"name": name, "status": "pass" if oracle == value else "fail",
                "witness": {"billiard": value, name: oracle}} for name, oracle in oracle_values.items()]
-
     result = {"value": value, "negative_bounces": negatives, "base_bounces": bounces}
     if not listed:
         result["base_bounces_omitted"] = True
@@ -166,35 +150,19 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> N
     lines += [f"{c['name']}: {_signed(c['witness'][c['name']])} [{c['status']}]" for c in checks]
     if do_verify:
         lines.append("verdict: DISAGREEMENT" if any(c["status"] == "fail" for c in checks) else "verdict: OK")
-    _finish("symbol", m, n, {"verify": do_verify, "json": True}, result, checks, lines, as_json, out)
+    return _finish("symbol", m, n, {"verify": do_verify, "json": True}, result, checks, lines, as_json, out)
 
 
-@main.command(name="solve")
-@_sides
-@click.option("--bottom-row", "puzzle_kind", flag_value="bottom-row",
-              help="Pebbles on every light square of the bottom row.")
-@click.option("--left-column", "puzzle_kind", flag_value="left-column",
-              help="Pebbles on every light square of the leftmost column.")
-@click.option("--both", "puzzle_kind", flag_value="both",
-              help="Bottom row and leftmost column together.")
-@click.option("--kernel", "puzzle_kind", flag_value="kernel",
-              help="A nonzero checker set solving the empty puzzle (gcd > 1 boards).")
-@click.option("--pebble", "pebble_args", type=(int, int), multiple=True, metavar="COL ROW",
-              help="Pebble at 0-based (COL, ROW); repeatable.")
-@click.option("--render", "render_mode", type=click.Choice(["ascii", "svg"]), default=None,
-              help="Attach a rendering of the solved board.")
-@_output()
-def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
-              as_json: bool, out: str | None) -> None:
+def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode, as_json: bool, out: str | None) -> int:
     """Solve a parity-checkers puzzle on the (M-1) x (N-1) board."""
     from . import checkers, render
     puzzles = {"bottom-row": checkers.bottom_row_puzzle, "left-column": checkers.left_column_puzzle,
                "both": lambda board: checkers.bottom_row_puzzle(board) ^ checkers.left_column_puzzle(board)}
     _check_size(m * n, f"{m}x{n} ({m * n} cells)")
     if pebble_args and puzzle_kind:
-        raise click.UsageError("--pebble cannot be combined with another puzzle kind")
+        raise UsageError("--pebble cannot be combined with another puzzle kind")
     if not pebble_args and not puzzle_kind:
-        raise click.UsageError("choose a puzzle: --bottom-row, --left-column, --both, --pebble COL ROW, or --kernel")
+        raise UsageError("choose a puzzle: --bottom-row, --left-column, --both, --pebble COL ROW, or --kernel")
     board = checkers.Board(rows=m - 1, cols=n - 1)
     kind = puzzle_kind or "pebble"
     flags = {"puzzle": kind, "json": as_json}
@@ -202,7 +170,6 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
         flags["pebbles"] = [list(p) for p in pebble_args]
     if render_mode:
         flags["render"] = render_mode
-
     error = witness = None
     if kind == "kernel" and math.gcd(m, n) == 1:
         error = f"gcd({m}, {n}) = 1: only the empty checker set solves the empty puzzle"
@@ -213,7 +180,7 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
             pebble_set = (puzzles[kind](board) if kind in puzzles
                           else checkers.PebbleSet(board, frozenset(tuple(p) for p in pebble_args)))
         except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+            raise UsageError(str(exc)) from exc
         try:
             result_set = checkers.solve(pebble_set)
         except checkers.PuzzleNotUniquelySolvable:
@@ -235,34 +202,23 @@ def solve_cmd(m: int, n: int, puzzle_kind: str | None, pebble_args, render_mode,
             renderer = render.render_board_ascii if render_mode == "ascii" else render.render_board_svg
             result["render"] = renderer(board, pebble_set, result_set)
             lines.append(result["render"])
-    _finish("solve", m, n, flags, result, checks, lines, as_json, out)
+    return _finish("solve", m, n, flags, result, checks, lines, as_json, out)
 
 
-@main.command()
-@click.option("--max-n", type=int, default=None, callback=_positive,
-              help="Sweep bound for n (per family default if omitted).")
-@click.option("--max-m", type=int, default=None, callback=_positive,
-              help="Sweep bound for m (defaults to --max-n when only that is given).")
-@click.option("--checks", "check_names", default=None,
-              help="Comma-separated family names (default: all); an unknown name lists the known ones.")
-@click.option("--parallelism", type=int, default=1, callback=_positive,
-              help="Worker processes for partitioning sweep cells.")
-@_output()
 def verify(max_n: int | None, max_m: int | None, check_names: str | None,
-           parallelism: int, as_json: bool, out: str | None) -> None:
+           parallelism: int, as_json: bool, out: str | None) -> int:
     """Run identity-check sweeps across all modules."""
     from . import sweeps
     names = list(sweeps.FAMILIES)
     if check_names is not None:
         names = list(dict.fromkeys(c.strip() for c in check_names.split(",") if c.strip()))  # repeats run once
         if unknown := [c for c in names if c not in sweeps.FAMILIES]:
-            raise click.UsageError(f"unknown check families: {', '.join(unknown)}; known: {', '.join(sweeps.FAMILIES)}")
+            raise UsageError(f"unknown check families: {', '.join(unknown)}; known: {', '.join(sweeps.FAMILIES)}")
         if not names:
-            raise click.UsageError(f"--checks {check_names!r} names no family; known: {', '.join(sweeps.FAMILIES)}")
+            raise UsageError(f"--checks {check_names!r} names no family; known: {', '.join(sweeps.FAMILIES)}")
     planned = {}  # each family's work units, and the command that reruns it alone at the bounds it ran with
     for name in names:
-        family = sweeps.FAMILIES[name]
-        grid_m, grid_n = family.bounds(max_m, max_n)
+        grid_m, grid_n = (family := sweeps.FAMILIES[name]).bounds(max_m, max_n)
         work = family.work(grid_m, grid_n, _max_cells())  # stops counting once past the limit: a lower bound then
         _check_size(work, f"{name} sweep grid {grid_m}x{grid_n} (at least {work} work units)")
         planned[name] = work, f"quadres verify --checks {name} --max-m {grid_m} --max-n {grid_n}"
@@ -282,30 +238,17 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
                 f"units {work:>7}  {res.elapsed_s * 1e3:8.1f} ms  {res.checks_per_s:>9.0f} checks/s  "
                 f"[{'PASS' if res.ok else 'FAIL'}]")
         if streamed:
-            click.echo(line)
+            print(line, flush=True)
         else:
             lines.append(line)
     all_ok = all(c["status"] == "pass" for c in checks)
     lines.append("all checks passed" if all_ok else "CHECKS FAILED")
-    flags = {"checks": names, "parallelism": parallelism, "json": True}
-    _finish("verify", max_m, max_n, flags, {"families": len(checks), "all_ok": all_ok}, checks, lines,
-            as_json, out)
+    return _finish("verify", max_m, max_n, {"checks": names, "parallelism": parallelism, "json": True},
+                   {"families": len(checks), "all_ok": all_ok}, checks, lines, as_json, out)
 
 
-@main.command(name="render")
-@_sides
-@click.option("--split-k", type=int, default=None, callback=_positive,
-              help="Split the path colors at the bottom bounce at (2k, 0).")
-@click.option("--cell-px", type=int, default=24, help="Pixels per unit square (>= 4).")
-@click.option("--grid/--no-grid", default=True, help="Draw the unit grid.")
-@click.option("--signs/--no-signs", default=True, help="Annotate bottom bounces with +/-.")
-@click.option("--color-before", default="steelblue", show_default=True,
-              help="Stroke color before the split (or the whole path).")
-@click.option("--color-after", default="darkorange", show_default=True,
-              help="Stroke color after the split.")
-@_output("Wrap the SVG in the JSON envelope.", "Write to FILE (.svg appended if missing).")
 def render_cmd(m: int, n: int, split_k: int | None, cell_px: int, grid: bool, signs: bool,
-               color_before: str, color_after: str, as_json: bool, out: str | None) -> None:
+               color_before: str, color_after: str, as_json: bool, out: str | None) -> int:
     """Render the M x N billiard path as SVG."""
     from . import billiards, render
     _check_path(m, n)
@@ -313,12 +256,69 @@ def render_cmd(m: int, n: int, split_k: int | None, cell_px: int, grid: bool, si
         svg = render.render_path_svg(billiards.trace_path(m, n), split_k, cell_px=cell_px, show_grid=grid,
                                      color_before=color_before, color_after=color_after, annotate_signs=signs)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     if out and not as_json and not out.endswith(".svg"):
         out += ".svg"
     flags = {"split_k": split_k, "cell_px": cell_px, "json": True}
-    _finish("render", m, n, flags, {"svg": svg}, [], [svg], as_json, out)
+    return _finish("render", m, n, flags, {"svg": svg}, [], [svg], as_json, out)
+
+
+def _command(commands, run, json_help="Emit machine-readable JSON.", out_help="Write output to FILE.", sides=True):
+    """Add the subcommand that calls `run`, helped by its docstring: M and N if it takes sides, then --json, --out."""
+    sub = commands.add_parser(run.__name__.removesuffix("_cmd"), help=run.__doc__.split("\n")[0],
+                              description=run.__doc__)
+    sub.set_defaults(run=run)
+    for side in ("m", "n") if sides else ():
+        sub.add_argument(side, type=_positive)
+    sub.add_argument("--json", dest="as_json", action="store_true", help=json_help)
+    sub.add_argument("--out", metavar="FILE", help=out_help)
+    return sub
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="quadres", description="Quadratic-residue symbols via billiards, checkers and number theory.")
+    parser.add_argument("--version", action="version", version=f"quadres, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    _command(commands, trace)
+    _command(commands, symbol).add_argument("--verify", dest="do_verify", action="store_true",
+                                            help="Cross-check against the Euler, Jacobi and Zolotarev oracles.")
+    solve = _command(commands, solve_cmd)
+    for kind, text in (("bottom-row", "Pebbles on every light square of the bottom row."),
+                       ("left-column", "Pebbles on every light square of the leftmost column."),
+                       ("both", "Bottom row and leftmost column."), ("kernel", "Nonzero checkers, no pebbles.")):
+        solve.add_argument(f"--{kind}", dest="puzzle_kind", action="store_const", const=kind, help=text)  # last wins
+    solve.add_argument("--pebble", dest="pebble_args", type=int, nargs=2, action="append", default=[],
+                       metavar=("COL", "ROW"), help="Pebble at 0-based (COL, ROW); repeatable.")
+    solve.add_argument("--render", dest="render_mode", choices=["ascii", "svg"], help="Attach a drawing of the board.")
+    sweep = _command(commands, verify, sides=False)
+    sweep.add_argument("--max-n", type=_positive, help="Sweep bound for n (per family default if omitted).")
+    sweep.add_argument("--max-m", type=_positive, help="Sweep bound for m (default: --max-n if only that is given).")
+    sweep.add_argument("--checks", dest="check_names", help="Comma-separated family names (default: all).")
+    sweep.add_argument("--parallelism", type=_positive, default=1, help="Worker processes for the sweep cells.")
+    figure = _command(commands, render_cmd, "Wrap the SVG in the JSON envelope.", "Write to FILE (.svg appended).")
+    figure.add_argument("--split-k", type=_positive, help="Split the path colors at the bottom bounce at (2k, 0).")
+    figure.add_argument("--cell-px", type=int, default=24, help="Pixels per unit square (>= 4).")
+    for toggle, text in (("grid", "Draw the unit grid."), ("signs", "Annotate bottom bounces with +/-.")):
+        figure.add_argument(f"--{toggle}", action=argparse.BooleanOptionalAction, default=True, help=text)
+    figure.add_argument("--color-before", default="steelblue", help="Color before the split (default %(default)s).")
+    figure.add_argument("--color-after", default="darkorange", help="Color after the split (default %(default)s).")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code; a command line argparse refuses exits 2 from inside it."""
+    args = vars(_parser().parse_args(argv))
+    try:
+        if args["out"] and os.path.isdir(args["out"]):  # refused before any work, and before render appends .svg
+            raise UsageError(f"--out {args['out']} is a directory")
+        return args.pop("run")(**args)
+    except UsageError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # a reader such as `head` closed stdout: stop quietly, without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit has somewhere to go
+        return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

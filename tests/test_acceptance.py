@@ -11,8 +11,7 @@ import random
 import statistics
 import time
 
-from click.testing import CliRunner
-
+from conftest import CliRunner
 from quadres.billiards import base_bounces, trace_path
 from quadres.checkers import (
     Board,

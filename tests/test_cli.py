@@ -10,8 +10,9 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import CliRunner
+from quadres import __version__
 from quadres.billiards import base_bounces, trace_path
 from quadres.cli import DEFAULT_MAX_CELLS, main
 from quadres.oracles import jacobi_symbol
@@ -132,6 +133,16 @@ class TestSymbol:
 
     def test_bad_args_exit_2(self, runner):
         assert runner.invoke(main, ["symbol", "-3", "7"]).exit_code == 2
+
+    @pytest.mark.parametrize("args, name, value", [
+        (["-3", "7"], "m", "-3"), (["--", "-3", "7"], "m", "-3"), (["--verify", "-3", "7"], "m", "-3"),
+        (["3", "-7"], "n", "-7"), (["--", "3", str(-10**31)], "n", str(-10**31)),
+    ])
+    def test_negative_side_is_read_as_a_number(self, runner, args, name, value):
+        # no option looks like a negative number, so -3 is a side, with `--` before it or without
+        result = runner.invoke(main, ["symbol", *args])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert f"Error: argument {name}: must be >= 1, got {value}\n" in result.stderr
 
     @pytest.mark.parametrize("m, n, result", [
         (5, 7, {"value": -1, "negative_bounces": 1, "base_bounces": [[4, -1], [6, 1], [2, 1]]}),
@@ -619,13 +630,13 @@ class TestTextMatchesJson:
 
 
 def _run_and_list_modules(*commands: list[str]) -> tuple[list[str], set[str]]:
-    """Runs the commands through main() in one fresh interpreter: their output lines, then the quadres modules
-    and process pool it loaded (none when no command is given)."""
+    """Runs the commands through main() in one fresh interpreter: their output lines, then the quadres modules,
+    click and the process pool it loaded (none when no command is given)."""
     import quadres
 
     env = {**os.environ, "PYTHONPATH": str(Path(quadres.__file__).parent.parent)}
-    code = "import sys, quadres.cli\n" + "".join(f"quadres.cli.main({c!r}, standalone_mode=False)\n" for c in commands)
-    code += "print(*sorted(m for m in sys.modules if m.startswith(('quadres', 'concurrent.futures.process'))))"
+    code = "import sys, quadres.cli\n" + "".join(f"quadres.cli.main({c!r})\n" for c in commands)
+    code += "print(*sorted(m for m in sys.modules if m.startswith(('quadres', 'click', 'concurrent.futures.process'))))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     lines = proc.stdout.splitlines()
@@ -633,7 +644,7 @@ def _run_and_list_modules(*commands: list[str]) -> tuple[list[str], set[str]]:
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    """Start-up loads no leg and no process pool; each command imports the legs it runs.
+    """Start-up loads no leg, no process pool and no click; each command imports the legs it runs.
 
     Only `verify --parallelism` above 1 needs multiprocessing, and `symbol` runs no checkers,
     rendering, tiling count or sweep, and no oracle unless --verify asks for them.
@@ -641,7 +652,7 @@ def test_cli_import_leaves_out_the_process_pool():
     assert _run_and_list_modules() == ([], {"quadres", "quadres.cli"})
     output, modules = _run_and_list_modules(["symbol", "3", "5"])
     assert output == ["(3|5) = -1", "base-bounce signs: - +"]
-    assert "quadres.symbols" in modules
+    assert "quadres.symbols" in modules and "click" not in modules
     assert not modules & {"quadres.checkers", "quadres.oracles", "quadres.render", "quadres.tilings",
                           "quadres.sweeps"}
     output, modules = _run_and_list_modules(["symbol", "3", "5", "--verify"])
@@ -659,7 +670,7 @@ def test_render_loads_no_checkers():
 
 
 def test_module_entry_point_runs_the_cli(runner):
-    """`python -m quadres.cli` reaches main(): the same output and exit code as the CliRunner."""
+    """`python -m quadres.cli` reaches main(): the same output and exit code as the in-process runner."""
     import quadres
 
     env = {**os.environ, "PYTHONPATH": str(Path(quadres.__file__).parent.parent)}
@@ -668,6 +679,51 @@ def test_module_entry_point_runs_the_cli(runner):
     result = runner.invoke(main, ["symbol", "3", "7", "--json"])
     assert proc.returncode == result.exit_code == 0, proc.stderr
     assert proc.stdout == result.output and json.loads(proc.stdout)["result"]["value"] == -1
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops early, as `| head -1` does, ends the command with exit 1 and no traceback."""
+    import quadres
+
+    env = {**os.environ, "PYTHONPATH": str(Path(quadres.__file__).parent.parent)}
+    with subprocess.Popen([sys.executable, "-m", "quadres.cli", "trace", "20000", "20001"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:  # a 1.2 MB table
+        assert proc.stdout.readline().split() == ["t", "x", "y", "wall", "sign"]
+        proc.stdout.close()
+        assert proc.stderr.read() == "" and proc.wait(timeout=60) == 1
+
+
+@pytest.mark.parametrize("args", [["trace", "3", "5"], ["symbol", "3", "5"], ["solve", "5", "7", "--bottom-row"],
+                                  ["verify", "--checks", "kernel", "--max-n", "4"], ["render", "3", "5"]],
+                         ids=lambda args: args[0])
+def test_out_at_a_directory_exit_2(runner, tmp_path, args):
+    """--out naming a directory is refused before any work, and before render would append .svg to it."""
+    target = tmp_path / "figures"
+    target.mkdir()
+    result = runner.invoke(main, [*args, "--out", str(target)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert f"Error: --out {target} is a directory" in result.stderr
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+
+def test_version_text(runner):
+    result = runner.invoke(main, ["--version"])
+    assert (result.exit_code, result.output) == (0, f"quadres, version {__version__}\n")
+
+
+def test_no_command_exit_2(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "Error: the following arguments are required: COMMAND" in result.stderr
+
+
+@pytest.mark.parametrize("args", [["symbol", "3", "7", "--verif"], ["solve", "5", "7", "--bottom"],
+                                  ["verify", "--check", "kernel"], ["render", "3", "5", "--split", "1"]])
+def test_abbreviated_option_exit_2(runner, args):
+    """An option is named in full: --verif is not read as --verify."""
+    result = runner.invoke(main, args)
+    abbreviated = next(arg for arg in args if arg.startswith("--"))
+    assert result.exit_code == 2 and f"Error: unrecognized arguments: {abbreviated}" in result.stderr
 
 
 GOLDEN = Path(__file__).parent / "golden"

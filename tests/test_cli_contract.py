@@ -1,6 +1,6 @@
 """The CLI contract under random commands: exit codes 0, 1 or 2, the JSON envelope, and well-formed SVG.
 
-Each example runs one command in-process with click's CliRunner.  Its integer arguments range from negatives
+Each example runs one command in-process with the runner in conftest.py.  Its integer arguments range from negatives
 through 0 and 1 to 10^30, and QUADRES_MAX_CELLS stays at or below 20,000 units, about 80 ms of work, so that
 every example the cap admits is short.  `--parallelism` is 1 or 2, so no example starts more than two workers.
 """
@@ -11,10 +11,10 @@ import xml.dom.minidom
 from datetime import timedelta
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CliRunner
 from quadres.cli import main
 from quadres.sweeps import FAMILIES
 
@@ -28,7 +28,7 @@ COLORS = st.sampled_from(["steelblue", "a&b", '"<q>"', "", "\x01"])
 
 @st.composite
 def commands(draw) -> list[str]:
-    """A command, its options and its M N arguments after `--`, so that a negative side is read as a number."""
+    """A command, its options and its M N arguments, after `--` or not: a negative side is a number either way."""
     command = draw(st.sampled_from(["trace", "symbol", "solve", "verify", "render"]))
     if command == "verify":
         bounds = [a for flag in ("--max-m", "--max-n") if draw(st.booleans()) for a in (flag, draw(INTS))]
@@ -47,7 +47,7 @@ def commands(draw) -> list[str]:
         options = ["--split-k", draw(SMALL)] if draw(st.booleans()) else []
         options += [draw(st.sampled_from(["--grid", "--no-grid"])), draw(st.sampled_from(["--signs", "--no-signs"])),
                     "--cell-px", draw(INTS), "--color-before", draw(COLORS), "--color-after", draw(COLORS)]
-    return [command, *options, "--", draw(INTS), draw(INTS)]
+    return [command, *options, *draw(st.sampled_from([[], ["--"]])), draw(INTS), draw(INTS)]
 
 
 @settings(max_examples=150, deadline=timedelta(seconds=2))

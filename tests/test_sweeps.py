@@ -9,10 +9,10 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CliRunner
 from quadres import sweeps
 from quadres.symbols import billiard_symbol
 from quadres.checkers import Board
