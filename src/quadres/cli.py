@@ -30,6 +30,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"{self.format_usage()}Error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):  # a command's leftovers are refused with its own usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        return self.error(f"unrecognized arguments: {' '.join(extras)}") if extras else (namespace, extras)
+
 
 def _max_cells() -> int:
     raw = os.environ.get("QUADRES_MAX_CELLS")
@@ -122,7 +126,7 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> i
         _check_size(units := 1 + math.isqrt(n) // 32, f"--verify on n={n} ({units} work units)")
     limit = _max_cells()
     listed = n <= limit  # the bounce list grows with n alone
-    value, negatives = symbols.billiard_symbol(m, n).value, symbols.negative_bounce_count(m, n)
+    value, negatives = symbols._value(m, n), symbols.negative_bounce_count(m, n)
     bounces = [[x, s] for x, s, _ in billiards.base_bounces(m, n)] if listed and value else []  # none listed at gcd > 1
     oracle_values: dict[str, int] = {}
     if do_verify:
@@ -131,8 +135,8 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> i
             prime = oracles.is_odd_prime(n)
         except ValueError as exc:  # primality is proven exact only below 3.3e24
             raise UsageError(str(exc)) from exc
-        if prime:
-            oracle_values["euler"] = oracles.euler_symbol(m, n)
+        if prime:  # proven once: Euler's criterion takes it on trust
+            oracle_values["euler"] = oracles._euler_criterion(n, [m])[0]
         if n % 2 == 1:
             oracle_values["jacobi"] = oracles.jacobi_symbol(m, n)
         if math.gcd(m, n) == 1:

@@ -43,7 +43,12 @@ def euler_row(p: int, ms: list[int]) -> list[int]:
     """euler_symbol(a, p) for each a of ms, with p proven prime once for the row."""
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    return [r if (r := pow(a, (p - 1) // 2, p)) < 2 else -1 for a in ms]  # 0, 1 or p - 1, p being prime
+    return _euler_criterion(p, ms)
+
+
+def _euler_criterion(p: int, ms: list[int]) -> list[int]:
+    """Euler's criterion for each a of ms, p already proven an odd prime: a^((p-1)/2) mod p is 0, 1 or p - 1."""
+    return [r if (r := pow(a, (p - 1) // 2, p)) < 2 else -1 for a in ms]
 
 
 def jacobi_symbol(a: int, n: int) -> int:

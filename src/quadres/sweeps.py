@@ -91,9 +91,8 @@ def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> It
     return (m for m in range(start, max_m + 1, step) if math.gcd(m, n) == 1)
 
 
-def _billiard(n: int, ms: list[int], _table: Table | None = None) -> list[int]:
-    row = symbols.BilliardRow(n)  # no other cell asks this n, so the row dies with the cell
-    return [row[m % n] for m in ms]
+def _billiard(n: int, ms: list[int], table: Table) -> list[int]:
+    return [table[n][m % n] for m in ms]
 
 
 def _swapped(n: int, ms: list[int], table: Table) -> list[int]:
@@ -121,11 +120,11 @@ def _comparison(name: str, default: int, denominators: Callable[[int], Iterable[
 
 # --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
 
-def _supplements_check(n: int) -> tuple[int, list[Failure]]:
+def _supplements_check(n: int, table: Table) -> tuple[int, list[Failure]]:
     closed = (("minus_one", n - 1, symbols.symbol_supplement_minus_one(n)),
               ("two", 2, symbols.symbol_supplement_two(n)))
     return 2, [{"n": n, "identity": identity, "closed": want, "billiard": got}
-               for identity, m, want in closed if (got := symbols.billiard_symbol(m, n).value) != want]
+               for identity, m, want in closed if (got := table[n][m]) != want]
 
 
 # --- checkers_bridge: the single-pebble solution above a bottom bounce is even iff the bounce is positive ---
@@ -213,7 +212,7 @@ FAMILIES: dict[str, Family] = {
                     _billiard, lambda n, ms, _: [oracles.jacobi_symbol(m, n) for m in ms], ("billiard", "jacobi"),
                     lambda n, max_m: 1 + max_m),
         Family("supplements", lambda max_m, max_n: ((n,) for n in range(3, max_n + 1, 2)),
-               _supplements_check, 199, lambda n: 2),
+               _supplements_check, 199, lambda n: 2, tabled=True),
         # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
         _comparison("almost_reciprocity", 201, lambda max_n: range(3, max_n + 1, 2),
                     lambda n, max_m: range(1, n, 2), _swapped,

@@ -17,18 +17,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SymbolEvidence:
-    """A symbol value: (-1) to the number of negative bottom bounces, or 0 when gcd(m, n) > 1.
-
-    billiard_symbol reads only that count's parity and returns a shared record with no bounces and
-    count None; billiards.base_bounces lists the bounces themselves.
-    """
+    """A symbol value: (-1) to the number of negative bottom bounces, or 0 when gcd(m, n) > 1."""
 
     value: int
-    negative_bounce_count: int | None
-    base_bounces: tuple[tuple[int, int], ...]
 
 
-_VALUE_ONLY = {value: SymbolEvidence(value, None, ()) for value in (-1, 0, 1)}
+_VALUE_ONLY = {value: SymbolEvidence(value) for value in (-1, 0, 1)}
 
 
 def _floor_sum(count: int, n: int, a: int) -> int:
@@ -85,10 +79,8 @@ def negative_bounce_count(m: int, n: int) -> int:
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
-    if math.gcd(m, n) != 1:
-        return 0
     half = (n + 1) // 2
-    return _floor_sum(half, n, 2 * m) - 2 * _floor_sum(half, n, m)
+    return _floor_sum(half, n, 2 * m) - 2 * _floor_sum(half, n, m) if math.gcd(m, n) == 1 else 0
 
 
 def symbol_supplement_minus_one(n: int) -> int:

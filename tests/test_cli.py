@@ -183,6 +183,16 @@ class TestSymbol:
             ("euler", "pass"), ("jacobi", "pass"), ("zolotarev", "pass")]
         assert payload["result"]["value"] == -1 and payload["result"]["base_bounces_omitted"] is True
 
+    def test_verify_proves_n_prime_once(self, runner, monkeypatch):
+        """The CLI's primality proof is the only one: the Euler oracle takes its answer on."""
+        from quadres import oracles
+
+        calls, real = [], oracles.is_odd_prime
+        monkeypatch.setattr(oracles, "is_odd_prime", lambda n: calls.append(n) or real(n))
+        result = runner.invoke(main, ["symbol", "3", "1000000000039", "--verify"])
+        assert result.exit_code == 0 and "euler: -1 [pass]" in result.output
+        assert calls == [1000000000039]
+
     def test_verify_beyond_exact_primality_exit_2(self, runner):
         n = 33 * 10**23 + 1  # odd, and within an overridden cap: isqrt(n) is about 1.8e12
         result = runner.invoke(main, ["symbol", "3", str(n), "--verify"], env={"QUADRES_MAX_CELLS": str(10**13)})
@@ -718,12 +728,21 @@ def test_no_command_exit_2(runner):
 
 
 @pytest.mark.parametrize("args", [["symbol", "3", "7", "--verif"], ["solve", "5", "7", "--bottom"],
-                                  ["verify", "--check", "kernel"], ["render", "3", "5", "--split", "1"]])
+                                  ["verify", "--check", "kernel"], ["render", "3", "5", "--split", "1"],
+                                  ["trace", "3", "5", "--jso"]])
 def test_abbreviated_option_exit_2(runner, args):
-    """An option is named in full: --verif is not read as --verify."""
+    """An option is named in full: --verif is not read as --verify.  The refusal shows that command's usage."""
     result = runner.invoke(main, args)
     abbreviated = next(arg for arg in args if arg.startswith("--"))
-    assert result.exit_code == 2 and f"Error: unrecognized arguments: {abbreviated}" in result.stderr
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith(f"usage: quadres {args[0]} [--help] [--json] [--out FILE]")
+    assert f"\nError: unrecognized arguments: {abbreviated}" in result.stderr
+
+
+def test_unknown_option_before_the_command_shows_the_top_usage(runner):
+    result = runner.invoke(main, ["--verif", "symbol", "3", "7"])
+    assert result.exit_code == 2
+    assert result.stderr == "usage: quadres [--help] [--version] COMMAND ...\nError: unrecognized arguments: --verif\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

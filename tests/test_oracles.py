@@ -269,7 +269,8 @@ def test_zolotarev_calls_no_other_method(monkeypatch):
         raise AssertionError("the permutation sign called a method it is checked against")
 
     targets = {f for module in (symbols, billiards) for _, f in inspect.getmembers(module, inspect.isfunction)
-               if f.__module__ == module.__name__} | {oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row}
+               if f.__module__ == module.__name__} | {oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row,
+                                                       oracles._euler_criterion}
     cells = [(m, n) for n in range(1, 60) for m in range(1, 120) if math.gcd(m, n) == 1]
     want = [ref_zolotarev_perm_sign(m, n) for m, n in cells]
     cells.append((3, 10**12 + 39))  # n prime, so both n and n - 1 are factored

@@ -145,7 +145,8 @@ FAILURE_CASES = [
     ("jacobi", sweeps.symbols, "_value", _wrong_at((1, 3)),
      [{"m": m, "n": 3, "billiard": -value, "jacobi": value} for m, value in zip((1, 2, 4, 5, 7, 8), (1, -1) * 3)]),
     ("mod4", sweeps.symbols, "mod4_symbol", _wrong_at((3, 8)), [{"m": 3, "d": 8, "billiard": -1, "closed": 1}]),
-    ("supplements", sweeps.symbols, "billiard_symbol", _wrong_at((2, 7)),
+    # supplements reads (2|7) as class 2 of the table's row 7 and (6|7) as class 1 reflected: one record
+    ("supplements", sweeps.symbols, "_value", _wrong_at((2, 7)),
      [{"n": 7, "identity": "two", "closed": 1, "billiard": -1}]),
     # (3|7) enters the cell (7, 3) as the column (n|m) and the cell (3, 7) as the row's class 3
     ("reciprocity", sweeps.symbols, "_value", _wrong_at((3, 7)),
@@ -192,21 +193,21 @@ def test_billiard_row_matches_each_symbol():
     for n in range(1, 61):
         ms = list(range(1, 3 * n + 1))
         want = [billiard_symbol(m, n).value for m in ms]
-        assert sweeps._billiard(n, ms) == want, n
-        assert sweeps._billiard(n, ms[::-1] + ms) == want[::-1] + want, n
+        assert sweeps._billiard(n, ms, sweeps.Table()) == want, n
+        assert sweeps._billiard(n, ms[::-1] + ms, sweeps.Table()) == want[::-1] + want, n
         assert sweeps._swapped(n, ms, table) == [w * billiard_symbol(n, m).value for m, w in zip(ms, want)], n
         assert sweeps._swapped(n, ms, table) == ref_swapped(n, ms), n
-    assert sweeps._billiard(7, []) == [] and sweeps._billiard(1, [5, 1]) == [1, 1]
+    assert sweeps._billiard(7, [], table) == [] and sweeps._billiard(1, [5, 1], table) == [1, 1]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 400), st.integers(1, 120), st.booleans()), max_size=80))
 def test_table_answers_every_question_with_the_symbol(questions):
     """One table asked any (m, n), repeated, m >= n, gcd > 1, even n and n = 1 among them, one at a time or
-    beside m + n in a cell's fresh row, returns billiard_symbol(m, n).value every time."""
+    beside m + n through the billiard side of a comparison, returns billiard_symbol(m, n).value every time."""
     table = sweeps.Table()
     for m, n, in_row in questions + questions[::-1]:
-        got = sweeps._billiard(n, [m, m + n]) if in_row else [table[n][m % n]]
+        got = sweeps._billiard(n, [m, m + n], table) if in_row else [table[n][m % n]]
         assert got == [billiard_symbol(m, n).value] * len(got), (m, n)
 
 
@@ -238,14 +239,15 @@ def test_billiard_row_takes_one_value_per_reflected_class(monkeypatch, name):
 def test_billiard_row_asks_the_low_member_of_each_class(monkeypatch):
     """(1|3) serves (4|3), and reflected (5|3) and (8|3); (0|3) serves (6|3); (3|7) serves (10|7), (4|7), (11|7)."""
     calls = _count_values(monkeypatch)
-    assert sweeps._billiard(3, [5, 7, 8, 4, 6]) == [-1, 1, -1, 1, 0] and sorted(calls) == [(0, 3), (1, 3)]
+    table = sweeps.Table()
+    assert sweeps._billiard(3, [5, 7, 8, 4, 6], table) == [-1, 1, -1, 1, 0] and sorted(calls) == [(0, 3), (1, 3)]
     calls.clear()
-    assert sweeps._billiard(7, [3, 10, 4, 11]) == [-1, -1, 1, 1] and calls == [(3, 7)]
+    assert sweeps._billiard(7, [3, 10, 4, 11], table) == [-1, -1, 1, 1] and calls == [(3, 7)]
 
 
 def test_breaking_the_int_symbol_fails_every_billiard_row(monkeypatch):
-    """Each family with a billiard row or billiard_symbol, the supplements, records a failure when symbols._value
-    is negated for every n not 1 mod 4.
+    """Each family that reads billiard values from its batch table, the supplements among them, records a failure
+    when symbols._value is negated for every n not 1 mod 4.
 
     Rows and the reciprocity families' table ask only classes m < n, so negating every value would leave
     (m|n)(n|m) as it is; a coprime odd pair of 1 and 3 mod 4 negates one factor alone.

@@ -1,5 +1,6 @@
 """Tests for the billiards residue symbol and its identity chain."""
 
+import dataclasses
 import math
 import sys
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from quadres.billiards import base_bounces, trace_path
 from quadres.oracles import euler_symbol, is_odd_prime, jacobi_symbol, zolotarev_row
-from quadres.sweeps import _billiard
+from quadres.sweeps import FAMILIES, Table, _billiard, run_family
 from quadres.symbols import (
+    SymbolEvidence,
     _floor_sum,
     _value,
     billiard_symbol,
@@ -25,8 +27,7 @@ from reference import ref_base_bounces
 def test_billiard_symbol_5x7():
     ev = billiard_symbol(5, 7)
     assert ev.value == -1
-    assert ev.negative_bounce_count is None
-    assert ev.base_bounces == ()
+    assert [f.name for f in dataclasses.fields(SymbolEvidence)] == ["value"]
     assert negative_bounce_count(5, 7) == 1
 
 
@@ -85,9 +86,10 @@ def test_billiard_row_matches_bounce_walk():
     for n in range(1, 61):
         ms = list(range(1, 3 * n + 1))
         want = [math.prod(s for _, s, _ in base_bounces(m, n)) if math.gcd(m, n) == 1 else 0 for m in ms]
-        assert _billiard(n, ms) == want, n
-        assert _billiard(n, ms[::-1] + ms) == want[::-1] + want, n
-    assert _billiard(7, []) == [] and _billiard(1, [5, 1, 1]) == [1, 1, 1] and _billiard(2, [4, 3]) == [0, 1]
+        assert _billiard(n, ms, Table()) == want, n
+        assert _billiard(n, ms[::-1] + ms, Table()) == want[::-1] + want, n
+    assert _billiard(7, [], Table()) == [] and _billiard(1, [5, 1, 1], Table()) == [1, 1, 1]
+    assert _billiard(2, [4, 3], Table()) == [0, 1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -96,7 +98,7 @@ def test_reflected_class_flips_by_the_half_count(data, n):
     """(n-r|n) = (-1)^((n-1)//2) (r|n): the row's reflected value against billiard_symbol, any class r."""
     m = data.draw(st.integers(1, 3 * n))
     r = m % n
-    row = _billiard(n, [m, n - r, r or n])
+    row = _billiard(n, [m, n - r, r or n], Table())
     assert row == [billiard_symbol(k, n).value for k in (m, n - r, r or n)]
     assert row[1] == (-1) ** ((n - 1) // 2) * row[2] if r else row[1] == row[2]
 
@@ -107,7 +109,7 @@ def test_billiard_row_takes_one_floor_sum_per_reflected_class(monkeypatch):
 
     calls, want = [], [billiard_symbol(m, 7).value for m in range(1, 22)]
     monkeypatch.setattr(symbols, "_floor_sum", lambda count, n, a: calls.append(a) or _floor_sum(count, n, a))
-    assert _billiard(7, list(range(1, 22))) == want and sorted(calls) == [2, 4, 6]
+    assert _billiard(7, list(range(1, 22)), Table()) == want and sorted(calls) == [2, 4, 6]
 
 
 @settings(max_examples=300, deadline=None)
@@ -118,7 +120,7 @@ def test_floor_sum_matches_plain_sum(data, n):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("billiard_symbol called a method it is checked against")
+    raise AssertionError("a function this test refuses was called")
 
 
 def _refuse_everywhere(monkeypatch, targets):
@@ -139,19 +141,30 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     want = [sum(s < 0 for _, s, _ in base_bounces(m, n)) if math.gcd(m, n) == 1 else 0 for m, n in cells]
     _refuse_everywhere(monkeypatch, {billiards.base_bounces, billiards._fold, billiards.trace_path,
                                      oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row,
-                                     oracles.zolotarev_perm_sign, oracles.zolotarev_row})
+                                     oracles._euler_criterion, oracles.zolotarev_perm_sign, oracles.zolotarev_row})
     assert quadres.base_bounces is _refuse and billiards._fold is _refuse and quadres.jacobi_symbol is _refuse
     assert [negative_bounce_count(m, n) for m, n in cells] == want
     values = [billiard_symbol(m, n).value for m, n in cells]
     assert values == [(-1) ** count if math.gcd(m, n) == 1 else 0 for (m, n), count in zip(cells, want)]
     assert values.count(-1) > 0 and values.count(0) > 0
-    assert [_billiard(n, list(range(1, 30)))[m - 1] for m, n in cells] == values  # the row, n at a time
+    assert [_billiard(n, list(range(1, 30)), Table())[m - 1] for m, n in cells] == values  # the row, n at a time
     assert [_value(m, n) for m, n in cells] == values  # the int symbol the row and the sweeps' table ask
     table = sweeps.Table()  # the reciprocity sweeps' table, which fills each class through that int symbol
     assert [table[n][m % n] for m, n in cells] == values
     assert all(sweeps.run_family(name, 21, 21).ok for name in ("reciprocity", "almost_reciprocity"))
     assert billiard_symbol(5, 7).value == -1
     assert billiard_symbol(5, 8).value == 1
+
+
+@pytest.mark.parametrize("bound", [9, None], ids=["9", "default"])
+def test_sweeps_read_no_billiard_symbol(monkeypatch, bound):
+    """Every family passes with billiard_symbol refused: a sweep reads each billiard value from its batch table."""
+    from quadres import symbols
+
+    _refuse_everywhere(monkeypatch, {symbols.billiard_symbol})
+    assert symbols.billiard_symbol is _refuse
+    failed = {name: result.failures[:3] for name in FAMILIES if not (result := run_family(name, bound, bound)).ok}
+    assert failed == {}
 
 
 def test_billiard_symbol_takes_one_floor_sum(monkeypatch):
