@@ -135,8 +135,8 @@ def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> i
             prime = oracles.is_odd_prime(n)
         except ValueError as exc:  # primality is proven exact only below 3.3e24
             raise UsageError(str(exc)) from exc
-        if prime:  # proven once: Euler's criterion takes it on trust
-            oracle_values["euler"] = oracles._euler_criterion(n, [m])[0]
+        if prime:  # proven once: the Euler row takes it on trust
+            oracle_values["euler"] = oracles.euler_row(n, [m])[0]
         if n % 2 == 1:
             oracle_values["jacobi"] = oracles.jacobi_symbol(m, n)
         if math.gcd(m, n) == 1:

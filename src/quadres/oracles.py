@@ -36,18 +36,13 @@ def is_odd_prime(n: int) -> bool:
 
 def euler_symbol(a: int, p: int) -> int:
     """Legendre symbol (a|p) via a^((p-1)/2) mod p, for an odd prime p: 0 when p divides a."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     return euler_row(p, [a])[0]
 
 
 def euler_row(p: int, ms: list[int]) -> list[int]:
-    """euler_symbol(a, p) for each a of ms, with p proven prime once for the row."""
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    return _euler_criterion(p, ms)
-
-
-def _euler_criterion(p: int, ms: list[int]) -> list[int]:
-    """Euler's criterion for each a of ms, p already proven an odd prime: a^((p-1)/2) mod p is 0, 1 or p - 1."""
+    """euler_symbol(a, p) for each a of ms, p already proven an odd prime: a^((p-1)/2) mod p is 0, 1 or p - 1."""
     return [r if (r := pow(a, (p - 1) // 2, p)) < 2 else -1 for a in ms]
 
 

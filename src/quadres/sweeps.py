@@ -92,7 +92,8 @@ def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> It
 
 
 def _billiard(n: int, ms: list[int], table: Table) -> list[int]:
-    return [table[n][m % n] for m in ms]
+    row = table[n]
+    return [row[m % n] for m in ms]
 
 
 def _swapped(n: int, ms: list[int], table: Table) -> list[int]:
@@ -198,7 +199,7 @@ def _tilings_check(rows: int, cols: int) -> tuple[int, list[Failure]]:
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        # billiard symbol vs Euler's criterion, odd prime n, 1 <= m <= 2n with n not dividing m
+        # billiard symbol vs Euler's criterion, 1 <= m <= 2n with n not dividing m, odd n proven prime by the filter
         _comparison("euler", 199, lambda max_n: filter(oracles.is_odd_prime, range(3, max_n + 1)),
                     lambda n, max_m: (m for m in range(1, 2 * n + 1) if m % n), _billiard,
                     lambda n, ms, _: oracles.euler_row(n, ms), ("billiard", "euler"), lambda n, max_m: 1 + 2 * n),

@@ -79,8 +79,10 @@ def negative_bounce_count(m: int, n: int) -> int:
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
+    if math.gcd(m, n) != 1:
+        return 0
     half = (n + 1) // 2
-    return _floor_sum(half, n, 2 * m) - 2 * _floor_sum(half, n, m) if math.gcd(m, n) == 1 else 0
+    return _floor_sum(half, n, 2 * m) - 2 * _floor_sum(half, n, m)
 
 
 def symbol_supplement_minus_one(n: int) -> int:

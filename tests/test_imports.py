@@ -54,7 +54,7 @@ def test_legs_import_only_the_allowed_quadres_names():
 
 def test_cli_imports_no_private_quadres_name():
     """The CLI imports modules and public names only (dunders such as __version__ are public); the private
-    functions `symbol` calls, symbols._value and oracles._euler_criterion, it reads off their modules."""
+    function `symbol` calls, symbols._value, it reads off its module."""
     source = (Path(quadres.__file__).parent / "cli.py").read_text(encoding="utf-8")
     private = {edge for edge in quadres_imports(source)
                if any(part.startswith("_") and not part.endswith("__") for part in edge.split("."))}

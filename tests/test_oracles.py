@@ -76,17 +76,19 @@ def test_euler_symbol_reduces_argument():
     assert euler_symbol(12, 7) == euler_symbol(5, 7)
 
 
-def test_euler_row_matches_the_residue_table_with_one_primality_proof(monkeypatch):
-    """Each a of the row, negative, zero and past p included, against the squares mod p; p is proven prime once."""
+def test_euler_row_matches_the_residue_table_and_takes_p_on_trust(monkeypatch):
+    """Each a of the row, negative, zero and past p included, against the squares mod p; the row proves nothing
+    about p, whose caller has, and euler_symbol proves p prime once a call."""
     calls = []
     monkeypatch.setattr(oracles, "is_odd_prime", lambda n, real=is_odd_prime: calls.append(n) or real(n))
     for p in (3, 5, 7, 11, 1861, 10007):
         table, ms = residue_table(p), list(range(-p, 2 * p + 1))
         assert euler_row(p, ms) == [0 if a % p == 0 else 1 if a % p in table else -1 for a in ms], p
-    assert calls == [3, 5, 7, 11, 1861, 10007] and euler_row(7, []) == []
+    assert calls == [] and euler_row(7, []) == []
+    assert [euler_symbol(a, 1861) for a in (2, 3)] == euler_row(1861, [2, 3]) and calls == [1861, 1861]
     for p in (1, 2, 9, 1849):
         with pytest.raises(ValueError, match="odd prime"):
-            euler_row(p, [1])
+            euler_symbol(1, p)
 
 
 def test_residue_table_examples():
@@ -269,8 +271,7 @@ def test_zolotarev_calls_no_other_method(monkeypatch):
         raise AssertionError("the permutation sign called a method it is checked against")
 
     targets = {f for module in (symbols, billiards) for _, f in inspect.getmembers(module, inspect.isfunction)
-               if f.__module__ == module.__name__} | {oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row,
-                                                       oracles._euler_criterion}
+               if f.__module__ == module.__name__} | {oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row}
     cells = [(m, n) for n in range(1, 60) for m in range(1, 120) if math.gcd(m, n) == 1]
     want = [ref_zolotarev_perm_sign(m, n) for m, n in cells]
     cells.append((3, 10**12 + 39))  # n prime, so both n and n - 1 are factored

@@ -411,10 +411,10 @@ def test_euler_cost_is_two_units_a_numerator_at_any_prime():
 
 
 def test_euler_proves_each_prime_once(monkeypatch):
-    """The default sweep tests each n <= 199 once to pick its 45 primes, and each prime once more for its row."""
+    """The default sweep tests each n <= 199 once to pick its 45 primes; a prime's row takes that proof on trust."""
     calls, real = [], sweeps.oracles.is_odd_prime
     monkeypatch.setattr(sweeps.oracles, "is_odd_prime", lambda n: calls.append(n) or real(n))
-    assert run_family("euler").ok and len(calls) == 197 + 45
+    assert (result := run_family("euler")).ok and result.cells == 45 and calls == list(range(3, 200))
 
 
 def test_zolotarev_cost_grows_with_the_bits_of_n():

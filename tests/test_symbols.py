@@ -1,8 +1,10 @@
 """Tests for the billiards residue symbol and its identity chain."""
 
 import dataclasses
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +31,29 @@ def test_billiard_symbol_5x7():
     assert ev.value == -1
     assert [f.name for f in dataclasses.fields(SymbolEvidence)] == ["value"]
     assert negative_bounce_count(5, 7) == 1
+
+
+def test_benchmark_counts_a_wrong_symbol_record_as_failed(monkeypatch, capsys):
+    """The benchmark's symbol_queries round fails an op whose one-field record holds a wrong value, not only one
+    that raises: every other answer flipped fails 5 of 10 ops, and none of them raised."""
+    from quadres import symbols
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    calls, real = [], symbols.billiard_symbol
+
+    def flip_every_other(m, n):
+        calls.append((m, n))
+        value = real(m, n).value
+        return SymbolEvidence(-value if len(calls) % 2 else value)
+
+    monkeypatch.setattr(symbols, "billiard_symbol", flip_every_other)
+    rnd = workloads.run_symbol_round(workloads.symbol_inputs(5, 0, count=10, log10_n=(1.0, 2.0)))
+    assert (len(rnd.op_s), rnd.failed, len(calls)) == (10, 5, 10)
+    assert "op failed" not in capsys.readouterr().err
 
 
 def test_billiard_symbol_shared_factor_is_zero():
@@ -141,7 +166,7 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     want = [sum(s < 0 for _, s, _ in base_bounces(m, n)) if math.gcd(m, n) == 1 else 0 for m, n in cells]
     _refuse_everywhere(monkeypatch, {billiards.base_bounces, billiards._fold, billiards.trace_path,
                                      oracles.jacobi_symbol, oracles.euler_symbol, oracles.euler_row,
-                                     oracles._euler_criterion, oracles.zolotarev_perm_sign, oracles.zolotarev_row})
+                                     oracles.zolotarev_perm_sign, oracles.zolotarev_row})
     assert quadres.base_bounces is _refuse and billiards._fold is _refuse and quadres.jacobi_symbol is _refuse
     assert [negative_bounce_count(m, n) for m, n in cells] == want
     values = [billiard_symbol(m, n).value for m, n in cells]
