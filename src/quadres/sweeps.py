@@ -28,10 +28,21 @@ Failure = dict
 
 
 class Table(dict):
-    """One batch's billiard values: n to its symbols.BilliardRow, made when n is first asked."""
+    """One batch's billiard values: n to the list of (r|n) for r = 0, 1, ..., grown as far as a read asks."""
 
-    def __missing__(self, n: int) -> symbols.BilliardRow:
-        return self.setdefault(n, symbols.BilliardRow(n))
+    def row(self, n: int, top: int) -> list[int]:
+        """(r|n) for r = 0, 1, ... at least min(top, n) long; a shorter row grows to min(max(top, twice its length), n).
+
+        (m+n|n) = (m|n), as floor(2(m+n)k/n) = floor(2mk/n) + 2k and gcd(m+n, n) = gcd(m, n), so a reader indexes
+        the row at m mod n; and (n-r|n) = (-1)^((n-1)//2) (r|n), as floor(2(n-r)k/n) = 2k - 1 - floor(2rk/n) for
+        0 < k < n/2.  So _value is asked once per class r <= n/2 of the row, and each class above reads n - r.
+        """
+        row = self.setdefault(n, [])
+        if len(row) < min(top, n):
+            value, sign = symbols._value, -1 if (n - 1) // 2 % 2 else 1
+            for r in range(len(row), min(max(top, 2 * len(row)), n)):
+                row.append(value(r, n) if 2 * r <= n else sign * row[n - r])
+        return row
 
 
 Row = Callable[[int, list[int], Table], list[int]]  # a side of a comparison: (n, ms, table) to a value per m of ms
@@ -92,13 +103,14 @@ def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> It
 
 
 def _billiard(n: int, ms: list[int], table: Table) -> list[int]:
-    row = table[n]
+    row = table.row(n, max(ms, default=0) + 1)
     return [row[m % n] for m in ms]
 
 
 def _swapped(n: int, ms: list[int], table: Table) -> list[int]:
     """(m|n)(n|m) for each m of ms, the left side of both reciprocity identities, from the batch's table."""
-    return [table[n][m % n] * table[m][n % m] for m in ms]
+    row, col = table.row(n, max(ms, default=0) + 1), table.row
+    return [row[m % n] * col(m, (r := n % m) + 1)[r] for m in ms]
 
 
 def _comparison(name: str, default: int, denominators: Callable[[int], Iterable[int]],
@@ -121,11 +133,11 @@ def _comparison(name: str, default: int, denominators: Callable[[int], Iterable[
 
 # --- supplements: closed forms for (n-1|n) and (2|n) vs billiards, odd n ---
 
-def _supplements_check(n: int, table: Table) -> tuple[int, list[Failure]]:
+def _supplements_check(n: int) -> tuple[int, list[Failure]]:
     closed = (("minus_one", n - 1, symbols.symbol_supplement_minus_one(n)),
               ("two", 2, symbols.symbol_supplement_two(n)))
     return 2, [{"n": n, "identity": identity, "closed": want, "billiard": got}
-               for identity, m, want in closed if (got := table[n][m]) != want]
+               for identity, m, want in closed if (got := symbols._value(m, n)) != want]
 
 
 # --- checkers_bridge: the single-pebble solution above a bottom bounce is even iff the bounce is positive ---
@@ -213,11 +225,11 @@ FAMILIES: dict[str, Family] = {
                     _billiard, lambda n, ms, _: [oracles.jacobi_symbol(m, n) for m in ms], ("billiard", "jacobi"),
                     lambda n, max_m: 1 + max_m),
         Family("supplements", lambda max_m, max_n: ((n,) for n in range(3, max_n + 1, 2)),
-               _supplements_check, 199, lambda n: 2, tabled=True),
+               _supplements_check, 199, lambda n: 2),
         # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
         _comparison("almost_reciprocity", 201, lambda max_n: range(3, max_n + 1, 2),
                     lambda n, max_m: range(1, n, 2), _swapped,
-                    lambda n, ms, table: [table[n - m][m % (n - m)] for m in ms], ("lhs", "rhs"),
+                    lambda n, ms, table: [table.row(n - m, m % (n - m) + 1)[m % (n - m)] for m in ms], ("lhs", "rhs"),
                     lambda n, max_m: 1 + n),
         # closed form for (m|d), odd numerator m over even denominator d, coprime
         _comparison("mod4", 201, lambda max_n: range(2, max_n + 1, 2), partial(_coprime_numerators, step=2),

@@ -54,23 +54,6 @@ def _value(m: int, n: int) -> int:
     return 0 if math.gcd(m, n) != 1 else -1 if _floor_sum((n + 1) // 2, n, 2 * m) % 2 else 1
 
 
-class BilliardRow(dict):
-    """(m|n) for one n >= 1, keyed by the residue r = m mod n and entered when first asked.
-
-    (m+n|n) = (m|n), as floor(2(m+n)k/n) = floor(2mk/n) + 2k and gcd(m+n, n) = gcd(m, n); and
-    (n-r|n) = (-1)^((n-1)//2) (r|n), as floor(2(n-r)k/n) = 2k - 1 - floor(2rk/n) for 0 < k < n/2.
-    So a floor sum is taken once per class 2r <= n, and its reflection n - r reads it.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __missing__(self, r: int) -> int:
-        n = self.n
-        value = self[r] = _value(r, n) if 2 * r <= n else (-1 if (n - 1) // 2 % 2 else 1) * self[n - r]
-        return value
-
-
 def negative_bounce_count(m: int, n: int) -> int:
     """The number of negative bottom bounces of the m-by-n path, in O(log n); 0 when gcd > 1.
 

@@ -1,10 +1,10 @@
-"""The library stays within its size budget: src/quadres holds at most 1,469 lines."""
+"""The library stays within its size budget: src/quadres holds at most 1,462 lines."""
 
 from pathlib import Path
 
 import quadres
 
-MAX_SOURCE_LINES = 1467
+MAX_SOURCE_LINES = 1462
 
 
 def test_source_lines_within_budget():

@@ -145,7 +145,7 @@ FAILURE_CASES = [
     ("jacobi", sweeps.symbols, "_value", _wrong_at((1, 3)),
      [{"m": m, "n": 3, "billiard": -value, "jacobi": value} for m, value in zip((1, 2, 4, 5, 7, 8), (1, -1) * 3)]),
     ("mod4", sweeps.symbols, "mod4_symbol", _wrong_at((3, 8)), [{"m": 3, "d": 8, "billiard": -1, "closed": 1}]),
-    # supplements reads (2|7) as class 2 of the table's row 7 and (6|7) as class 1 reflected: one record
+    # supplements reads (2|7) and (6|7) straight from the int symbol, with no table: one record
     ("supplements", sweeps.symbols, "_value", _wrong_at((2, 7)),
      [{"n": 7, "identity": "two", "closed": 1, "billiard": -1}]),
     # (3|7) enters the cell (7, 3) as the column (n|m) and the cell (3, 7) as the row's class 3
@@ -203,12 +203,19 @@ def test_billiard_row_matches_each_symbol():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 400), st.integers(1, 120), st.booleans()), max_size=80))
 def test_table_answers_every_question_with_the_symbol(questions):
-    """One table asked any (m, n), repeated, m >= n, gcd > 1, even n and n = 1 among them, one at a time or
-    beside m + n through the billiard side of a comparison, returns billiard_symbol(m, n).value every time."""
+    """One table asked any (m, n), repeated, m >= n, gcd > 1, even n, n = 2 and n = 1 among them, one at a time
+    through table.row(n, m % n + 1) or beside m + n through the billiard side of a comparison, returns
+    billiard_symbol(m, n).value every time.  The asks come in any order, so a row grows from any prefix length:
+    each leaves it the prefix (r|n), r < len, at least min(top, n) long and holding no class past twice the highest
+    one asked, unless it was already longer."""
     table = sweeps.Table()
     for m, n, in_row in questions + questions[::-1]:
-        got = sweeps._billiard(n, [m, m + n], table) if in_row else [table[n][m % n]]
+        before, top = len(table.get(n, [])), m % n + 1
+        got = sweeps._billiard(n, [m, m + n], table) if in_row else [table.row(n, top)[m % n]]
         assert got == [billiard_symbol(m, n).value] * len(got), (m, n)
+        row = table[n]
+        assert row == [billiard_symbol(r or n, n).value for r in range(len(row))], (m, n)
+        assert len(row) == n if in_row else min(top, n) <= len(row) <= max(before, 2 * top - 1), (m, n, before)
 
 
 def _count_values(monkeypatch) -> list[tuple[int, int]]:
@@ -218,13 +225,13 @@ def _count_values(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
-# symbols._value calls in one default sweep: the row's one per distinct (r, n) with r = m mod n or n - r and
-# 2r <= n, half of what one per class m mod n took (4180, 3044, 5776, 4081, 774, 6060).  The two reciprocity
-# families read their rows, their columns (n|m) and almost_reciprocity's right side (m|n-m) from one table for
-# the sweep, which takes each such class once: 4,025 and 6,801, where each cell's own row and one value per
-# column and right side took 4,025 + 7,952 and 3 x 5,050
-VALUE_CALLS = {"euler": 2090, "zolotarev": 1523, "jacobi": 2926, "mod4": 2041, "checkers_symbol": 388,
-               "reciprocity": 4025, "almost_reciprocity": 6801}
+# symbols._value calls in one default sweep: a row is a prefix r = 0, 1, ... of its classes, so it takes one call
+# per r <= n // 2 below its length, the classes no read names (0, and those sharing a factor with n, which the gcd
+# answers without a floor sum) among them.  The two reciprocity families read their rows, their columns (n|m) and
+# almost_reciprocity's right side (m|n-m) from one table for the sweep, so each class is taken once.  A dict of
+# the classes read took 2090, 1523, 2926, 2041, 388, 4025 and 6801
+VALUE_CALLS = {"euler": 2135, "zolotarev": 2600, "jacobi": 2926, "mod4": 5150, "checkers_symbol": 675,
+               "reciprocity": 5049, "almost_reciprocity": 8931}
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CALLS))
@@ -237,17 +244,42 @@ def test_billiard_row_takes_one_value_per_reflected_class(monkeypatch, name):
 
 
 def test_billiard_row_asks_the_low_member_of_each_class(monkeypatch):
-    """(1|3) serves (4|3), and reflected (5|3) and (8|3); (0|3) serves (6|3); (3|7) serves (10|7), (4|7), (11|7)."""
+    """A new row asked to top takes exactly the classes r <= min(top - 1, n // 2), and an ask within its length
+    takes none.  (1|3) serves (4|3), and reflected (5|3) and (8|3); (0|3) serves (6|3); once row 7 holds (3|7),
+    (10|7) reads it, and (4|7) and (11|7) its reflection."""
     calls = _count_values(monkeypatch)
     table = sweeps.Table()
-    assert sweeps._billiard(3, [5, 7, 8, 4, 6], table) == [-1, 1, -1, 1, 0] and sorted(calls) == [(0, 3), (1, 3)]
+    assert sweeps._billiard(3, [5, 7, 8, 4, 6], table) == [-1, 1, -1, 1, 0] and calls == [(0, 3), (1, 3)]
+    assert table.row(7, 4)[3] == -1 and calls[2:] == [(0, 7), (1, 7), (2, 7), (3, 7)]
     calls.clear()
-    assert sweeps._billiard(7, [3, 10, 4, 11], table) == [-1, -1, 1, 1] and calls == [(3, 7)]
+    assert sweeps._billiard(7, [3, 10, 4, 11], table) == [-1, -1, 1, 1] and calls == []
+    for n in range(1, 41):
+        for top in range(1, 2 * n + 2):
+            calls.clear()
+            table = sweeps.Table()
+            row = table.row(n, top)
+            assert all(table.row(n, below) is row for below in range(1, len(row) + 1)), (n, top)
+            assert calls == [(r, n) for r in range(min(top - 1, n // 2) + 1)], (n, top)
+
+
+# (family, max_m, max_n): few numerators over many denominators, or the reverse, so each row is read at a few low
+# classes.  symbols._value calls per check and cell measured 1.25, 1.00, 1.10, 1.80 and 4.00: at 2001 x 3 each of
+# 666 checks reads (3|m), the class 3 of a column m that holds 0 to 3.  Rows built whole on first ask took 31 to
+# 125 times this bound (501,500 calls for mod4).
+SKEWED_GRIDS = [("mod4", 3, 2000), ("jacobi", 3, 2001), ("checkers_symbol", 3, 2000), ("reciprocity", 3, 2001),
+                ("reciprocity", 2001, 3)]
+
+
+@pytest.mark.parametrize("name, max_m, max_n", SKEWED_GRIDS)
+def test_rows_grow_only_as_far_as_their_reads(monkeypatch, name, max_m, max_n):
+    calls = _count_values(monkeypatch)
+    result = run_family(name, max_m, max_n)
+    assert result.ok and result.checked and len(calls) <= 4 * (result.checked + result.cells)
 
 
 def test_breaking_the_int_symbol_fails_every_billiard_row(monkeypatch):
-    """Each family that reads billiard values from its batch table, the supplements among them, records a failure
-    when symbols._value is negated for every n not 1 mod 4.
+    """Each family that reads billiard values, from its batch table or, in the supplements, straight from the int
+    symbol, records a failure when symbols._value is negated for every n not 1 mod 4.
 
     Rows and the reciprocity families' table ask only classes m < n, so negating every value would leave
     (m|n)(n|m) as it is; a coprime odd pair of 1 and 3 mod 4 negates one factor alone.
@@ -292,11 +324,11 @@ def test_one_table_per_sweep_and_none_after_it(monkeypatch):
     monkeypatch.setattr(sweeps, "Table", Recorded)
     calls = _count_values(monkeypatch)
     first = run_family("reciprocity")
-    assert first.ok and len(calls) == 4025 and len(made) == 1 and made[0]() is None
+    assert first.ok and len(calls) == 5049 and len(made) == 1 and made[0]() is None
     real = sweeps.symbols._value  # still counting
     monkeypatch.setattr(sweeps.symbols, "_value", lambda m, n: -real(m, n) if n == 7 else real(m, n))
     second = run_family("reciprocity")
-    assert len(calls) == 2 * 4025 and len(made) == 2 and made[1]() is None
+    assert len(calls) == 2 * 5049 and len(made) == 2 and made[1]() is None
     assert second.failures and all(7 in (f["m"], f["n"]) for f in second.failures)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -120,12 +121,17 @@ def test_billiard_row_matches_bounce_walk():
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.integers(1, 10**6))
 def test_reflected_class_flips_by_the_half_count(data, n):
-    """(n-r|n) = (-1)^((n-1)//2) (r|n): the row's reflected value against billiard_symbol, any class r."""
+    """(m|n) = (m mod n|n) and (n-r|n) = (-1)^((n-1)//2) (r|n), the two identities a row reads, any class r.
+
+    The int symbol takes each class by its own floor sum here: a row holds every class below the highest it is
+    asked, so reading n - r through one would take n/2 floor sums.  Rows read both identities on every class of
+    n <= 60 in test_billiard_row_matches_bounce_walk, and on any asks of n <= 120 in tests/test_sweeps.py.
+    """
     m = data.draw(st.integers(1, 3 * n))
     r = m % n
-    row = _billiard(n, [m, n - r, r or n], Table())
-    assert row == [billiard_symbol(k, n).value for k in (m, n - r, r or n)]
-    assert row[1] == (-1) ** ((n - 1) // 2) * row[2] if r else row[1] == row[2]
+    got = [_value(k % n, n) for k in (m, n - r, r or n)]
+    assert got == [billiard_symbol(k, n).value for k in (m, n - r, r or n)]
+    assert got[1] == (-1) ** ((n - 1) // 2) * got[2] if r else got[1] == got[2]
 
 
 def test_billiard_row_takes_one_floor_sum_per_reflected_class(monkeypatch):
@@ -174,8 +180,9 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     assert values.count(-1) > 0 and values.count(0) > 0
     assert [_billiard(n, list(range(1, 30)), Table())[m - 1] for m, n in cells] == values  # the row, n at a time
     assert [_value(m, n) for m, n in cells] == values  # the int symbol the row and the sweeps' table ask
-    table = sweeps.Table()  # the reciprocity sweeps' table, which fills each class through that int symbol
-    assert [table[n][m % n] for m, n in cells] == values
+    table = sweeps.Table()  # the sweeps' table, which grows each row through that int symbol, asked in any order
+    order = random.Random(0).sample(range(len(cells)), len(cells))
+    assert [table.row(n, m % n + 1)[m % n] for m, n in (cells[i] for i in order)] == [values[i] for i in order]
     assert all(sweeps.run_family(name, 21, 21).ok for name in ("reciprocity", "almost_reciprocity"))
     assert billiard_symbol(5, 7).value == -1
     assert billiard_symbol(5, 8).value == 1
