@@ -231,14 +231,13 @@ def verify(max_n: int | None, max_m: int | None, check_names: str | None,
 
     streamed = not as_json and out is None  # each family's line prints as that family finishes
     checks, lines = [], []
-    for name in names:
-        work, reproduce = planned[name]
-        res = sweeps.run_family(name, max_m=max_m, max_n=max_n, parallelism=parallelism)
-        checks.append({"name": name, "status": "pass" if res.ok else "fail",
+    for res in sweeps.run_families(names, max_m, max_n, parallelism):
+        work, reproduce = planned[res.name]
+        checks.append({"name": res.name, "status": "pass" if res.ok else "fail",
                        "witness": {"cells": res.cells, "checked": res.checked, "failures": list(res.failures)[:20],
                                    "failure_count": len(res.failures), "work_units": work, "elapsed_s": res.elapsed_s,
                                    "checks_per_s": res.checks_per_s, "reproduce": reproduce}})
-        line = (f"{name:<20} cells {res.cells:>6}  checked {res.checked:>7}  failures {len(res.failures):>4}  "
+        line = (f"{res.name:<20} cells {res.cells:>6}  checked {res.checked:>7}  failures {len(res.failures):>4}  "
                 f"units {work:>7}  {res.elapsed_s * 1e3:8.1f} ms  {res.checks_per_s:>9.0f} checks/s  "
                 f"[{'PASS' if res.ok else 'FAIL'}]")
         if streamed:

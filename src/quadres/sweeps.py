@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator
@@ -103,13 +104,13 @@ def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> It
 
 
 def _billiard(n: int, ms: list[int], table: Table) -> list[int]:
-    row = table.row(n, max(ms, default=0) + 1)
+    row = table.row(n, max(ms, default=-1) + 1)
     return [row[m % n] for m in ms]
 
 
 def _swapped(n: int, ms: list[int], table: Table) -> list[int]:
     """(m|n)(n|m) for each m of ms, the left side of both reciprocity identities, from the batch's table."""
-    row, col = table.row(n, max(ms, default=0) + 1), table.row
+    row, col = table.row(n, max(ms, default=-1) + 1), table.row
     return [row[m % n] * col(m, (r := n % m) + 1)[r] for m in ms]
 
 
@@ -264,27 +265,27 @@ def _run_batch(name: str, cells: list[tuple]) -> list[tuple[int, list[Failure]]]
     return [check(*cell) for cell in cells]
 
 
-def run_family(name: str, max_m: int | None = None, max_n: int | None = None,
-               parallelism: int = 1) -> FamilyResult:
-    """Run one check family and merge per-cell results in cell order.
-
-    Bounds left as None resolve as `Family.bounds` says.  At most one worker
-    process runs per core and per cell, whatever `parallelism` asks for.  A batch,
-    every cell serially and a worker's chunk of them in parallel, shares one Table.
-    """
+def run_families(names: Iterable[str], max_m: int | None = None, max_n: int | None = None,
+                 parallelism: int = 1) -> Iterator[FamilyResult]:
+    """Each family's result in the order named, its cells' results merged in cell order; bounds as `Family.bounds`.
+    A batch, a contiguous run of a family's cells, shares one Table: a family is one batch serially, and in one pool
+    of at most a worker per core and per cell it is ceil(4 * workers / families).  elapsed_s is the wait for it."""
     start = time.perf_counter()
-    family = FAMILIES[name]
-    cells = list(family.make_cells(*family.bounds(max_m, max_n)))
-    run = partial(_run_batch, name)
-    workers = min(parallelism, os.cpu_count() or 1, len(cells))
+    grids = {name: list(FAMILIES[name].make_cells(*FAMILIES[name].bounds(max_m, max_n))) for name in names}
+    workers = min(parallelism, os.cpu_count() or 1, sum(map(len, grids.values())))
+    cuts = -(-4 * workers // len(grids)) if workers > 1 else 1
+    batches = [(name, cells[i * len(cells) // cuts:(i + 1) * len(cells) // cuts]) for name, cells in grids.items()
+               for i in range(cuts)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-        size = max(1, len(cells) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for batch in pool.map(run, (cells[i:i + size] for i in range(0, len(cells), size)))
-                       for r in batch]
-    else:
-        results = run(cells)
-    return FamilyResult(name=name, checked=sum(c for c, _ in results),
-                        failures=tuple(f for _, fails in results for f in fails), cells=len(cells),
-                        elapsed_s=time.perf_counter() - start)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_run_batch, *zip(*batches))
+        for name, cells in grids.items():
+            done = [r for _ in range(cuts) for r in next(results)]
+            yield FamilyResult(name, sum(c for c, _ in done), tuple(f for _, fails in done for f in fails), len(cells),
+                               time.perf_counter() - start)
+            start = time.perf_counter()  # the caller's time between families is not the next one's
+
+
+def run_family(name: str, max_m: int | None = None, max_n: int | None = None, parallelism: int = 1) -> FamilyResult:
+    return next(run_families([name], max_m, max_n, parallelism))

@@ -328,11 +328,11 @@ class TestVerify:
 
         ran = []
 
-        def family_must_not_run(name, **_):
-            ran.append(name)
-            raise AssertionError(f"{name} ran before --out was checked")
+        def families_must_not_run(names, *_):
+            ran.extend(names)
+            raise AssertionError(f"{names} ran before --out was checked")
 
-        monkeypatch.setattr(sweeps, "run_family", family_must_not_run)
+        monkeypatch.setattr(sweeps, "run_families", families_must_not_run)
         assert_unwritable_out(runner, ["verify", "--checks", "kernel,tilings", *as_json], tmp_path)
         assert ran == []
 
@@ -523,17 +523,23 @@ class TestVerify:
         assert result.exit_code == 2
         assert "safety limit of 10 (override with QUADRES_MAX_CELLS)" in result.output
 
-    def test_parallel_matches_serial(self, runner):
-        serial = runner.invoke(main, ["verify", "--max-n", "14", "--checks", "kernel", "--json"])
-        parallel = runner.invoke(
-            main, ["verify", "--max-n", "14", "--checks", "kernel", "--parallelism", "3", "--json"]
-        )
+    @pytest.mark.parametrize("bounds", [[], ["--max-m", "21", "--max-n", "13"]])
+    def test_parallel_matches_serial(self, runner, bounds):
+        """One pool runs every family: its JSON is the serial run's but for the timing fields.
+
+        At 21x13 tilings is left out: its 273 boards cost 3.5 times the cap and take 3 s serially.
+        """
+        from quadres.sweeps import FAMILIES
+
+        names = [name for name in FAMILIES if bounds == [] or name != "tilings"]
+        command = ["verify", *bounds, "--checks", ",".join(names), "--json"]
+        serial, parallel = runner.invoke(main, command), runner.invoke(main, [*command, "--parallelism", "2"])
         assert serial.exit_code == parallel.exit_code == 0
         serial_checks, parallel_checks = (json.loads(r.output)["checks"] for r in (serial, parallel))
         for check in serial_checks + parallel_checks:
             del check["witness"]["elapsed_s"]  # wall time and the rate read from it, the fields that may differ
             del check["witness"]["checks_per_s"]
-        assert serial_checks == parallel_checks
+        assert [check["name"] for check in serial_checks] == names and serial_checks == parallel_checks
 
     @pytest.mark.parametrize("args", [[], ["--max-n", "9"], ["--max-m", "7", "--max-n", "11"]])
     def test_witness_command_reproduces_it(self, runner, monkeypatch, args):

@@ -262,6 +262,17 @@ def test_billiard_row_asks_the_low_member_of_each_class(monkeypatch):
             assert calls == [(r, n) for r in range(min(top - 1, n // 2) + 1)], (n, top)
 
 
+def test_a_cell_with_no_numerators_fills_no_row(monkeypatch):
+    """An empty ms asks its row for no class, not even (0|n).  At 3x2001 reciprocity's 333 denominators divisible
+    by 3 have no numerator and take no _value call: 2,665 calls in all, 2,998 when each took (0|n)."""
+    calls = _count_values(monkeypatch)
+    table = sweeps.Table()
+    assert sweeps._billiard(7, [], table) == sweeps._swapped(9, [], table) == [] and table == {7: [], 9: []}
+    assert calls == []
+    result = run_family("reciprocity", 3, 2001)
+    assert result.ok and len(calls) == 2665 and not [n for _, n in calls if n > 3 and n % 3 == 0]
+
+
 # (family, max_m, max_n): few numerators over many denominators, or the reverse, so each row is read at a few low
 # classes.  symbols._value calls per check and cell measured 1.25, 1.00, 1.10, 1.80 and 4.00: at 2001 x 3 each of
 # 666 checks reads (3|m), the class 3 of a column m that holds 0 to 3.  Rows built whole on first ask took 31 to
@@ -299,7 +310,7 @@ def test_reciprocity_families_match_their_per_cell_sides(monkeypatch, name, boun
     """checked and failures as each cell's own row and one value per column and right side gave them.
 
     With every (m|broken) negated, a break both ways of reading ask alike, both report the same failures.
-    Two workers run each grid with a table per chunk.
+    With two workers each grid runs as 8 batches, a table each.
     """
     if broken is not None:
         real = sweeps.symbols._value
@@ -310,10 +321,8 @@ def test_reciprocity_families_match_their_per_cell_sides(monkeypatch, name, boun
     assert (broken is None) == result.ok
 
 
-def test_one_table_per_sweep_and_none_after_it(monkeypatch):
-    """Each serial reciprocity sweep makes one table, asks each class once, and leaves nothing behind: the table
-    is gone once run_family returns, the second sweep asks as often as the first, and a _value patched between
-    them is the one it asks."""
+def _record_tables(monkeypatch) -> list[weakref.ref]:
+    """A weak reference to every Table made from now on."""
     made = []
 
     class Recorded(sweeps.Table):
@@ -322,6 +331,14 @@ def test_one_table_per_sweep_and_none_after_it(monkeypatch):
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(sweeps, "Table", Recorded)
+    return made
+
+
+def test_one_table_per_sweep_and_none_after_it(monkeypatch):
+    """Each serial reciprocity sweep makes one table, asks each class once, and leaves nothing behind: the table
+    is gone once run_family returns, the second sweep asks as often as the first, and a _value patched between
+    them is the one it asks."""
+    made = _record_tables(monkeypatch)
     calls = _count_values(monkeypatch)
     first = run_family("reciprocity")
     assert first.ok and len(calls) == 5049 and len(made) == 1 and made[0]() is None
@@ -543,9 +560,10 @@ def test_elapsed_time_is_reported_but_not_compared():
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each batch mapped, starts no process."""
 
     requested: list[int] = []
+    batches: list[tuple] = []
 
     def __init__(self, max_workers):
         self.requested.append(max_workers)
@@ -556,32 +574,48 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def map(self, fn, *iterables, chunksize=1):
+        batches = list(zip(*iterables))
+        self.batches.extend(batches)
+        return itertools.starmap(fn, batches)
 
 
-@pytest.mark.parametrize("cpus, max_n, want", [(3, 14, 3), (None, 14, None), (8, 3, 4)])
-def test_parallelism_is_clamped_to_cores_and_cells(monkeypatch, cpus, max_n, want):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)  # run_family imports it late
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)  # run_families imports it late
+    _InlinePool.requested, _InlinePool.batches = [], []
+    return _InlinePool
+
+
+@pytest.mark.parametrize("cpus, max_n, want", [(3, 14, 3), (None, 14, None), (8, 3, 5)])
+def test_parallelism_is_clamped_to_cores_and_cells(monkeypatch, inline_pool, cpus, max_n, want):
+    """Once a run, against all its cells: at 3x3 kernel's 4 boards and supplements' one denominator make 5."""
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
-    _InlinePool.requested = []
-    result = run_family("kernel", max_m=max_n, max_n=max_n, parallelism=10_000)
-    assert _InlinePool.requested == ([want] if want else [])
-    assert result == run_family("kernel", max_m=max_n, max_n=max_n)
+    names = ["kernel", "supplements"]
+    results = list(sweeps.run_families(names, max_n, max_n, parallelism=10_000))
+    assert inline_pool.requested == ([want] if want else [])
+    assert results == [run_family(name, max_n, max_n) for name in names]
 
 
-def test_each_parallel_chunk_is_a_batch_with_its_own_table(monkeypatch):
-    """Under --parallelism a worker's chunk of len(cells) // (4 * workers) cells is one batch, with one table."""
-    made = []
-
-    class Recorded(sweeps.Table):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)  # run_family imports it late
+def test_one_pool_runs_every_family_with_a_table_each(monkeypatch, inline_pool):
+    """At defaults two workers take ceil(4 * 2 / 12) = 1 batch a family, all in one pool: a Table per tabled
+    family, 7, as the serial run makes."""
+    made = _record_tables(monkeypatch)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sweeps, "Table", Recorded)
+    parallel = list(sweeps.run_families(ALL_FAMILIES, parallelism=2))
+    assert inline_pool.requested == [2] and [name for name, _ in inline_pool.batches] == ALL_FAMILIES
+    assert len(made) == sum(FAMILIES[name].tabled for name in ALL_FAMILIES) == 7
+    assert [result.name for result in parallel] == ALL_FAMILIES  # the order named, not the registry's
+    assert parallel == list(sweeps.run_families(ALL_FAMILIES)) and len(made) == 14
+
+
+def test_a_lone_family_runs_as_four_batches_a_worker(monkeypatch, inline_pool):
+    """Two workers cut a lone family into ceil(4 * 2 / 1) = 8 contiguous runs of its cells, each a batch with
+    its own Table; the serial sweep is one batch."""
+    made = _record_tables(monkeypatch)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     parallel = run_family("reciprocity", parallelism=2)
-    assert len(made) == 9  # 99 cells in chunks of 99 // 8 = 12: eight of 12 and one of 3
-    assert parallel == run_family("reciprocity") and len(made) == 10  # the serial sweep is one batch
+    assert [len(cells) for _, cells in inline_pool.batches] == [12, 12, 13, 12, 12, 13, 12, 13] and len(made) == 8
+    cells = list(FAMILIES["reciprocity"].make_cells(199, 199))
+    assert [cell for _, run in inline_pool.batches for cell in run] == cells and len(cells) == 99
+    assert parallel == run_family("reciprocity") and len(made) == 9
