@@ -258,33 +258,33 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def _run_batch(name: str, cells: list[tuple]) -> list[tuple[int, list[Failure]]]:
-    """One family's cells, sharing a Table for this batch only; module-level, so a worker receives names and cells."""
+def _run_batch(batch: tuple[str, list[tuple]]) -> tuple[float, int, list[Failure]]:
+    """One (name, cells) batch on a fresh Table, timed where it runs; module-level, so a worker gets only those."""
+    start, (name, cells) = time.perf_counter(), batch
     family = FAMILIES[name]
     check = partial(family.check, table=Table()) if family.tabled else family.check
-    return [check(*cell) for cell in cells]
+    done = [check(*cell) for cell in cells]
+    return time.perf_counter() - start, sum(c for c, _ in done), [f for _, fails in done for f in fails]
 
 
 def run_families(names: Iterable[str], max_m: int | None = None, max_n: int | None = None,
                  parallelism: int = 1) -> Iterator[FamilyResult]:
-    """Each family's result in the order named, its cells' results merged in cell order; bounds as `Family.bounds`.
-    A batch, a contiguous run of a family's cells, shares one Table: a family is one batch serially, and in one pool
-    of at most a worker per core and per cell it is ceil(4 * workers / families).  elapsed_s is the wait for it."""
-    start = time.perf_counter()
+    """Each family's result in the order named, once however often named, merged in cell order; bounds as
+    `Family.bounds`.  A batch, a contiguous run of a family's cells, shares one Table; a family is one batch, and
+    when a pool of at most a worker per core and per cell has more workers than the run has families, it cuts each
+    into ceil(4 * workers / families).  elapsed_s sums its batches' seconds, each measured where it ran."""
     grids = {name: list(FAMILIES[name].make_cells(*FAMILIES[name].bounds(max_m, max_n))) for name in names}
     workers = min(parallelism, os.cpu_count() or 1, sum(map(len, grids.values())))
-    cuts = -(-4 * workers // len(grids)) if workers > 1 else 1
+    cuts = -(-4 * workers // len(grids)) if len(grids) < workers else 1
     batches = [(name, cells[i * len(cells) // cuts:(i + 1) * len(cells) // cuts]) for name, cells in grids.items()
                for i in range(cuts)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(_run_batch, *zip(*batches))
+        results = (pool.map if pool else map)(_run_batch, batches)
         for name, cells in grids.items():
-            done = [r for _ in range(cuts) for r in next(results)]
-            yield FamilyResult(name, sum(c for c, _ in done), tuple(f for _, fails in done for f in fails), len(cells),
-                               time.perf_counter() - start)
-            start = time.perf_counter()  # the caller's time between families is not the next one's
+            seconds, checked, failures = zip(*(next(results) for _ in range(cuts)))
+            yield FamilyResult(name, sum(checked), tuple(f for fs in failures for f in fs), len(cells), sum(seconds))
 
 
 def run_family(name: str, max_m: int | None = None, max_n: int | None = None, parallelism: int = 1) -> FamilyResult:

@@ -559,6 +559,16 @@ def test_elapsed_time_is_reported_but_not_compared():
     assert result == run_family("supplements", max_n=21)
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_no_family_named_runs_nothing(parallelism):
+    assert list(sweeps.run_families([], parallelism=parallelism)) == []
+
+
+def test_a_family_named_twice_runs_once():
+    results = sweeps.run_families(["kernel", "tilings", "kernel"], 3, 3)
+    assert [result.name for result in results] == ["kernel", "tilings"]
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records max_workers and each batch mapped, starts no process."""
 
@@ -574,10 +584,10 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables, chunksize=1):
-        batches = list(zip(*iterables))
+    def map(self, fn, batches, chunksize=1):
+        batches = list(batches)
         self.batches.extend(batches)
-        return itertools.starmap(fn, batches)
+        return map(fn, batches)
 
 
 @pytest.fixture
@@ -598,8 +608,8 @@ def test_parallelism_is_clamped_to_cores_and_cells(monkeypatch, inline_pool, cpu
 
 
 def test_one_pool_runs_every_family_with_a_table_each(monkeypatch, inline_pool):
-    """At defaults two workers take ceil(4 * 2 / 12) = 1 batch a family, all in one pool: a Table per tabled
-    family, 7, as the serial run makes."""
+    """At defaults two workers over 12 families cut none: 1 batch a family, all in one pool, and a Table per
+    tabled family, 7, as the serial run makes."""
     made = _record_tables(monkeypatch)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     parallel = list(sweeps.run_families(ALL_FAMILIES, parallelism=2))
@@ -619,3 +629,24 @@ def test_a_lone_family_runs_as_four_batches_a_worker(monkeypatch, inline_pool):
     cells = list(FAMILIES["reciprocity"].make_cells(199, 199))
     assert [cell for _, run in inline_pool.batches for cell in run] == cells and len(cells) == 99
     assert parallel == run_family("reciprocity") and len(made) == 9
+
+
+def test_two_families_under_two_workers_run_whole(monkeypatch, inline_pool):
+    """Two workers over two families cut neither: 2 batches, a Table each, and each class asked once a family,
+    as often as the serial run asks."""
+    made, calls = _record_tables(monkeypatch), _count_values(monkeypatch)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    names = ["reciprocity", "almost_reciprocity"]
+    parallel = list(sweeps.run_families(names, parallelism=2))
+    assert [name for name, _ in inline_pool.batches] == names and len(made) == 2 and len(calls) == 5049 + 8931
+    assert parallel == list(sweeps.run_families(names)) and len(made) == 4 and len(calls) == 2 * (5049 + 8931)
+
+
+def test_elapsed_time_sums_its_batches_timed_where_they_ran(monkeypatch, inline_pool):
+    """With a clock that advances 1 a reading, a family reads 1 a batch: 1 serially, 8 for a lone family cut for
+    two workers.  Nothing outside a batch is timed, so making the cells costs a family nothing."""
+    ticks = itertools.count()
+    monkeypatch.setattr(sweeps.time, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    assert [result.elapsed_s for result in sweeps.run_families(["kernel", "reciprocity"])] == [1, 1]
+    assert run_family("reciprocity", parallelism=2).elapsed_s == 8 and len(inline_pool.batches) == 8
