@@ -17,8 +17,6 @@ parallel to the wall is unchanged by the reflection, so the sign does not
 depend on whether the incoming or outgoing direction is read.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from enum import Enum

@@ -19,8 +19,6 @@ of a gcd of two GF(2) path polynomials; on gcd > 1 boards the points the
 path visits once, a kernel element, are read off a congruence mod 2 gcd(m, n).
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from functools import cached_property

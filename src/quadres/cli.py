@@ -117,9 +117,9 @@ def trace(m: int, n: int, as_json: bool, out: str | None) -> int:
 def symbol(m: int, n: int, do_verify: bool, as_json: bool, out: str | None) -> int:
     """Compute the billiards symbol (M|N).
 
-    For N over the size limit the bounce list is omitted and the value and
-    negative-bounce count come from floor sums.  --verify counts the oracles'
-    work against the limit: factoring N takes up to about sqrt(N) trial divisions, 32 to a work unit.
+    The value comes from a parity descent that halves N at every step and the negative-bounce count from two floor
+    sums; for N over the size limit the bounce list is omitted.  --verify counts the oracles' work against the limit:
+    factoring N takes up to about sqrt(N) trial divisions, 32 to a work unit.
     """
     from . import billiards, symbols
     if do_verify:

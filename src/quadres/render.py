@@ -5,8 +5,6 @@ the y axis flipped so the origin renders at the lower left.  Identical
 inputs always produce byte-identical output.
 """
 
-from __future__ import annotations
-
 from html import escape
 from typing import TYPE_CHECKING
 
@@ -73,7 +71,7 @@ def render_path_svg(path: BilliardPath, split_k: int | None = None, *, cell_px: 
     return "\n".join(parts)
 
 
-def render_board_ascii(board: Board, pebbles: PebbleSet | None = None, checkers: CheckerSet | None = None) -> str:
+def render_board_ascii(board: "Board", pebbles: "PebbleSet | None" = None, checkers: "CheckerSet | None" = None) -> str:
     """One character per square: '#' dark, '.' light, 'o' pebble, 'O' checker.
 
     The top row is printed first so the bottom row comes last, matching the
@@ -90,7 +88,7 @@ def render_board_ascii(board: Board, pebbles: PebbleSet | None = None, checkers:
     return "\n".join("".join(char(col, row) for col in range(board.cols)) for row in range(board.rows - 1, -1, -1))
 
 
-def render_board_svg(board: Board, pebbles: PebbleSet | None = None, checkers: CheckerSet | None = None) -> str:
+def render_board_svg(board: "Board", pebbles: "PebbleSet | None" = None, checkers: "CheckerSet | None" = None) -> str:
     """Standalone SVG of a checkerboard with pebbles and checkers as circles, BOARD_CELL_PX a square."""
     px = BOARD_CELL_PX
     width, height = max(board.cols, 1) * px, max(board.rows, 1) * px
@@ -104,11 +102,9 @@ def render_board_svg(board: Board, pebbles: PebbleSet | None = None, checkers: C
             x, y = corner(col, row)
             fill = "lightgray" if board.is_dark(col, row) else "white"
             parts.append(f'<rect x="{x}" y="{y}" width="{px}" height="{px}" fill="{fill}" stroke="gray"/>')
-    for col, row in sorted(pebbles.squares if pebbles else ()):
-        x, y = corner(col, row)
-        parts.append(f'<circle cx="{x + px // 2}" cy="{y + px // 2}" r="{px // 5}" fill="black"/>')
-    for col, row in sorted(checkers.squares if checkers else ()):
-        x, y = corner(col, row)
-        parts.append(f'<circle cx="{x + px // 2}" cy="{y + px // 2}" r="{px // 3}" fill="firebrick" stroke="black"/>')
+    for marks, r, attrs in ((pebbles, px // 5, 'fill="black"'), (checkers, px // 3, 'fill="firebrick" stroke="black"')):
+        for col, row in sorted(marks.squares if marks else ()):
+            x, y = corner(col, row)
+            parts.append(f'<circle cx="{x + px // 2}" cy="{y + px // 2}" r="{r}" {attrs}/>')
     parts.append("</svg>")
     return "\n".join(parts)

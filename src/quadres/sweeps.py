@@ -12,8 +12,6 @@ sweep can be partitioned across processes; results are merged in cell
 order, which keeps output deterministic regardless of scheduling.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import time
@@ -36,7 +34,8 @@ class Table(dict):
 
         (m+n|n) = (m|n), as floor(2(m+n)k/n) = floor(2mk/n) + 2k and gcd(m+n, n) = gcd(m, n), so a reader indexes
         the row at m mod n; and (n-r|n) = (-1)^((n-1)//2) (r|n), as floor(2(n-r)k/n) = 2k - 1 - floor(2rk/n) for
-        0 < k < n/2.  So _value is asked once per class r <= n/2 of the row, and each class above reads n - r.
+        0 < k < n/2.  So _value is asked once per class r <= n/2 of the row, and each class above reads n - r:
+        _value reflects too, but the row keeps its own copy, since a list index costs about a tenth of a descent.
         """
         row = self.setdefault(n, [])
         if len(row) < min(top, n):

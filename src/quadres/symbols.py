@@ -4,12 +4,11 @@
 path, 0 when gcd(m, n) > 1, and +1 for an empty product.  It extends the
 Legendre symbol to arbitrary positive m and n, including even n, where it
 agrees with the permutation-sign (Zolotarev) definition rather than the
-Kronecker symbol: in particular (5|8) = +1.  The supplements and the
-even-denominator form are closed forms; the identities that link (m|n)
-to them and to (n|m) are checked in `sweeps`.
+Kronecker symbol: in particular (5|8) = +1.  A parity descent that halves
+n gives the value, and two floor sums the exact negative-bounce count.  The
+supplements and the even-denominator form are closed forms; the identities
+that link (m|n) to them and to (n|m) are checked in `sweeps`.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
@@ -39,19 +38,29 @@ def _floor_sum(count: int, n: int, a: int) -> int:
 
 
 def billiard_symbol(m: int, n: int) -> SymbolEvidence:
-    """(m|n) from one floor sum, without walking the bounces."""
+    """(m|n) from the halving parity descent of `_value`, without walking the bounces or summing the floors."""
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
     return _VALUE_ONLY[_value(m, n)]
 
 
 def _value(m: int, n: int) -> int:
-    """(m|n) as a plain int, for m >= 0 and n >= 1, which it does not check.
+    """(m|n) as a plain int, for m >= 0 and n >= 1, which it does not check, in at most log2(n) halving steps.
 
-    The bottom bounce at time 2mk (0 < k < n/2) is negative iff floor(2mk/n),
-    the side-wall contacts before it, is odd; so (m|n) is (-1) to their sum.
+    The bottom bounce at time 2mk (0 < k < n/2) is negative iff floor(2mk/n), its side-wall contacts, is odd: (m|n)
+    is (-1)^S_n(m), S_n(m) their sum.  A step reflects r = m mod n to 2r <= n by (n-r|n) = (-1)^((n-1)//2) (r|n), then
+    takes n below n/2 by two of _floor_sum's axis swaps composed: S_n(r) = (n // 2r) r(r-1)/2 + S_{n mod 2r}(r).
     """
-    return 0 if math.gcd(m, n) != 1 else -1 if _floor_sum((n + 1) // 2, n, 2 * m) % 2 else 1
+    if math.gcd(m, n) != 1:
+        return 0
+    odd = 0  # its bit 0 is the parity of the floors summed so far
+    while n > 1:
+        r = m % n
+        if 2 * r > n:
+            r, odd = n - r, odd ^ (n - 1) >> 1
+        q, n = divmod(n, 2 * r)
+        m, odd = r, odd ^ q & r >> 1  # r(r-1)/2 is odd iff bit 1 of r is set
+    return -1 if odd & 1 else 1
 
 
 def negative_bounce_count(m: int, n: int) -> int:

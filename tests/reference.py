@@ -516,7 +516,7 @@ def ref_count_tilings(rows: int, cols: int) -> int:
 
 
 def ref_swapped(n: int, ms: list[int]) -> list[int]:
-    """(m|n)(n|m) for each m of ms, two `_value` floor sums per numerator and no row."""
+    """(m|n)(n|m) for each m of ms, two `_value` descents per numerator and no row."""
     return [symbols._value(m, n) * symbols._value(n, m) for m in ms]
 
 

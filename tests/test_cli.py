@@ -212,7 +212,8 @@ class TestSymbol:
 
     @pytest.mark.parametrize("m, n", [(5, 101), (2, 101), (7, 150), (101, 102), (6, 102), (3, 999)])
     def test_value_only_count_matches_the_bounce_walk(self, runner, m, n):
-        # both branches take the value and count from floor sums; the traced path's bounces must agree
+        # both branches take the value from the halving descent and the count from floor sums; the traced path's
+        # bounces must agree
         coprime = math.gcd(m, n) == 1
         bounces = [[x, s] for x, s, _ in ref_base_bounces(trace_path(m, n))] if coprime else []
         negatives = sum(s < 0 for _, s in bounces)

@@ -2,9 +2,9 @@
 
 The billiards, checkers and oracle legs, `symbols` and the tiling count
 import no other quadres module: `symbols` takes no billiards name, as its
-symbol comes from floor sums, not from the bounces.  The CLI imports only
-public names.  The refusal tests catch a call at run time; this catches a
-new import before anything runs.
+symbol comes from a descent over the floors, not from the bounces.  The
+CLI imports only public names.  The refusal tests catch a call at run
+time; this catches a new import before anything runs.
 """
 
 import ast

@@ -227,7 +227,7 @@ def _count_values(monkeypatch) -> list[tuple[int, int]]:
 
 # symbols._value calls in one default sweep: a row is a prefix r = 0, 1, ... of its classes, so it takes one call
 # per r <= n // 2 below its length, the classes no read names (0, and those sharing a factor with n, which the gcd
-# answers without a floor sum) among them.  The two reciprocity families read their rows, their columns (n|m) and
+# answers without a descent) among them.  The two reciprocity families read their rows, their columns (n|m) and
 # almost_reciprocity's right side (m|n-m) from one table for the sweep, so each class is taken once.  A dict of
 # the classes read took 2090, 1523, 2926, 2041, 388, 4025 and 6801
 VALUE_CALLS = {"euler": 2135, "zolotarev": 2600, "jacobi": 2926, "mod4": 5150, "checkers_symbol": 675,

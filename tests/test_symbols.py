@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadres.billiards import base_bounces, trace_path
@@ -81,7 +81,7 @@ def test_billiard_symbol_rejects_nonpositive():
 
 
 def test_billiard_symbol_matches_traced_path():
-    # the floor sums against the product of the traced path's bottom-bounce signs, on every shape
+    # the halving descent against the product of the traced path's bottom-bounce signs, on every shape
     for m in range(1, 41):
         for n in range(1, 41):
             signs = [s for _, s, _ in ref_base_bounces(trace_path(m, n))]
@@ -123,8 +123,8 @@ def test_billiard_row_matches_bounce_walk():
 def test_reflected_class_flips_by_the_half_count(data, n):
     """(m|n) = (m mod n|n) and (n-r|n) = (-1)^((n-1)//2) (r|n), the two identities a row reads, any class r.
 
-    The int symbol takes each class by its own floor sum here: a row holds every class below the highest it is
-    asked, so reading n - r through one would take n/2 floor sums.  Rows read both identities on every class of
+    The int symbol takes each class by its own descent here: a row holds every class below the highest it is
+    asked, so reading n - r through one would take n/2 descents.  Rows read both identities on every class of
     n <= 60 in test_billiard_row_matches_bounce_walk, and on any asks of n <= 120 in tests/test_sweeps.py.
     """
     m = data.draw(st.integers(1, 3 * n))
@@ -134,13 +134,15 @@ def test_reflected_class_flips_by_the_half_count(data, n):
     assert got[1] == (-1) ** ((n - 1) // 2) * got[2] if r else got[1] == got[2]
 
 
-def test_billiard_row_takes_one_floor_sum_per_reflected_class(monkeypatch):
-    """Row 7 over m <= 21 needs (1|7), (2|7) and (3|7): the classes 4, 5, 6 are their reflections, 0 shares 7."""
+def test_billiard_row_asks_value_per_reflected_class(monkeypatch):
+    """Row 7 over m <= 21 asks _value for (1|7), (2|7) and (3|7), and for (0|7), which the gcd answers: the classes
+    4, 5, 6 are their reflections.  No floor sum is taken."""
     from quadres import symbols
 
     calls, want = [], [billiard_symbol(m, 7).value for m in range(1, 22)]
-    monkeypatch.setattr(symbols, "_floor_sum", lambda count, n, a: calls.append(a) or _floor_sum(count, n, a))
-    assert _billiard(7, list(range(1, 22)), Table()) == want and sorted(calls) == [2, 4, 6]
+    monkeypatch.setattr(symbols, "_value", lambda m, n: calls.append((m, n)) or _value(m, n))
+    monkeypatch.setattr(symbols, "_floor_sum", _refuse)
+    assert _billiard(7, list(range(1, 22)), Table()) == want and calls == [(0, 7), (1, 7), (2, 7), (3, 7)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,8 +165,8 @@ def _refuse_everywhere(monkeypatch, targets):
 
 
 def test_billiard_symbol_calls_no_oracle(monkeypatch):
-    """The floor sums, the row and its int symbol run without the bounce lister, its fold or the path tracer,
-    and with every oracle disabled."""
+    """The descent, the floor sums, the row and its int symbol run without the bounce lister, its fold or the
+    path tracer, and with every oracle disabled."""
     import quadres
     from quadres import billiards, oracles, sweeps
 
@@ -199,18 +201,55 @@ def test_sweeps_read_no_billiard_symbol(monkeypatch, bound):
     assert failed == {}
 
 
-def test_billiard_symbol_takes_one_floor_sum(monkeypatch):
+def test_billiard_symbol_asks_value_once_and_no_floor_sum(monkeypatch):
     from quadres import symbols
 
     calls = []
-
-    def counted(count, n, a):
-        calls.append((count, n, a))
-        return _floor_sum(count, n, a)
-
-    monkeypatch.setattr(symbols, "_floor_sum", counted)
+    monkeypatch.setattr(symbols, "_value", lambda m, n: calls.append((m, n)) or _value(m, n))
+    monkeypatch.setattr(symbols, "_floor_sum", _refuse)
     assert billiard_symbol(5, 7).value == -1
-    assert calls == [(4, 7, 10)]
+    assert calls == [(5, 7)]
+
+
+def _floor_parity_symbol(m, n):
+    """(m|n) from one whole floor sum, the count the halving descent keeps only the parity of."""
+    return 0 if math.gcd(m, n) != 1 else -1 if _floor_sum((n + 1) // 2, n, 2 * m) % 2 else 1
+
+
+def test_halving_step_is_exact():
+    """The descent's step, S_n(r) = (n // 2r) r(r-1)/2 + S_{n mod 2r}(r) for 1 <= r <= n/2, with S_n(r) the sum of
+    floor(2rk/n) over 0 < k < n/2 and S_0 = 0, holds as integers, not only mod 2, for odd and even n <= 400."""
+    def s(n, r):
+        return _floor_sum((n + 1) // 2, n, 2 * r) if n else 0
+
+    for n in range(1, 401):
+        for r in range(1, n // 2 + 1):
+            assert s(n, r) == n // (2 * r) * (r * (r - 1) // 2) + s(n % (2 * r), r), (n, r)
+
+
+@settings(max_examples=500, deadline=None)
+@given(m=st.integers(0, 10**24), n=st.integers(1, 10**24), shared=st.sampled_from([1, 1, 1, 2, 3, 30]))
+@example(m=0, n=1, shared=1)
+@example(m=5, n=1, shared=1)
+@example(m=0, n=2, shared=1)
+@example(m=3, n=2, shared=1)
+@example(m=10**24, n=7, shared=1)
+@example(m=5, n=8, shared=1)
+@example(m=6, n=9, shared=1)
+def test_value_matches_floor_sum_parity(m, n, shared):
+    """_value against the parity of the one floor sum it replaces, m and n rounded down to multiples of `shared`:
+    m >= n, gcd > 1 (a shared factor, or m = 0), even n and n = 1, 2 among the draws."""
+    m, n = m // shared * shared, n // shared * shared or shared
+    assert _value(m, n) == _floor_parity_symbol(m, n)
+
+
+def test_value_matches_jacobi_at_sixty_digits():
+    """_value against the Jacobi symbol, used here as a test oracle only, at seeded odd n up to 10^60, m up to 2n."""
+    rnd = random.Random(39)
+    for _ in range(3000):
+        n = rnd.randrange(1, 10 ** rnd.randint(1, 60)) | 1
+        m = rnd.randrange(0, 2 * n + 1)
+        assert _value(m, n) == jacobi_symbol(m, n), (m, n)
 
 
 _sides = st.integers(min_value=1, max_value=10**12)
