@@ -26,25 +26,7 @@ from . import billiards, oracles, symbols, tilings
 Failure = dict
 
 
-class Table(dict):
-    """One batch's billiard values: n to the list of (r|n) for r = 0, 1, ..., grown as far as a read asks."""
-
-    def row(self, n: int, top: int) -> list[int]:
-        """(r|n) for r = 0, 1, ... at least min(top, n) long; a shorter row grows to min(max(top, twice its length), n).
-
-        (m+n|n) = (m|n), as floor(2(m+n)k/n) = floor(2mk/n) + 2k and gcd(m+n, n) = gcd(m, n), so a reader indexes
-        the row at m mod n; and (n-r|n) = (-1)^((n-1)//2) (r|n), as floor(2(n-r)k/n) = 2k - 1 - floor(2rk/n) for
-        0 < k < n/2.  So _value is asked once per class r <= n/2 of the row, and each class above reads n - r:
-        _value reflects too, but the row keeps its own copy, since a list index costs about a tenth of a descent.
-        """
-        row = self.setdefault(n, [])
-        if len(row) < min(top, n):
-            value, sign = symbols._value, -1 if (n - 1) // 2 % 2 else 1
-            for r in range(len(row), min(max(top, 2 * len(row)), n)):
-                row.append(value(r, n) if 2 * r <= n else sign * row[n - r])
-        return row
-
-
+Table = dict  # one batch's billiard rows, n to the prefix (r|n), r = 0, 1, ..., that symbols._row grows
 Row = Callable[[int, list[int], Table], list[int]]  # a side of a comparison: (n, ms, table) to a value per m of ms
 
 
@@ -103,14 +85,14 @@ def _coprime_numerators(n: int, max_m: int, start: int = 1, step: int = 1) -> It
 
 
 def _billiard(n: int, ms: list[int], table: Table) -> list[int]:
-    row = table.row(n, max(ms, default=-1) + 1)
+    row = symbols._row(table, n, max(ms, default=-1) + 1)
     return [row[m % n] for m in ms]
 
 
 def _swapped(n: int, ms: list[int], table: Table) -> list[int]:
     """(m|n)(n|m) for each m of ms, the left side of both reciprocity identities, from the batch's table."""
-    row, col = table.row(n, max(ms, default=-1) + 1), table.row
-    return [row[m % n] * col(m, (r := n % m) + 1)[r] for m in ms]
+    row, grow = symbols._row(table, n, max(ms, default=-1) + 1), symbols._row
+    return [row[m % n] * grow(table, m, (r := n % m) + 1)[r] for m in ms]
 
 
 def _comparison(name: str, default: int, denominators: Callable[[int], Iterable[int]],
@@ -229,8 +211,8 @@ FAMILIES: dict[str, Family] = {
         # almost-reciprocity: (m|n)(n|m) = (m|n-m) for odd m < n
         _comparison("almost_reciprocity", 201, lambda max_n: range(3, max_n + 1, 2),
                     lambda n, max_m: range(1, n, 2), _swapped,
-                    lambda n, ms, table: [table.row(n - m, m % (n - m) + 1)[m % (n - m)] for m in ms], ("lhs", "rhs"),
-                    lambda n, max_m: 1 + n),
+                    lambda n, ms, table: [grow(table, n - m, m % (n - m) + 1)[m % (n - m)] for grow in [symbols._row]
+                                          for m in ms], ("lhs", "rhs"), lambda n, max_m: 1 + n // 2),
         # closed form for (m|d), odd numerator m over even denominator d, coprime
         _comparison("mod4", 201, lambda max_n: range(2, max_n + 1, 2), partial(_coprime_numerators, step=2),
                     _billiard, lambda d, ms, _: [symbols.mod4_symbol(m, d) for m in ms], ("billiard", "closed"),
@@ -239,7 +221,7 @@ FAMILIES: dict[str, Family] = {
         _comparison("reciprocity", 199, lambda max_n: range(3, max_n + 1, 2),
                     partial(_coprime_numerators, start=3, step=2),
                     _swapped, lambda n, ms, _: [-1 if (m - 1) * (n - 1) // 4 % 2 else 1 for m in ms], ("lhs", "rhs"),
-                    lambda n, max_m: 1 + max_m),
+                    lambda n, max_m: 2 + max_m // 4),
         # bottom-row puzzle parity vs billiard symbol, coprime m, n
         _comparison("checkers_symbol", 50, lambda max_n: range(1, max_n + 1), _coprime_numerators,
                     lambda n, ms, _: [ck.bottom_row_symbol(m, n) for m in ms], _billiard, ("checkers", "billiard"),

@@ -5,9 +5,10 @@ path, 0 when gcd(m, n) > 1, and +1 for an empty product.  It extends the
 Legendre symbol to arbitrary positive m and n, including even n, where it
 agrees with the permutation-sign (Zolotarev) definition rather than the
 Kronecker symbol: in particular (5|8) = +1.  A parity descent that halves
-n gives the value, and two floor sums the exact negative-bounce count.  The
-supplements and the even-denominator form are closed forms; the identities
-that link (m|n) to them and to (n|m) are checked in `sweeps`.
+n gives the value, rows of it grow by the symbol's period and reflection,
+proven here alone, and two floor sums give the exact negative-bounce count.
+The closed forms are the supplements and the even-denominator form; `sweeps`
+checks the identities that link (m|n) to them and to (n|m).
 """
 
 import math
@@ -48,8 +49,10 @@ def _value(m: int, n: int) -> int:
     """(m|n) as a plain int, for m >= 0 and n >= 1, which it does not check, in at most log2(n) halving steps.
 
     The bottom bounce at time 2mk (0 < k < n/2) is negative iff floor(2mk/n), its side-wall contacts, is odd: (m|n)
-    is (-1)^S_n(m), S_n(m) their sum.  A step reflects r = m mod n to 2r <= n by (n-r|n) = (-1)^((n-1)//2) (r|n), then
-    takes n below n/2 by two of _floor_sum's axis swaps composed: S_n(r) = (n // 2r) r(r-1)/2 + S_{n mod 2r}(r).
+    is (-1)^S_n(m), S_n(m) their sum.  So (m+n|n) = (m|n), as floor(2(m+n)k/n) = floor(2mk/n) + 2k and gcd(m+n, n) =
+    gcd(m, n); and (n-r|n) = (-1)^((n-1)//2) (r|n), as floor(2(n-r)k/n) = 2k - 1 - floor(2rk/n) when gcd(r, n) = 1.
+    A step reflects r = m mod n to 2r <= n by the latter, then takes n below n/2 by two of _floor_sum's axis swaps
+    composed: S_n(r) = (n // 2r) r(r-1)/2 + S_{n mod 2r}(r).
     """
     if math.gcd(m, n) != 1:
         return 0
@@ -61,6 +64,17 @@ def _value(m: int, n: int) -> int:
         q, n = divmod(n, 2 * r)
         m, odd = r, odd ^ q & r >> 1  # r(r-1)/2 is odd iff bit 1 of r is set
     return -1 if odd & 1 else 1
+
+
+def _row(rows: dict[int, list[int]], n: int, top: int) -> list[int]:
+    """rows[n], the prefix (r|n), r = 0, 1, ..., read at m mod n, at least min(top, n) long; a shorter one grows to
+    min(max(top, twice its length), n): _value for 2r <= n, (-1)^((n-1)//2) row[n - r] above (both rules: _value)."""
+    row = rows.setdefault(n, [])
+    if len(row) < min(top, n):
+        value, sign = _value, -1 if (n - 1) // 2 % 2 else 1
+        for r in range(len(row), min(max(top, 2 * len(row)), n)):
+            row.append(value(r, n) if 2 * r <= n else sign * row[n - r])
+    return row
 
 
 def negative_bounce_count(m: int, n: int) -> int:

@@ -1,10 +1,10 @@
-"""The library stays within its size budget: src/quadres holds at most 1,462 lines."""
+"""The library stays within its size budget: src/quadres holds at most 1,458 lines."""
 
 from pathlib import Path
 
 import quadres
 
-MAX_SOURCE_LINES = 1462
+MAX_SOURCE_LINES = 1458
 
 
 def test_source_lines_within_budget():

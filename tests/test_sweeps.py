@@ -204,14 +204,14 @@ def test_billiard_row_matches_each_symbol():
 @given(st.lists(st.tuples(st.integers(1, 400), st.integers(1, 120), st.booleans()), max_size=80))
 def test_table_answers_every_question_with_the_symbol(questions):
     """One table asked any (m, n), repeated, m >= n, gcd > 1, even n, n = 2 and n = 1 among them, one at a time
-    through table.row(n, m % n + 1) or beside m + n through the billiard side of a comparison, returns
+    through symbols._row(table, n, m % n + 1) or beside m + n through the billiard side of a comparison, returns
     billiard_symbol(m, n).value every time.  The asks come in any order, so a row grows from any prefix length:
     each leaves it the prefix (r|n), r < len, at least min(top, n) long and holding no class past twice the highest
     one asked, unless it was already longer."""
-    table = sweeps.Table()
+    table = {}  # a batch's table, the plain dict of its rows
     for m, n, in_row in questions + questions[::-1]:
         before, top = len(table.get(n, [])), m % n + 1
-        got = sweeps._billiard(n, [m, m + n], table) if in_row else [table.row(n, top)[m % n]]
+        got = sweeps._billiard(n, [m, m + n], table) if in_row else [sweeps.symbols._row(table, n, top)[m % n]]
         assert got == [billiard_symbol(m, n).value] * len(got), (m, n)
         row = table[n]
         assert row == [billiard_symbol(r or n, n).value for r in range(len(row))], (m, n)
@@ -247,18 +247,18 @@ def test_billiard_row_asks_the_low_member_of_each_class(monkeypatch):
     """A new row asked to top takes exactly the classes r <= min(top - 1, n // 2), and an ask within its length
     takes none.  (1|3) serves (4|3), and reflected (5|3) and (8|3); (0|3) serves (6|3); once row 7 holds (3|7),
     (10|7) reads it, and (4|7) and (11|7) its reflection."""
-    calls = _count_values(monkeypatch)
-    table = sweeps.Table()
+    calls, grow = _count_values(monkeypatch), sweeps.symbols._row
+    table = {}
     assert sweeps._billiard(3, [5, 7, 8, 4, 6], table) == [-1, 1, -1, 1, 0] and calls == [(0, 3), (1, 3)]
-    assert table.row(7, 4)[3] == -1 and calls[2:] == [(0, 7), (1, 7), (2, 7), (3, 7)]
+    assert grow(table, 7, 4)[3] == -1 and calls[2:] == [(0, 7), (1, 7), (2, 7), (3, 7)]
     calls.clear()
     assert sweeps._billiard(7, [3, 10, 4, 11], table) == [-1, -1, 1, 1] and calls == []
     for n in range(1, 41):
         for top in range(1, 2 * n + 2):
             calls.clear()
-            table = sweeps.Table()
-            row = table.row(n, top)
-            assert all(table.row(n, below) is row for below in range(1, len(row) + 1)), (n, top)
+            table = {}
+            row = grow(table, n, top)
+            assert all(grow(table, n, below) is row for below in range(1, len(row) + 1)), (n, top)
             assert calls == [(r, n) for r in range(min(top - 1, n // 2) + 1)], (n, top)
 
 
@@ -399,8 +399,8 @@ def test_work_stops_at_the_first_cell_past_the_limit(name):
 
 # the largest square bound each family's work admits under the CLI's default cap; each takes 0.4-1.3 s
 LARGEST_SQUARE = {
-    "euler": 1296, "zolotarev": 433, "jacobi": 706, "supplements": 250002, "almost_reciprocity": 998, "mod4": 999,
-    "reciprocity": 707, "checkers_symbol": 138, "checkers_bridge": 102, "kernel": 143, "superposition": 144,
+    "euler": 1296, "zolotarev": 433, "jacobi": 706, "supplements": 250002, "almost_reciprocity": 1412, "mod4": 999,
+    "reciprocity": 1411, "checkers_symbol": 138, "checkers_bridge": 102, "kernel": 143, "superposition": 144,
     "tilings": 13,
 }
 
@@ -414,7 +414,7 @@ def test_cap_admits_each_familys_largest_square_and_no_more(name):
 # the longest 1xN and Nx1 grids the cap admits, None where no bound is refused; each takes at most 1.4 s
 LONGEST_THIN = {
     "euler": (1296, None), "zolotarev": (20762, 545453), "jacobi": (250000, 249999), "supplements": (250002, None),
-    "almost_reciprocity": (998, None), "mod4": (250001, None), "reciprocity": (250002, None),
+    "almost_reciprocity": (1412, None), "mod4": (250001, None), "reciprocity": (250002, None),
     "checkers_symbol": (2818, 1999), "checkers_bridge": (1338, 1338), "kernel": (None, None),
     "superposition": (None, None), "tilings": (1411, 1411),
 }
@@ -441,8 +441,8 @@ def test_kernel_cost_counts_board_squares():
     assert kernel.work(143, 143, UNREACHABLE) == 243526 <= CAP < kernel.work(144, 144, UNREACHABLE) == 250573
     assert kernel.work(1, 10**9, CAP) == kernel.work(10**9, 1, CAP) == 0  # a side below 2 makes no board
     # the work at 33x40 for every family: it reads each bound its grid reads, and only those
-    at_33_40 = {"euler": 401, "zolotarev": 1045, "jacobi": 680, "supplements": 38, "almost_reciprocity": 418,
-                "mod4": 360, "reciprocity": 646, "checkers_symbol": 4436, "checkers_bridge": 8416, "kernel": 4868,
+    at_33_40 = {"euler": 401, "zolotarev": 1045, "jacobi": 680, "supplements": 38, "almost_reciprocity": 209,
+                "mod4": 360, "reciprocity": 190, "checkers_symbol": 4436, "checkers_bridge": 8416, "kernel": 4868,
                 "superposition": 3287, "tilings": 4826686022405}
     assert {name: family.work(33, 40, UNREACHABLE) for name, family in FAMILIES.items()} == at_33_40
 

@@ -168,7 +168,7 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     """The descent, the floor sums, the row and its int symbol run without the bounce lister, its fold or the
     path tracer, and with every oracle disabled."""
     import quadres
-    from quadres import billiards, oracles, sweeps
+    from quadres import billiards, oracles, sweeps, symbols
 
     cells = [(m, n) for m in range(1, 30) for n in range(1, 30)]
     want = [sum(s < 0 for _, s, _ in base_bounces(m, n)) if math.gcd(m, n) == 1 else 0 for m, n in cells]
@@ -181,10 +181,10 @@ def test_billiard_symbol_calls_no_oracle(monkeypatch):
     assert values == [(-1) ** count if math.gcd(m, n) == 1 else 0 for (m, n), count in zip(cells, want)]
     assert values.count(-1) > 0 and values.count(0) > 0
     assert [_billiard(n, list(range(1, 30)), Table())[m - 1] for m, n in cells] == values  # the row, n at a time
-    assert [_value(m, n) for m, n in cells] == values  # the int symbol the row and the sweeps' table ask
-    table = sweeps.Table()  # the sweeps' table, which grows each row through that int symbol, asked in any order
+    assert [_value(m, n) for m, n in cells] == values  # the int symbol the rows ask
+    rows = {}  # a batch's plain dict of rows, each grown by symbols._row through that int symbol, in any order
     order = random.Random(0).sample(range(len(cells)), len(cells))
-    assert [table.row(n, m % n + 1)[m % n] for m, n in (cells[i] for i in order)] == [values[i] for i in order]
+    assert [symbols._row(rows, n, m % n + 1)[m % n] for m, n in (cells[i] for i in order)] == [values[i] for i in order]
     assert all(sweeps.run_family(name, 21, 21).ok for name in ("reciprocity", "almost_reciprocity"))
     assert billiard_symbol(5, 7).value == -1
     assert billiard_symbol(5, 8).value == 1
